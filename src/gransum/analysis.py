@@ -117,24 +117,22 @@ def _intervals(boundaries: BoundarySet, n_tokens: int) -> list[tuple[int, int]]:
 
 def relation_census(
     sentences: list[list[Token]],
-    segment_splitter,
-    clause_splitter,
+    segments: list[BoundarySet],
+    clauses: list[BoundarySet],
     include_disjoint: bool = False,
 ) -> RelationCensus:
-    """Classify all (segment, clause) pairs produced by two splitters.
+    """Classify all (segment, clause) pairs of every sentence.
 
-    Splitters are callables mapping a token list to a BoundarySet.  Counts
-    cover intersecting pairs and partition them exactly; disjoint pairs
-    are tallied separately when requested.
+    segments[i] and clauses[i] are the two boundary sets of sentences[i].
+    Counts cover intersecting pairs and partition them exactly; disjoint
+    pairs are tallied separately when requested.
     """
     counts = {r: 0 for r in RelationType}
     disjoint = 0
-    for tokens in sentences:
+    for tokens, seg_set, cl_set in zip(sentences, segments, clauses, strict=True):
         n = len(tokens)
-        segs = _intervals(segment_splitter(tokens), n)
-        clauses = _intervals(clause_splitter(tokens), n)
-        for seg in segs:
-            for cl in clauses:
+        for seg in _intervals(seg_set, n):
+            for cl in _intervals(cl_set, n):
                 rel = classify_relation(seg, cl)
                 if rel is None:
                     if include_disjoint:
@@ -155,20 +153,20 @@ class GranularityStats:
 
 def granularity_stats(
     sentences: list[tuple[str, list[Token]]],
-    splitter,
+    boundaries: list[BoundarySet],
 ) -> GranularityStats:
     """Mean units/sentence, tokens/unit, and characters/unit.
 
-    Character counts exclude whitespace, matching the budget length used
-    everywhere else.  tokens/unit and chars/unit average over units.
+    boundaries[i] splits sentences[i] into units.  Character counts
+    exclude whitespace, matching the budget length used everywhere else.
+    tokens/unit and chars/unit average over units.
     """
     if not sentences:
         raise ValueError("no sentences")
     total_units = 0
     total_tokens = 0
     total_chars = 0
-    for text, tokens in sentences:
-        bset = splitter(tokens)
+    for (text, tokens), bset in zip(sentences, boundaries, strict=True):
         bset.validate(len(tokens))
         total_units += len(bset.positions) + 1
         total_tokens += len(tokens)

@@ -13,35 +13,47 @@ import sys
 
 import numpy as np
 
-from .analysis import RelationType, corpus_boundary_prf
 from .corpus import (
     CorpusError,
     SyntheticSpec,
     generate_synthetic,
+    gold_table,
     load_corpus,
     load_gold_boundaries,
+    read_jsonl,
     save_corpus,
     save_gold_boundaries,
 )
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.core import TrainingError
-from .oracle import dump_labels, load_labels, make_oracle_labels, UnitText
+from .oracle import dump_labels, load_labels
 from .pipeline import (
+    STATS_HEADER,
+    BoundaryProvider,
     PipelineConfig,
     ReportError,
+    boundary_scores,
+    build_document,
     build_views,
-    make_boundary_fn,
+    census_dict,
+    census_lines,
+    load_lexicons,
+    oracle_labels,
     rouge_eval_texts,
     run_experiment,
+    segmenter_examples,
+    stats_line,
+    summary_json,
+    view_census,
+    view_stats,
 )
 from .segmenter import (
     PointerSegmenter,
     SegmenterConfig,
-    SentenceExample,
     segmenter_train,
 )
 from .spans import UnitKind
-from .splitters import BoundarySet, RulePatterns, split_clauses, split_sentences
+from .splitters import split_sentences
 from .summarizer import (
     Summarizer,
     SummarizerConfig,
@@ -73,75 +85,39 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
                 fh.write("\n")
 
 
-def _load_hooks(args) -> LexiconHooks:
-    return LexiconHooks.from_json(args.hooks) if args.hooks else LexiconHooks()
+def _views(args):
+    """The corpus as views, with the hooks and patterns its arguments name."""
+    cases = load_corpus(args.corpus)
+    hooks, patterns = load_lexicons(args.hooks, getattr(args, "patterns", None))
+    return build_views(cases, hooks), hooks, patterns
 
 
-def _load_patterns(args) -> RulePatterns:
-    return RulePatterns.from_json(args.patterns) if getattr(args, "patterns", None) else RulePatterns()
+def _gold_boundaries(path: str, hooks: LexiconHooks) -> BoundaryProvider:
+    return BoundaryProvider("gold", hooks, gold=gold_table(load_gold_boundaries(path)))
 
 
-def _boundary_fn(args, hooks, patterns):
+def _boundaries(args, hooks, patterns) -> BoundaryProvider:
+    """The provider --method names, fed by --checkpoint or --gold."""
+    if args.method == "gold":
+        if not args.gold:
+            raise CorpusError("--method gold requires --gold boundaries file")
+        return _gold_boundaries(args.gold, hooks)
+    pointer = None
     if args.method == "pointer":
         if not args.checkpoint:
             raise CorpusError("--method pointer requires --checkpoint")
         ckpt = load_checkpoint(args.checkpoint, expect_kind=PointerSegmenter.KIND)
         pointer = PointerSegmenter.from_checkpoint(ckpt)
-        return make_boundary_fn("pointer", hooks, patterns, pointer=pointer)
-    return make_boundary_fn(args.method, hooks, patterns)
+    return BoundaryProvider(args.method, hooks, patterns, pointer=pointer)
 
 
-def _case_boundary_fn(args, hooks, patterns):
-    """(case_id, sentence_index, tokens) -> BoundarySet for any method."""
-    if args.method == "gold":
-        if not getattr(args, "gold", None):
-            raise CorpusError("--method gold requires --gold boundaries file")
-        gold = _gold_table(args.gold)
-        return lambda cid, si, toks: BoundarySet(
-            si, gold.get(cid, {}).get(si, ())
-        )
-    fn = _boundary_fn(args, hooks, patterns)
-    return lambda cid, si, toks: fn(toks, si)
-
-
-def _gold_table(path: str):
-    table: dict[str, dict[int, tuple[int, ...]]] = {}
-    for e in load_gold_boundaries(path):
-        table.setdefault(e.case_id, {})[e.sentence_index] = e.positions
-    return table
-
-
-def _segment_table_for_views(views, kind, boundary_fn, gold=None):
-    if kind is not UnitKind.SEGMENT:
-        return None
-    table = {}
-    for view in views:
-        for si, tokens in enumerate(view.tokens):
-            if gold is not None:
-                positions = gold.get(view.case.id, {}).get(si, ())
-                table[(view.case.id, si)] = BoundarySet(si, positions)
-            else:
-                table[(view.case.id, si)] = boundary_fn(tokens, si)
-    return table
-
-
-def _documents(views, kind, args, hooks, patterns, with_labels, budget, mode="keep"):
-    from .pipeline import build_document
-
-    gold = None
-    fn = None
+def _unit_boundaries(args, hooks, patterns, kind: UnitKind) -> BoundaryProvider | None:
+    """What cuts sentences into kind units; --method applies to SEGMENT only."""
     if kind is UnitKind.SEGMENT:
-        if args.method == "gold":
-            if not getattr(args, "gold", None):
-                raise CorpusError("--method gold requires --gold boundaries file")
-            gold = _gold_table(args.gold)
-        else:
-            fn = _boundary_fn(args, hooks, patterns)
-    table = _segment_table_for_views(views, kind, fn, gold)
-    return [
-        build_document(view, kind, table, hooks, budget, mode, with_labels)
-        for view in views
-    ]
+        return _boundaries(args, hooks, patterns)
+    if kind is UnitKind.CLAUSE:
+        return BoundaryProvider("clauses", hooks)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -195,15 +171,12 @@ def cmd_split_sentences(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    cases = load_corpus(args.corpus)
-    hooks = _load_hooks(args)
-    patterns = _load_patterns(args)
-    fn = _case_boundary_fn(args, hooks, patterns)
-    views = build_views(cases, hooks)
+    views, hooks, patterns = _views(args)
+    boundaries = _boundaries(args, hooks, patterns)
     lines = []
     for view in views:
         for si, tokens in enumerate(view.tokens):
-            bset = fn(view.case.id, si, tokens)
+            bset = boundaries(view.case.id, si, tokens)
             lines.append(
                 json.dumps(
                     {
@@ -219,30 +192,13 @@ def cmd_segment(args) -> int:
     return EXIT_OK
 
 
-def _sentence_examples(views, gold):
-    examples = []
-    for view in views:
-        case_gold = gold.get(view.case.id, {})
-        for si, tokens in enumerate(view.tokens):
-            positions = case_gold.get(si, ())
-            examples.append(
-                SentenceExample(
-                    tuple(t.surface for t in tokens),
-                    tuple(p for p in positions if p < len(tokens) - 1),
-                )
-            )
-    return examples
-
-
 def cmd_train_segmenter(args) -> int:
-    cases = load_corpus(args.corpus)
-    hooks = _load_hooks(args)
-    gold = _gold_table(args.gold)
-    views = build_views(cases, hooks)
+    views, hooks, _ = _views(args)
+    gold = _gold_boundaries(args.gold, hooks)
     config = SegmenterConfig(
         epochs=args.epochs, seed=args.seed if args.seed is not None else 0
     )
-    model, history = segmenter_train(_sentence_examples(views, gold), config)
+    model, history = segmenter_train(segmenter_examples(views, gold), config)
     save_checkpoint(model.to_checkpoint(), args.out)
     print(
         f"trained segmenter: {len(history.epoch_losses)} epochs, "
@@ -252,61 +208,38 @@ def cmd_train_segmenter(args) -> int:
 
 
 def cmd_eval_segmenter(args) -> int:
-    cases = load_corpus(args.corpus)
-    hooks = _load_hooks(args)
-    patterns = _load_patterns(args)
-    gold = _gold_table(args.gold)
-    fn = _boundary_fn(args, hooks, patterns)
-    views = build_views(cases, hooks)
-    pairs = []
-    for view in views:
-        case_gold = gold.get(view.case.id, {})
-        for si, tokens in enumerate(view.tokens):
-            pairs.append((fn(tokens, si), BoundarySet(si, case_gold.get(si, ()))))
-    micro, macro = corpus_boundary_prf(pairs)
-    out = {
-        "micro": {"precision": micro.precision, "recall": micro.recall, "f1": micro.f1},
-        "macro": {"precision": macro.precision, "recall": macro.recall, "f1": macro.f1},
-    }
-    _write_lines(args.output, [json.dumps(out, sort_keys=True, indent=2)])
+    views, hooks, patterns = _views(args)
+    gold = _gold_boundaries(args.gold, hooks)
+    predicted = _boundaries(args, hooks, patterns)
+    scores = boundary_scores(views, predicted, gold)
+    _write_lines(args.output, [json.dumps(scores, sort_keys=True, indent=2)])
     return EXIT_OK
 
 
 def cmd_make_oracle(args) -> int:
-    cases = load_corpus(args.corpus)
-    hooks = _load_hooks(args)
-    patterns = _load_patterns(args)
-    views = build_views(cases, hooks)
+    views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
+    boundaries = _unit_boundaries(args, hooks, patterns, kind)
     lines = []
-    docs_inputs = _documents(
-        views, kind, args, hooks, patterns, with_labels=False, budget=args.budget
-    )
-    for view, doc in zip(views, docs_inputs):
-        reference = [t for sent in view.reference_sentences for t in sent]
-        entries = [
-            UnitText(u, tuple(doc.sentences[u.sentence_index][u.token_start:u.token_end]), ln)
-            for u, ln in zip(doc.units, doc.unit_char_lengths)
-        ]
-        labeled = make_oracle_labels(entries, reference, args.budget, args.mode)
-        lines.extend(dump_labels(view.case.id, labeled))
+    for view in views:
+        doc = build_document(view, kind, boundaries, args.budget, with_labels=False)
+        lines.extend(dump_labels(doc.case_id, oracle_labels(doc, args.budget, args.mode)))
     _write_lines(args.output, lines)
     return EXIT_OK
 
 
 def cmd_train_summarizer(args) -> int:
-    cases = load_corpus(args.corpus)
-    hooks = _load_hooks(args)
-    patterns = _load_patterns(args)
-    views = build_views(cases, hooks)
+    views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
-    docs = _documents(
-        views, kind, args, hooks, patterns, with_labels=False, budget=args.budget
-    )
-    gold_table = load_labels(args.labels)
+    boundaries = _unit_boundaries(args, hooks, patterns, kind)
+    docs = [
+        build_document(view, kind, boundaries, args.budget, with_labels=False)
+        for view in views
+    ]
+    label_table = load_labels(args.labels)
     labeled_docs = []
     for doc in docs:
-        case_labels = gold_table.get(doc.case_id)
+        case_labels = label_table.get(doc.case_id)
         if case_labels is None:
             raise CorpusError(f"labels file has no entries for case {doc.case_id}")
         labels = []
@@ -344,30 +277,19 @@ def cmd_train_summarizer(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    cases = load_corpus(args.corpus)
-    hooks = _load_hooks(args)
-    patterns = _load_patterns(args)
-    views = build_views(cases, hooks)
+    views, hooks, patterns = _views(args)
     ckpt = load_checkpoint(args.model, expect_kind=Summarizer.KIND)
     model = Summarizer.from_checkpoint(ckpt)
     kind = model.unit_kind
-    docs = _documents(
-        views, kind, args, hooks, patterns, with_labels=False, budget=args.budget
-    )
+    boundaries = _unit_boundaries(args, hooks, patterns, kind)
+    docs = [
+        build_document(view, kind, boundaries, args.budget, with_labels=False)
+        for view in views
+    ]
     lines = []
     for doc in docs:
         result = summarize(doc, model, budget_chars=args.budget, mode=args.mode)
-        lines.append(
-            json.dumps(
-                {
-                    "case_id": result.case_id,
-                    "selected_units": [list(s) for s in result.selected],
-                    "summary_text": result.summary_text,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-        )
+        lines.append(summary_json(result))
     _write_lines(args.output, lines)
     return EXIT_OK
 
@@ -375,23 +297,21 @@ def cmd_summarize(args) -> int:
 def cmd_eval_rouge(args) -> int:
     cases = {c.id: c for c in load_corpus(args.corpus)}
     rows = []
-    with open(args.candidates, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            case = cases.get(obj["case_id"])
-            if case is None:
-                raise CorpusError(f"candidate for unknown case {obj['case_id']!r}")
-            scores = rouge_eval_texts(obj["summary_text"], case.summary_text)
-            rows.append(
-                {
-                    "case_id": obj["case_id"],
-                    "rouge1": dataclasses.asdict(scores["rouge1"]),
-                    "rouge2": dataclasses.asdict(scores["rouge2"]),
-                    "rougeL": dataclasses.asdict(scores["rougeL"]),
-                }
-            )
+    for where, obj in read_jsonl(args.candidates, ("case_id", "summary_text")):
+        if not all(isinstance(obj[key], str) for key in ("case_id", "summary_text")):
+            raise CorpusError(f"{where}: case_id and summary_text must be strings")
+        case = cases.get(obj["case_id"])
+        if case is None:
+            raise CorpusError(f"{where}: candidate for unknown case {obj['case_id']!r}")
+        scores = rouge_eval_texts(obj["summary_text"], case.summary_text)
+        rows.append(
+            {
+                "case_id": obj["case_id"],
+                "rouge1": dataclasses.asdict(scores["rouge1"]),
+                "rouge2": dataclasses.asdict(scores["rouge2"]),
+                "rougeL": dataclasses.asdict(scores["rougeL"]),
+            }
+        )
     means = {}
     for key in ("rouge1", "rouge2", "rougeL"):
         means[key] = {
@@ -404,69 +324,19 @@ def cmd_eval_rouge(args) -> int:
 
 
 def cmd_analyze_relations(args) -> int:
-    from .analysis import RelationCensus, classify_relation
-
-    cases = load_corpus(args.corpus)
-    hooks = _load_hooks(args)
-    patterns = _load_patterns(args)
-    views = build_views(cases, hooks)
-    seg_fn = _case_boundary_fn(args, hooks, patterns)
-
-    counts = {r: 0 for r in RelationType}
-    for view in views:
-        for si, tokens in enumerate(view.tokens):
-            n = len(tokens)
-            seg = seg_fn(view.case.id, si, tokens)
-            cl = split_clauses(tokens, hooks, si)
-            seg_iv = list(zip([0] + [p + 1 for p in seg.positions],
-                              [p + 1 for p in seg.positions] + [n]))
-            cl_iv = list(zip([0] + [p + 1 for p in cl.positions],
-                             [p + 1 for p in cl.positions] + [n]))
-            for a in seg_iv:
-                for b in cl_iv:
-                    rel = classify_relation(a, b)
-                    if rel is not None:
-                        counts[rel] += 1
-    census = RelationCensus(counts, disjoint=0)
-    pct = census.percentages()
-    lines = [
-        "Relation types\t" + "\t".join(r.value.capitalize() for r in RelationType),
-        "Number of relationships\t"
-        + "\t".join(str(census.counts[r]) for r in RelationType),
-        "Percentage\t" + "\t".join(f"{pct[r]:.1f}%" for r in RelationType),
-    ]
-    _write_lines(args.output, lines)
+    views, hooks, patterns = _views(args)
+    segments = _boundaries(args, hooks, patterns)
+    census = view_census(views, segments, BoundaryProvider("clauses", hooks))
+    _write_lines(args.output, census_lines(census_dict(census)))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    from .analysis import granularity_stats
-
-    cases = load_corpus(args.corpus)
-    hooks = _load_hooks(args)
-    patterns = _load_patterns(args)
-    views = build_views(cases, hooks)
+    views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
-    if kind is UnitKind.SENTENCE:
-        case_fn = lambda cid, si, toks: BoundarySet(si, ())
-    elif kind is UnitKind.CLAUSE:
-        case_fn = lambda cid, si, toks: split_clauses(toks, hooks, si)
-    else:
-        case_fn = _case_boundary_fn(args, hooks, patterns)
-    rows = []
-    planted = []
-    for view in views:
-        for si, (s, toks) in enumerate(zip(view.sentences, view.tokens)):
-            rows.append((s.text, toks))
-            planted.append(case_fn(view.case.id, si, toks))
-    cursor = iter(planted)
-    stats = granularity_stats(rows, lambda toks: next(cursor))
-    lines = [
-        "Units\tUnits/Sentence\tTokens/Unit\tCharacters/Unit",
-        f"{kind.value.capitalize()}\t{stats.units_per_sentence:.2f}"
-        f"\t{stats.tokens_per_unit:.2f}\t{stats.chars_per_unit:.2f}",
-    ]
-    _write_lines(args.output, lines)
+    stats = view_stats(views, _unit_boundaries(args, hooks, patterns, kind))
+    line = stats_line(kind.value, dataclasses.asdict(stats))
+    _write_lines(args.output, [STATS_HEADER, line])
     return EXIT_OK
 
 

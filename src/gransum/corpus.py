@@ -50,35 +50,48 @@ class Case:
         return "\n".join(self.record_sentences)
 
 
-def load_corpus(path: str) -> list[Case]:
-    """Read a JSONL corpus; offsets and text are preserved exactly."""
-    cases: list[Case] = []
-    seen: set[str] = set()
+def read_jsonl(path: str, fields: tuple[str, ...]):
+    """Yield ("path:line", object) for each non-blank line of a JSONL file.
+
+    A line that is not a JSON object holding every one of fields is a
+    CorpusError naming its path and line.
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            for key in ("id", "records", "summary"):
+                raise CorpusError(f"{where}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise CorpusError(f"{where}: expected a JSON object")
+            for key in fields:
                 if key not in obj:
-                    raise CorpusError(f"{path}:{lineno}: missing field {key!r}")
-            if not isinstance(obj["records"], list) or not all(
-                isinstance(r, str) for r in obj["records"]
-            ):
-                raise CorpusError(f"{path}:{lineno}: records must be a list of strings")
-            if not isinstance(obj["summary"], str):
-                raise CorpusError(f"{path}:{lineno}: summary must be a string")
-            case_id = str(obj["id"])
-            if case_id in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate case id {case_id!r}")
-            seen.add(case_id)
-            try:
-                cases.append(Case(case_id, tuple(obj["records"]), obj["summary"]))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+                    raise CorpusError(f"{where}: missing field {key!r}")
+            yield where, obj
+
+
+def load_corpus(path: str) -> list[Case]:
+    """Read a JSONL corpus; offsets and text are preserved exactly."""
+    cases: list[Case] = []
+    seen: set[str] = set()
+    for where, obj in read_jsonl(path, ("id", "records", "summary")):
+        if not isinstance(obj["records"], list) or not all(
+            isinstance(r, str) for r in obj["records"]
+        ):
+            raise CorpusError(f"{where}: records must be a list of strings")
+        if not isinstance(obj["summary"], str):
+            raise CorpusError(f"{where}: summary must be a string")
+        case_id = str(obj["id"])
+        if case_id in seen:
+            raise CorpusError(f"{where}: duplicate case id {case_id!r}")
+        seen.add(case_id)
+        try:
+            cases.append(Case(case_id, tuple(obj["records"]), obj["summary"]))
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from exc
     return cases
 
 
@@ -125,22 +138,31 @@ def save_gold_boundaries(entries: list[GoldBoundary], path: str) -> None:
             fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_gold_boundaries(path: str) -> list[GoldBoundary]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            out.append(
-                GoldBoundary(
-                    str(obj["id"]), int(obj["sentence_index"]), tuple(obj["boundaries"])
-                )
-            )
+    for where, obj in read_jsonl(path, ("id", "sentence_index", "boundaries")):
+        if not _is_int(obj["sentence_index"]):
+            raise CorpusError(f"{where}: sentence_index must be an integer")
+        positions = obj["boundaries"]
+        if not isinstance(positions, list) or not all(_is_int(p) for p in positions):
+            raise CorpusError(f"{where}: boundaries must be a list of integers")
+        out.append(GoldBoundary(str(obj["id"]), obj["sentence_index"], tuple(positions)))
     return out
+
+
+GoldTable = dict[str, dict[int, tuple[int, ...]]]
+
+
+def gold_table(entries: list[GoldBoundary]) -> GoldTable:
+    """Gold positions by case id, then sentence index."""
+    table: GoldTable = {}
+    for e in entries:
+        table.setdefault(e.case_id, {})[e.sentence_index] = e.positions
+    return table
 
 
 @dataclass(frozen=True)
@@ -345,11 +367,8 @@ class GeneratedCorpus:
     hooks: LexiconHooks
     patterns: RulePatterns
 
-    def gold_by_case(self) -> dict[str, dict[int, tuple[int, ...]]]:
-        table: dict[str, dict[int, tuple[int, ...]]] = {}
-        for e in self.gold_boundaries:
-            table.setdefault(e.case_id, {})[e.sentence_index] = e.positions
-        return table
+    def gold_by_case(self) -> GoldTable:
+        return gold_table(self.gold_boundaries)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> GeneratedCorpus:

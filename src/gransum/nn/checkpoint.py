@@ -9,6 +9,7 @@ models serialize to identical bytes, and round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -74,9 +75,22 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
+        length_field = fh.read(8)
+        if len(length_field) != 8:
+            raise CheckpointError(f"{path}: truncated header length")
+        (header_len,) = struct.unpack("<Q", length_field)
+        rest = fh.read()
+    if header_len > len(rest):
+        raise CheckpointError(
+            f"{path}: header length {header_len} runs past the end of the file"
+        )
+    try:
+        header = json.loads(rest[:header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    payload = rest[header_len:]
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {header.get('version')!r}"
@@ -86,11 +100,22 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
             f"{path}: checkpoint kind {header['kind']!r}, expected {expect_kind!r}"
         )
     tensors = {}
-    for e in header["tensors"]:
-        raw = payload[e["offset"]:e["offset"] + e["nbytes"]]
-        tensors[e["name"]] = np.frombuffer(raw, dtype=np.dtype(e["dtype"])).reshape(
-            e["shape"]
-        ).copy()
+    try:
+        for e in header["tensors"]:
+            dtype = np.dtype(e["dtype"])
+            offset, nbytes = e["offset"], e["nbytes"]
+            if nbytes != math.prod(e["shape"]) * dtype.itemsize or not (
+                0 <= offset <= len(payload) - nbytes
+            ):
+                raise CheckpointError(
+                    f"{path}: tensor {e['name']!r} does not fit the payload"
+                )
+            raw = payload[offset:offset + nbytes]
+            tensors[e["name"]] = np.frombuffer(raw, dtype=dtype).reshape(
+                e["shape"]
+            ).copy()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed tensor table: {exc}") from exc
     return Checkpoint(
         kind=header["kind"],
         hyper=header["hyper"],

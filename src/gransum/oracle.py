@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .corpus import read_jsonl
 from .rouge import rouge_n
 from .spans import Unit
 from .summarizer import budget_select
@@ -103,12 +104,8 @@ def save_labels(path: str, per_case: dict[str, list[LabeledUnit]]) -> None:
 def load_labels(path: str) -> dict[str, dict[tuple[int, int], bool]]:
     """Gold flags keyed by case id and (sentence_index, unit_index)."""
     table: dict[str, dict[tuple[int, int], bool]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            table.setdefault(obj["case_id"], {})[
-                (obj["sentence_index"], obj["unit_index"])
-            ] = bool(obj["gold"])
+    for _, obj in read_jsonl(path, ("case_id", "sentence_index", "unit_index", "gold")):
+        table.setdefault(obj["case_id"], {})[
+            (obj["sentence_index"], obj["unit_index"])
+        ] = bool(obj["gold"])
     return table

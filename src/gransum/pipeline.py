@@ -20,22 +20,25 @@ from .analysis import (
     GranularityStats,
     RelationCensus,
     RelationType,
-    classify_relation,
     corpus_boundary_prf,
+    granularity_stats,
+    relation_census,
 )
 from .corpus import (
     Case,
     CorpusError,
     GeneratedCorpus,
+    GoldTable,
     SyntheticSpec,
     generate_synthetic,
+    gold_table,
     load_corpus,
     load_gold_boundaries,
     save_corpus,
     save_gold_boundaries,
 )
 from .nn.checkpoint import save_checkpoint
-from .oracle import UnitText, make_oracle_labels
+from .oracle import LabeledUnit, UnitText, make_oracle_labels
 from .rouge import RougeScore, rouge_l, rouge_n
 from .spans import Unit, UnitKind
 from .splitters import (
@@ -55,11 +58,13 @@ from .segmenter import (
     PointerSegmenter,
     SegmenterConfig,
     SentenceExample,
+    example_from_tokens,
     segmenter_train,
 )
 from .summarizer import (
     DocumentExample,
     SummarizerConfig,
+    SummaryResult,
     summarize,
     summarizer_train,
 )
@@ -143,16 +148,26 @@ class CaseView:
     reference_sentences: list[list[str]]
 
 
+def load_lexicons(
+    hooks_path: str | None, patterns_path: str | None = None
+) -> tuple[LexiconHooks, RulePatterns]:
+    """Lexicon hooks and rule patterns from JSON; defaults for a missing path."""
+    hooks = LexiconHooks.from_json(hooks_path) if hooks_path else LexiconHooks()
+    patterns = RulePatterns.from_json(patterns_path) if patterns_path else RulePatterns()
+    return hooks, patterns
+
+
+def surface_sentences(text: str, hooks: LexiconHooks | None = None) -> list[list[str]]:
+    """Token surfaces of each sentence of text."""
+    return [[t.surface for t in tokenize(s.text, hooks)] for s in split_sentences(text)]
+
+
 def build_view(case: Case, hooks: LexiconHooks) -> CaseView:
     sentences = split_sentences(case.record_text)
     if not sentences:
         raise CorpusError(f"case {case.id}: record text has no sentences")
     tokens = [tokenize(s.text, hooks) for s in sentences]
-    ref_sentences = [
-        [t.surface for t in tokenize(s.text, hooks)]
-        for s in split_sentences(case.summary_text)
-    ]
-    return CaseView(case, sentences, tokens, ref_sentences)
+    return CaseView(case, sentences, tokens, surface_sentences(case.summary_text, hooks))
 
 
 def build_views(cases: list[Case], hooks: LexiconHooks) -> list[CaseView]:
@@ -160,126 +175,183 @@ def build_views(cases: list[Case], hooks: LexiconHooks) -> list[CaseView]:
 
 
 # ----------------------------------------------------------------------
-# Splitter plumbing
+# Boundary provider
 # ----------------------------------------------------------------------
 
-def make_boundary_fn(
-    method: str,
-    hooks: LexiconHooks,
-    patterns: RulePatterns,
-    pointer: PointerSegmenter | None = None,
-):
-    """Callable (tokens, sentence_index) -> BoundarySet for one method."""
-    if method == "fullstop":
-        return lambda toks, si=0: split_fullstop(toks, si)
-    if method == "fullstop-verb":
-        return lambda toks, si=0: split_fullstop_verb(toks, hooks, si)
-    if method == "clauses":
-        return lambda toks, si=0: split_clauses(toks, hooks, si)
-    if method == "rules":
-        config = RuleConfig(hooks=hooks, patterns=patterns)
-        return lambda toks, si=0: split_clinical_rules(toks, config, si)
-    if method == "pointer":
-        if pointer is None:
-            raise ValueError("pointer method needs a trained segmenter")
-        return lambda toks, si=0: pointer.predict(toks, si)
-    raise ValueError(f"unknown split method {method!r}")
+class BoundaryProvider:
+    """Internal boundaries of one corpus's sentences under one split method.
+
+    Methods: fullstop, fullstop-verb, clauses, rules, pointer (needs a
+    trained segmenter) and gold (needs a gold table; sentences it lacks
+    stay whole).  Calls map (case_id, sentence_index, tokens) to a
+    BoundarySet and are memoized per (case_id, sentence_index), so a
+    provider serves one corpus.  A gold position that is negative or at
+    or beyond the sentence's last token is a CorpusError.
+    """
+
+    def __init__(
+        self,
+        method: str,
+        hooks: LexiconHooks,
+        patterns: RulePatterns | None = None,
+        pointer: PointerSegmenter | None = None,
+        gold: GoldTable | None = None,
+    ):
+        if method == "fullstop":
+            split = lambda cid, si, toks: split_fullstop(toks, si)
+        elif method == "fullstop-verb":
+            split = lambda cid, si, toks: split_fullstop_verb(toks, hooks, si)
+        elif method == "clauses":
+            split = lambda cid, si, toks: split_clauses(toks, hooks, si)
+        elif method == "rules":
+            config = RuleConfig(hooks=hooks, patterns=patterns or RulePatterns())
+            split = lambda cid, si, toks: split_clinical_rules(toks, config, si)
+        elif method == "pointer":
+            if pointer is None:
+                raise ValueError("pointer method needs a trained segmenter")
+            split = lambda cid, si, toks: pointer.predict(toks, si)
+        elif method == "gold":
+            if gold is None:
+                raise CorpusError("gold method needs gold boundaries")
+            split = lambda cid, si, toks: _gold_set(gold, cid, si, toks)
+        else:
+            raise ValueError(f"unknown split method {method!r}")
+        self._split = split
+        self._memo: dict[tuple[str, int], BoundarySet] = {}
+
+    def __call__(
+        self, case_id: str, sentence_index: int, tokens: list[Token]
+    ) -> BoundarySet:
+        key = (case_id, sentence_index)
+        if key not in self._memo:
+            self._memo[key] = self._split(case_id, sentence_index, tokens)
+        return self._memo[key]
 
 
-BoundaryTable = dict[tuple[str, int], BoundarySet]
+def _gold_set(
+    gold: GoldTable, case_id: str, si: int, tokens: list[Token]
+) -> BoundarySet:
+    try:
+        bset = BoundarySet(si, gold.get(case_id, {}).get(si, ()))
+        bset.validate(len(tokens))
+    except ValueError as exc:
+        raise CorpusError(
+            f"gold boundaries of case {case_id} sentence {si}: {exc}"
+        ) from exc
+    return bset
 
 
-def _segment_table(
-    config: PipelineConfig,
-    views: list[CaseView],
-    hooks: LexiconHooks,
-    patterns: RulePatterns,
-    pointer: PointerSegmenter | None,
-    gold: dict[str, dict[int, tuple[int, ...]]] | None,
-) -> BoundaryTable:
-    """Segment boundaries for every sentence, computed once."""
-    table: BoundaryTable = {}
-    if config.segment_method == "gold":
-        if gold is None:
-            raise CorpusError("segment_method 'gold' needs side-channel boundaries")
-        for view in views:
-            case_gold = gold.get(view.case.id, {})
-            for si, tokens in enumerate(view.tokens):
-                bset = BoundarySet(si, case_gold.get(si, ()))
-                bset.validate(len(tokens))
-                table[(view.case.id, si)] = bset
-        return table
-    if config.segment_method == "pointer":
-        fn = make_boundary_fn("pointer", hooks, patterns, pointer=pointer)
-    else:
-        fn = make_boundary_fn("rules", hooks, patterns)
-    for view in views:
-        for si, tokens in enumerate(view.tokens):
-            table[(view.case.id, si)] = fn(tokens, si)
-    return table
+def sentence_boundaries(
+    views: list[CaseView], boundaries: BoundaryProvider | None
+) -> list[BoundarySet]:
+    """Every sentence's boundary set in corpus order; None keeps sentences whole."""
+    return [
+        boundaries(view.case.id, si, tokens) if boundaries else BoundarySet(si, ())
+        for view in views
+        for si, tokens in enumerate(view.tokens)
+    ]
+
+
+def segmenter_examples(
+    views: list[CaseView], gold: BoundaryProvider
+) -> list[SentenceExample]:
+    """One pointer-segmenter training example per sentence."""
+    return [
+        example_from_tokens(tokens, gold(view.case.id, si, tokens))
+        for view in views
+        for si, tokens in enumerate(view.tokens)
+    ]
+
+
+def view_stats(
+    views: list[CaseView], boundaries: BoundaryProvider | None
+) -> GranularityStats:
+    rows = [
+        (sentence.text, tokens)
+        for view in views
+        for sentence, tokens in zip(view.sentences, view.tokens)
+    ]
+    return granularity_stats(rows, sentence_boundaries(views, boundaries))
+
+
+def view_census(
+    views: list[CaseView], segments: BoundaryProvider, clauses: BoundaryProvider
+) -> RelationCensus:
+    return relation_census(
+        [tokens for view in views for tokens in view.tokens],
+        sentence_boundaries(views, segments),
+        sentence_boundaries(views, clauses),
+    )
+
+
+def boundary_scores(
+    views: list[CaseView], predicted: BoundaryProvider, gold: BoundaryProvider
+) -> dict[str, dict[str, float]]:
+    """Micro and macro boundary P/R/F1 of predicted against gold."""
+    pairs = zip(sentence_boundaries(views, predicted), sentence_boundaries(views, gold))
+    micro, macro = corpus_boundary_prf(list(pairs))
+    return {"micro": asdict(micro), "macro": asdict(macro)}
 
 
 def units_for_view(
     view: CaseView,
     kind: UnitKind,
-    segment_table: BoundaryTable | None,
-    hooks: LexiconHooks,
-) -> tuple[list[Unit], list[tuple[str, ...]], list[str], list[int]]:
-    """Materialize units plus token/text/length material for one case."""
+    boundaries: BoundaryProvider | None,
+) -> tuple[list[Unit], list[str], list[int]]:
+    """Materialize units plus their texts and lengths for one case.
+
+    boundaries cuts sentences into kind units; SENTENCE units ignore it.
+    """
     units: list[Unit] = []
-    unit_tokens: list[tuple[str, ...]] = []
     unit_texts: list[str] = []
     unit_lengths: list[int] = []
     for si, (sentence, tokens) in enumerate(zip(view.sentences, view.tokens)):
         if kind is UnitKind.SENTENCE:
             sent_units = [sentence_as_unit(sentence.text, tokens, si)]
-        elif kind is UnitKind.SEGMENT:
-            bset = segment_table[(view.case.id, si)]
-            sent_units = units_from_boundaries(sentence.text, tokens, bset, kind)
         else:
-            bset = split_clauses(tokens, hooks, si)
+            bset = boundaries(view.case.id, si, tokens)
             sent_units = units_from_boundaries(sentence.text, tokens, bset, kind)
         for u in sent_units:
             units.append(u)
-            unit_tokens.append(
-                tuple(t.surface for t in tokens[u.token_start:u.token_end])
-            )
             unit_texts.append(u.text(sentence.text))
             unit_lengths.append(u.char_length(sentence.text))
-    return units, unit_tokens, unit_texts, unit_lengths
+    return units, unit_texts, unit_lengths
+
+
+def oracle_labels(
+    doc: DocumentExample, budget_chars: float, oracle_mode: str = "keep"
+) -> list[LabeledUnit]:
+    """Greedy ROUGE-2 labels of a document's units against its summary."""
+    entries = [
+        UnitText(u, doc.sentences[u.sentence_index][u.token_start:u.token_end], ln)
+        for u, ln in zip(doc.units, doc.unit_char_lengths)
+    ]
+    reference = [t for sent in doc.reference_sentences for t in sent]
+    return make_oracle_labels(entries, reference, budget_chars, oracle_mode)
 
 
 def build_document(
     view: CaseView,
     kind: UnitKind,
-    segment_table: BoundaryTable | None,
-    hooks: LexiconHooks,
+    boundaries: BoundaryProvider | None,
     budget_chars: float,
     oracle_mode: str = "keep",
     with_labels: bool = True,
 ) -> DocumentExample:
-    units, unit_tokens, unit_texts, unit_lengths = units_for_view(
-        view, kind, segment_table, hooks
-    )
-    labels = None
-    if with_labels:
-        reference = [t for sent in view.reference_sentences for t in sent]
-        entries = [
-            UnitText(u, toks, ln)
-            for u, toks, ln in zip(units, unit_tokens, unit_lengths)
-        ]
-        labeled = make_oracle_labels(entries, reference, budget_chars, oracle_mode)
-        labels = tuple(int(lu.gold) for lu in labeled)
-    return DocumentExample(
+    units, unit_texts, unit_lengths = units_for_view(view, kind, boundaries)
+    doc = DocumentExample(
         case_id=view.case.id,
         kind=kind,
         sentences=tuple(tuple(t.surface for t in toks) for toks in view.tokens),
         units=tuple(units),
         unit_texts=tuple(unit_texts),
         unit_char_lengths=tuple(unit_lengths),
-        labels=labels,
         reference_sentences=tuple(tuple(s) for s in view.reference_sentences),
     )
+    if with_labels:
+        labeled = oracle_labels(doc, budget_chars, oracle_mode)
+        doc = replace(doc, labels=tuple(int(lu.gold) for lu in labeled))
+    return doc
 
 
 # ----------------------------------------------------------------------
@@ -299,13 +371,9 @@ def rouge_eval(
 
 
 def rouge_eval_texts(candidate_text: str, reference_text: str) -> dict[str, RougeScore]:
-    cand = [
-        [t.surface for t in tokenize(s.text)] for s in split_sentences(candidate_text)
-    ]
-    ref = [
-        [t.surface for t in tokenize(s.text)] for s in split_sentences(reference_text)
-    ]
-    return rouge_eval(cand, ref)
+    return rouge_eval(
+        surface_sentences(candidate_text), surface_sentences(reference_text)
+    )
 
 
 def _mean_scores(per_case: list[dict[str, RougeScore]]) -> dict[str, dict[str, float]]:
@@ -340,22 +408,10 @@ def split_indices(n: int, dev_fraction: float, test_fraction: float, seed: int):
 def _resolve_corpus(config: PipelineConfig, out_dir: str):
     if config.corpus_path is not None:
         cases = load_corpus(config.corpus_path)
-        hooks = (
-            LexiconHooks.from_json(config.hooks_path)
-            if config.hooks_path
-            else LexiconHooks()
-        )
-        patterns = (
-            RulePatterns.from_json(config.patterns_path)
-            if config.patterns_path
-            else RulePatterns()
-        )
+        hooks, patterns = load_lexicons(config.hooks_path, config.patterns_path)
         gold = None
         if config.gold_boundaries_path:
-            table: dict[str, dict[int, tuple[int, ...]]] = {}
-            for e in load_gold_boundaries(config.gold_boundaries_path):
-                table.setdefault(e.case_id, {})[e.sentence_index] = e.positions
-            gold = table
+            gold = gold_table(load_gold_boundaries(config.gold_boundaries_path))
         return cases, hooks, patterns, gold
 
     generated: GeneratedCorpus = generate_synthetic(config.synthetic)
@@ -368,98 +424,6 @@ def _resolve_corpus(config: PipelineConfig, out_dir: str):
     return generated.cases, generated.hooks, generated.patterns, generated.gold_by_case()
 
 
-def _train_pointer(
-    config: PipelineConfig,
-    views: list[CaseView],
-    train_idx: list[int],
-    gold: dict[str, dict[int, tuple[int, ...]]],
-) -> PointerSegmenter:
-    examples = []
-    for i in train_idx:
-        view = views[i]
-        case_gold = gold.get(view.case.id, {})
-        for si, tokens in enumerate(view.tokens):
-            positions = case_gold.get(si, ())
-            examples.append(
-                SentenceExample(
-                    tuple(t.surface for t in tokens),
-                    tuple(p for p in positions if p < len(tokens) - 1),
-                )
-            )
-    model, _ = segmenter_train(examples, config.segmenter)
-    return model
-
-
-def _eval_segmentation(views, test_idx, gold, methods: dict) -> dict[str, dict]:
-    out = {}
-    for name in sorted(methods):
-        fn = methods[name]
-        pairs = []
-        for i in test_idx:
-            view = views[i]
-            case_gold = gold.get(view.case.id, {})
-            for si, tokens in enumerate(view.tokens):
-                gold_set = BoundarySet(si, case_gold.get(si, ()))
-                pairs.append((fn(tokens, si), gold_set))
-        micro, macro = corpus_boundary_prf(pairs)
-        out[name] = {
-            "micro": {"precision": micro.precision, "recall": micro.recall, "f1": micro.f1},
-            "macro": {"precision": macro.precision, "recall": macro.recall, "f1": macro.f1},
-        }
-    return out
-
-
-def _census_from_tables(
-    views: list[CaseView],
-    segment_table: BoundaryTable,
-    hooks: LexiconHooks,
-) -> RelationCensus:
-    counts = {r: 0 for r in RelationType}
-    for view in views:
-        for si, tokens in enumerate(view.tokens):
-            n = len(tokens)
-            seg = segment_table[(view.case.id, si)]
-            cl = split_clauses(tokens, hooks, si)
-            seg_iv = list(
-                zip([0] + [p + 1 for p in seg.positions],
-                    [p + 1 for p in seg.positions] + [n])
-            )
-            cl_iv = list(
-                zip([0] + [p + 1 for p in cl.positions],
-                    [p + 1 for p in cl.positions] + [n])
-            )
-            for s_iv in seg_iv:
-                for c_iv in cl_iv:
-                    rel = classify_relation(s_iv, c_iv)
-                    if rel is not None:
-                        counts[rel] += 1
-    return RelationCensus(counts, disjoint=0)
-
-
-def _stats_from_table(
-    views: list[CaseView], lookup
-) -> GranularityStats:
-    total_units = 0
-    total_tokens = 0
-    total_chars = 0
-    n_sentences = 0
-    for view in views:
-        for si, (sentence, tokens) in enumerate(zip(view.sentences, view.tokens)):
-            bset = lookup(view.case.id, si, tokens)
-            bset.validate(len(tokens))
-            total_units += len(bset.positions) + 1
-            total_tokens += len(tokens)
-            total_chars += sum(1 for c in sentence.text if not c.isspace())
-            n_sentences += 1
-    return GranularityStats(
-        units_per_sentence=total_units / n_sentences,
-        tokens_per_unit=total_tokens / total_units,
-        chars_per_unit=total_chars / total_units,
-        sentence_count=n_sentences,
-        unit_count=total_units,
-    )
-
-
 def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
     """Execute the full pipeline per unit kind and write the report."""
     os.makedirs(out_dir, exist_ok=True)
@@ -469,32 +433,33 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
         len(views), config.dev_fraction, config.test_fraction, config.seed
     )
 
-    pointer = None
-    segmentation_report = {}
-    needs_pointer = (
-        UnitKind.SEGMENT in config.kinds and config.segment_method == "pointer"
-    )
-    if needs_pointer:
+    providers = {
+        method: BoundaryProvider(method, hooks, patterns)
+        for method in ("fullstop", "fullstop-verb", "clauses", "rules")
+    }
+    if gold is not None:
+        providers["gold"] = BoundaryProvider("gold", hooks, gold=gold)
+    if UnitKind.SEGMENT in config.kinds and config.segment_method == "pointer":
         if gold is None:
             raise CorpusError(
                 "segment_method 'pointer' needs gold boundaries to train on"
             )
-        pointer = _train_pointer(config, views, train_idx, gold)
+        pointer, _ = segmenter_train(
+            segmenter_examples([views[i] for i in train_idx], providers["gold"]),
+            config.segmenter,
+        )
         save_checkpoint(
             pointer.to_checkpoint(), os.path.join(out_dir, "segmenter.ckpt")
         )
+        providers["pointer"] = BoundaryProvider("pointer", hooks, pointer=pointer)
+    segmentation_report = {}
     if gold:
-        methods = {
-            "fullstop": make_boundary_fn("fullstop", hooks, patterns),
-            "fullstop-verb": make_boundary_fn("fullstop-verb", hooks, patterns),
-            "clauses": make_boundary_fn("clauses", hooks, patterns),
-            "rules": make_boundary_fn("rules", hooks, patterns),
+        test_views = [views[i] for i in test_idx]
+        segmentation_report = {
+            method: boundary_scores(test_views, provider, providers["gold"])
+            for method, provider in providers.items()
+            if method != "gold"
         }
-        if pointer is not None:
-            methods["pointer"] = make_boundary_fn(
-                "pointer", hooks, patterns, pointer=pointer
-            )
-        segmentation_report = _eval_segmentation(views, test_idx, gold, methods)
 
     if config.oracle_budget == "auto":
         budget = float(
@@ -508,16 +473,23 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
     else:
         budget = float(config.oracle_budget)
 
-    segment_table = None
+    segments = None
     if UnitKind.SEGMENT in config.kinds:
-        segment_table = _segment_table(config, views, hooks, patterns, pointer, gold)
+        if config.segment_method == "gold" and gold is None:
+            raise CorpusError("segment_method 'gold' needs side-channel boundaries")
+        segments = providers[config.segment_method]
+    unit_boundaries = {
+        UnitKind.SENTENCE: None,
+        UnitKind.SEGMENT: segments,
+        UnitKind.CLAUSE: providers["clauses"],
+    }
 
     kind_reports = {}
     per_kind_stats = {}
     for kind in config.kinds:
         docs = [
             build_document(
-                view, kind, segment_table, hooks, budget, config.oracle_mode
+                view, kind, unit_boundaries[kind], budget, config.oracle_mode
             )
             for view in views
         ]
@@ -540,39 +512,24 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
             per_case.append(
                 rouge_eval(cand_sentences, list(docs[i].reference_sentences))
             )
-            summaries.append(
-                {
-                    "case_id": result.case_id,
-                    "selected_units": [list(s) for s in result.selected],
-                    "summary_text": result.summary_text,
-                }
-            )
+            summaries.append(summary_json(result))
         with open(
             os.path.join(out_dir, f"summaries_{kind.value.lower()}.jsonl"),
             "w",
             encoding="utf-8",
         ) as fh:
-            for row in summaries:
-                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
+            fh.write("".join(line + "\n" for line in summaries))
         kind_reports[kind.value] = {
             "rouge": _mean_scores(per_case),
             "dev_rouge1_trajectory": [100.0 * s for s in history.dev_rouge1],
             "best_epoch": history.best_epoch,
             "test_cases": len(test_idx),
         }
+        per_kind_stats[kind.value] = asdict(view_stats(views, unit_boundaries[kind]))
 
-        if kind is UnitKind.SENTENCE:
-            lookup = lambda cid, si, toks: BoundarySet(si, ())
-        elif kind is UnitKind.SEGMENT:
-            lookup = lambda cid, si, toks: segment_table[(cid, si)]
-        else:
-            lookup = lambda cid, si, toks: split_clauses(toks, hooks, si)
-        per_kind_stats[kind.value] = _stats_dict(_stats_from_table(views, lookup))
-
-    census = None
-    if segment_table is not None and UnitKind.CLAUSE in config.kinds:
-        census = _census_from_tables(views, segment_table, hooks)
+    relations = {}
+    if segments is not None and UnitKind.CLAUSE in config.kinds:
+        relations = census_dict(view_census(views, segments, providers["clauses"]))
 
     report = {
         "report_version": REPORT_VERSION,
@@ -587,7 +544,7 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
         "segmentation": segmentation_report,
         "summarization": kind_reports,
         "granularity": per_kind_stats,
-        "relations": _census_dict(census) if census is not None else {},
+        "relations": relations,
     }
     write_report(report, out_dir)
     return report
@@ -595,6 +552,19 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
 
 def _kind_offset(kind: UnitKind) -> int:
     return {"SENTENCE": 101, "SEGMENT": 211, "CLAUSE": 307}[kind.value]
+
+
+def summary_json(result: SummaryResult) -> str:
+    """One line of a summaries JSONL file."""
+    return json.dumps(
+        {
+            "case_id": result.case_id,
+            "selected_units": [list(s) for s in result.selected],
+            "summary_text": result.summary_text,
+        },
+        ensure_ascii=False,
+        sort_keys=True,
+    )
 
 
 def _result_unit_tokens(doc: DocumentExample, result) -> list[list[str]]:
@@ -607,17 +577,7 @@ def _result_unit_tokens(doc: DocumentExample, result) -> list[list[str]]:
     return out
 
 
-def _stats_dict(stats: GranularityStats) -> dict:
-    return {
-        "units_per_sentence": stats.units_per_sentence,
-        "tokens_per_unit": stats.tokens_per_unit,
-        "chars_per_unit": stats.chars_per_unit,
-        "sentence_count": stats.sentence_count,
-        "unit_count": stats.unit_count,
-    }
-
-
-def _census_dict(census: RelationCensus) -> dict:
+def census_dict(census: RelationCensus) -> dict:
     pct = census.percentages()
     return {
         "counts": {r.value: census.counts[r] for r in RelationType},
@@ -629,6 +589,28 @@ def _census_dict(census: RelationCensus) -> dict:
 # ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
+
+STATS_HEADER = "Units\tUnits/Sentence\tTokens/Unit\tCharacters/Unit"
+
+
+def stats_line(kind: str, stats: dict) -> str:
+    """The granularity-table row of one unit kind."""
+    return (
+        f"{kind.capitalize()}\t{stats['units_per_sentence']:.2f}"
+        f"\t{stats['tokens_per_unit']:.2f}\t{stats['chars_per_unit']:.2f}"
+    )
+
+
+def census_lines(relations: dict) -> list[str]:
+    """The relation-census table: header, counts and percentages."""
+    c = relations["counts"]
+    p = relations["percentages"]
+    return [
+        "Relation types\t" + "\t".join(r.value.capitalize() for r in RelationType),
+        "Number of relationships\t" + "\t".join(str(c[r.value]) for r in RelationType),
+        "Percentage\t" + "\t".join(f"{p[r.value]:.1f}%" for r in RelationType),
+    ]
+
 
 def write_report(report: dict, out_dir: str) -> None:
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
@@ -645,27 +627,13 @@ def write_report(report: dict, out_dir: str) -> None:
             f"\t{r['rouge2']['f1']:.2f}\t{r['rougeL']['f1']:.2f}"
         )
     lines.append("")
-    lines.append("Units\tUnits/Sentence\tTokens/Unit\tCharacters/Unit")
+    lines.append(STATS_HEADER)
     for kind in report["config"]["kinds"]:
-        if kind not in report["granularity"]:
-            continue
-        g = report["granularity"][kind]
-        lines.append(
-            f"{kind.capitalize()}\t{g['units_per_sentence']:.2f}"
-            f"\t{g['tokens_per_unit']:.2f}\t{g['chars_per_unit']:.2f}"
-        )
+        if kind in report["granularity"]:
+            lines.append(stats_line(kind, report["granularity"][kind]))
     if report["relations"]:
         lines.append("")
-        lines.append("Relation types\tEqual\tInclusive\tIncluded\tOverlap")
-        c = report["relations"]["counts"]
-        p = report["relations"]["percentages"]
-        lines.append(
-            "Number of relationships\t"
-            + "\t".join(str(c[r.value]) for r in RelationType)
-        )
-        lines.append(
-            "Percentage\t" + "\t".join(f"{p[r.value]:.1f}%" for r in RelationType)
-        )
+        lines.extend(census_lines(report["relations"]))
     if report["segmentation"]:
         lines.append("")
         lines.append("Method\tPrecision\tRecall\tF1")

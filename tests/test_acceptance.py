@@ -433,8 +433,8 @@ def test_c7_structural_fuzz():
 
     census = relation_census(
         census_sentences,
-        lambda t: split_clinical_rules(t, rule_config),
-        lambda t: split_clauses(t, hooks),
+        [split_clinical_rules(t, rule_config) for t in census_sentences],
+        [split_clauses(t, hooks) for t in census_sentences],
         include_disjoint=True,
     )
     total_pairs = 0
@@ -444,7 +444,7 @@ def test_c7_structural_fuzz():
         total_pairs += (len(seg.positions) + 1) * (len(cl.positions) + 1)
     assert census.total + census.disjoint == total_pairs
 
-    stats = granularity_stats(stats_rows, lambda t: split_clauses(t, hooks))
+    stats = granularity_stats(stats_rows, [split_clauses(t, hooks) for _, t in stats_rows])
     expected = float(np.mean(boundary_counts)) + 1.0
     assert abs(stats.units_per_sentence - expected) <= 1e-12
     report_line(
@@ -495,13 +495,12 @@ def test_c9_table6_self_consistency():
             sentences.append((s.text, toks))
             planted.append(gold[view.case.id].get(si, ()))
 
-    sentence_stats = granularity_stats(sentences, lambda t: BoundarySet(0, ()))
-    cursor = iter(planted)
+    sentence_stats = granularity_stats(sentences, [BoundarySet(0, ()) for _ in sentences])
     segment_stats = granularity_stats(
-        sentences, lambda t: BoundarySet(0, next(cursor))
+        sentences, [BoundarySet(0, positions) for positions in planted]
     )
     clause_stats = granularity_stats(
-        sentences, lambda t: split_clauses(t, generated.hooks)
+        sentences, [split_clauses(t, generated.hooks) for _, t in sentences]
     )
     assert sentence_stats.units_per_sentence == 1.0
     assert segment_stats.chars_per_unit < sentence_stats.chars_per_unit

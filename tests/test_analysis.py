@@ -106,14 +106,14 @@ class TestRelationCensus:
     def test_identical_splitters_all_equal(self):
         sents = self._sentences(["a, b vrun c", "x y", "p, q"])
         fn = lambda toks: split_clauses(toks, HOOKS)
-        census = relation_census(sents, fn, fn)
+        census = relation_census(sents, [fn(t) for t in sents], [fn(t) for t in sents])
         assert census.counts[RelationType.EQUAL] == census.total > 0
         assert census.counts[RelationType.OVERLAP] == 0
 
     def test_refinement_yields_included(self):
         sents = self._sentences(["aa bb vrun cc dd"])
-        coarse = lambda toks: BoundarySet(0, ())
-        fine = lambda toks: split_clauses(toks, HOOKS)
+        coarse = [BoundarySet(0, ()) for toks in sents]
+        fine = [split_clauses(toks, HOOKS) for toks in sents]
         census = relation_census(sents, coarse, fine)
         # segment = whole sentence strictly contains both clauses
         assert census.counts[RelationType.INCLUSIVE] == 2
@@ -132,8 +132,8 @@ class TestRelationCensus:
             cl_pos = tuple(p for p in cl_pos if p < n - 1)
             census = relation_census(
                 [tokens],
-                lambda t: BoundarySet(0, seg_pos),
-                lambda t: BoundarySet(0, cl_pos),
+                [BoundarySet(0, seg_pos)],
+                [BoundarySet(0, cl_pos)],
                 include_disjoint=True,
             )
             n_seg = len(seg_pos) + 1
@@ -145,12 +145,12 @@ class TestRelationCensus:
 class TestGranularityStats:
     def test_sentence_kind_is_one(self):
         sents = [("a b", tokenize("a b")), ("c d e", tokenize("c d e"))]
-        stats = granularity_stats(sents, lambda toks: BoundarySet(0, ()))
+        stats = granularity_stats(sents, [BoundarySet(0, ()) for _ in sents])
         assert stats.units_per_sentence == 1.0
 
     def test_one_boundary_per_sentence(self):
         sents = [("a b c", tokenize("a b c")), ("d e f", tokenize("d e f"))]
-        stats = granularity_stats(sents, lambda toks: BoundarySet(0, (0,)))
+        stats = granularity_stats(sents, [BoundarySet(0, (0,)) for _ in sents])
         assert stats.units_per_sentence == 2.0
 
     def test_units_equals_mean_boundaries_plus_one(self):
@@ -169,6 +169,7 @@ class TestGranularityStats:
             boundary_counts.append(len(pos))
             sents.append((text, toks))
         stats = granularity_stats(
-            sents, lambda toks: BoundarySet(0, splits[" ".join(t.surface for t in toks)])
+            sents,
+            [BoundarySet(0, splits[" ".join(t.surface for t in toks)]) for _, toks in sents],
         )
         assert abs(stats.units_per_sentence - (np.mean(boundary_counts) + 1)) < 1e-12

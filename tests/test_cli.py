@@ -271,3 +271,71 @@ def test_stats_and_relations(synth_dir, tmp_path):
     )
     assert rc == 0
     assert out2.read_text().startswith("Relation types\t")
+
+
+def _bad_gold(synth_dir, tmp_path):
+    """The generated gold file with one position past its sentence's end."""
+    lines = (synth_dir / "gold.jsonl").read_text().splitlines()
+    row = json.loads(lines[0])
+    row["boundaries"] = [999]
+    path = tmp_path / "bad_gold.jsonl"
+    path.write_text("\n".join([json.dumps(row)] + lines[1:]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["segment", "--method", "gold"],
+        ["analyze-relations", "--method", "gold"],
+        ["eval-segmenter", "--method", "rules"],
+        ["train-segmenter", "--epochs", "1"],
+        ["stats", "--method", "gold", "--kind", "SEGMENT"],
+        ["make-oracle", "--method", "gold", "--kind", "SEGMENT"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_out_of_range_gold_is_data_error(command, synth_dir, tmp_path, capsys):
+    argv = command + [
+        "--corpus", str(synth_dir / "corpus.jsonl"),
+        "--hooks", str(synth_dir / "hooks.json"),
+        "--gold", _bad_gold(synth_dir, tmp_path),
+    ]
+    if command[0] == "train-segmenter":
+        argv += ["--out", str(tmp_path / "seg.ckpt")]
+    else:
+        argv += ["--output", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: gold boundaries of case") and "\n" not in err
+
+
+def test_malformed_candidates_are_data_error(synth_dir, tmp_path, capsys):
+    cand = tmp_path / "cand.jsonl"
+    for bad in (
+        "[1, 2]",
+        '{"case_id": 3, "summary_text": "x"}',
+        '{"case_id": "case-00000", "summary_text": ["x"]}',
+        '{"case_id": "case-00000"}',
+        "{oops",
+    ):
+        cand.write_text('\n' + bad + "\n")
+        rc = main(
+            ["eval-rouge", "--candidates", str(cand), "--corpus", str(synth_dir / "corpus.jsonl")]
+        )
+        assert rc == 2, bad
+        assert f"{cand}:2:" in capsys.readouterr().err, bad
+
+
+def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path):
+    ckpt = tmp_path / "magic_only.ckpt"
+    ckpt.write_bytes(b"GRANSUMCKPT\n")
+    rc = main(
+        [
+            "summarize",
+            "--corpus", str(synth_dir / "corpus.jsonl"),
+            "--method", "fullstop",
+            "--model", str(ckpt),
+        ]
+    )
+    assert rc == 2

@@ -52,9 +52,10 @@ class TestLoadCorpus:
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text("{\n")
-        with pytest.raises(CorpusError, match=":1:"):
-            load_corpus(str(path))
+        for bad in ("{", "[1, 2]", "5"):
+            path.write_text(bad + "\n")
+            with pytest.raises(CorpusError, match=":1:"):
+                load_corpus(str(path))
 
     def test_roundtrip_preserves_bytes(self, tmp_path):
         cases = [
@@ -198,3 +199,21 @@ def test_gold_boundaries_roundtrip(tmp_path):
 def test_dump_case_stable_key_order():
     case = Case("a", ("r",), "s")
     assert dump_case(case) == '{"id":"a","records":["r"],"summary":"s"}'
+
+
+def test_malformed_gold_lines_name_line(tmp_path):
+    path = tmp_path / "g.jsonl"
+    good = json.dumps({"id": "a", "sentence_index": 0, "boundaries": [1]})
+    for bad in (
+        "{oops",
+        "[1, 2]",
+        "5",
+        json.dumps({"id": "a", "sentence_index": 0}),
+        json.dumps({"id": "a", "sentence_index": 0, "boundaries": 5}),
+        json.dumps({"id": "a", "sentence_index": 0, "boundaries": [1.5]}),
+        json.dumps({"id": "a", "sentence_index": 0, "boundaries": ["1"]}),
+        json.dumps({"id": "a", "sentence_index": "0", "boundaries": [1]}),
+    ):
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(CorpusError, match=":2:"):
+            load_gold_boundaries(str(path))

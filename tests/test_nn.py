@@ -1,8 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from gransum import nn
-from gransum.nn.checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from gransum.nn.checkpoint import MAGIC, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 
 
 class _ToyLogistic:
@@ -255,10 +258,36 @@ class TestCheckpoint:
             load_checkpoint(str(tmp_path / "m.ckpt"), expect_kind="other")
 
     def test_garbage_rejected(self, tmp_path):
+        good = tmp_path / "ok.ckpt"
+        save_checkpoint(Checkpoint("demo", {}, {"a": np.arange(6.0).reshape(2, 3)}, 0, 0), str(good))
+        data = good.read_bytes()
+        magic = data[: len(MAGIC)]
+        (header_len,) = struct.unpack("<Q", data[len(MAGIC):len(MAGIC) + 8])
+        header = json.loads(data[len(MAGIC) + 8:len(MAGIC) + 8 + header_len])
+
+        def with_header(**tensor):
+            h = dict(header, tensors=[dict(header["tensors"][0], **tensor)])
+            raw = json.dumps(h).encode()
+            return magic + struct.pack("<Q", len(raw)) + raw + data[len(MAGIC) + 8 + header_len:]
+
+        cases = {
+            "not a checkpoint": b"not a checkpoint",
+            "magic only": magic,
+            "short length field": magic + b"\x05\x00",
+            "header past end of file": magic + struct.pack("<Q", 2**40) + b"{}",
+            "header not JSON": magic + struct.pack("<Q", 2) + b"{x",
+            "truncated payload": data[:-1],
+            "offset overruns payload": with_header(offset=8),
+            "nbytes not shape times itemsize": with_header(nbytes=40),
+        }
         path = tmp_path / "g.ckpt"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(str(path))
+        for name, raw in cases.items():
+            path.write_bytes(raw)
+            try:
+                load_checkpoint(str(path))
+            except CheckpointError:
+                continue
+            pytest.fail(f"{name}: loaded without a CheckpointError")
 
 
 def test_sinusoidal_encoding_shape_and_range():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gransum.cli import main as cli_main
 from gransum.corpus import SyntheticSpec
 from gransum.pipeline import (
     PipelineConfig,
@@ -96,6 +97,24 @@ class TestRunExperiment:
         report, out = tiny_report
         loaded = load_report(str(out / "report.json"))
         assert loaded["report_version"] == report["report_version"]
+
+    def test_cli_tables_match_report(self, tiny_report, tmp_path):
+        _, out = tiny_report
+        report_lines = set((out / "report.tsv").read_text().splitlines())
+        common = [
+            "--corpus", str(out / "corpus.jsonl"),
+            "--hooks", str(out / "hooks.json"),
+            "--patterns", str(out / "patterns.json"),
+            "--method", "gold",
+            "--gold", str(out / "gold_boundaries.jsonl"),
+        ]
+        runs = [["stats", *common, "--kind", k.value] for k in TINY.kinds]
+        runs.append(["analyze-relations", *common])
+        for argv in runs:
+            path = tmp_path / "table.tsv"
+            assert cli_main(argv + ["--output", str(path)]) == 0
+            lines = path.read_text().splitlines()
+            assert lines and all(line in report_lines for line in lines), argv
 
     def test_unknown_report_version_rejected(self, tmp_path):
         path = tmp_path / "report.json"

@@ -6,9 +6,8 @@ import pytest
 from gransum import nn
 from gransum.corpus import SyntheticSpec, generate_synthetic
 from gransum.nn.checkpoint import load_checkpoint, save_checkpoint
-from gransum.pipeline import build_document, build_views
+from gransum.pipeline import BoundaryProvider, build_document, build_views
 from gransum.spans import TextSpan, Unit, UnitKind
-from gransum.splitters import BoundarySet
 from gransum.summarizer import (
     DocumentExample,
     Summarizer,
@@ -58,18 +57,18 @@ def synth_docs(kind, case_count=40, seed=77, marker_prob=0.12):
         seed=seed,
     )
     g = generate_synthetic(spec)
-    gold = g.gold_by_case()
     views = build_views(g.cases, g.hooks)
-    table = {}
-    for v in views:
-        for si, toks in enumerate(v.tokens):
-            table[(v.case.id, si)] = BoundarySet(si, gold[v.case.id].get(si, ()))
+    boundaries = {
+        UnitKind.SENTENCE: None,
+        UnitKind.SEGMENT: BoundaryProvider("gold", g.hooks, gold=g.gold_by_case()),
+        UnitKind.CLAUSE: BoundaryProvider("clauses", g.hooks),
+    }[kind]
     budget = float(
         np.mean(
             [sum(1 for c in v.case.summary_text if not c.isspace()) for v in views]
         )
     )
-    docs = [build_document(v, kind, table, g.hooks, budget) for v in views]
+    docs = [build_document(v, kind, boundaries, budget) for v in views]
     return docs, g, budget
 
 

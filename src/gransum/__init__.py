@@ -34,7 +34,6 @@ from .segmenter import (
     PointerSegmenter,
     SegmenterConfig,
     SentenceExample,
-    segmenter_predict,
     segmenter_train,
 )
 from .spans import TextSpan, Unit, UnitKind
@@ -59,7 +58,7 @@ from .summarizer import (
     summarize,
     summarizer_train,
 )
-from .tokenization import LexiconHooks, SubwordHasher, Tag, Token, embed_token_id, tokenize
+from .tokenization import LexiconHooks, SubwordHasher, Tag, Token, tokenize
 
 __version__ = "0.1.0"
 
@@ -96,7 +95,6 @@ __all__ = [
     "boundary_prf",
     "classify_relation",
     "corpus_boundary_prf",
-    "embed_token_id",
     "generate_synthetic",
     "granularity_stats",
     "load_corpus",
@@ -108,7 +106,6 @@ __all__ = [
     "run_experiment",
     "save_corpus",
     "save_gold_boundaries",
-    "segmenter_predict",
     "segmenter_train",
     "sentence_as_unit",
     "split_clauses",

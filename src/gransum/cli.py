@@ -38,6 +38,7 @@ from .pipeline import (
     census_dict,
     census_lines,
     load_lexicons,
+    mean_rouge,
     oracle_labels,
     rouge_eval_texts,
     run_experiment,
@@ -297,6 +298,7 @@ def cmd_summarize(args) -> int:
 def cmd_eval_rouge(args) -> int:
     cases = {c.id: c for c in load_corpus(args.corpus)}
     rows = []
+    per_case = []
     for where, obj in read_jsonl(args.candidates, ("case_id", "summary_text")):
         if not all(isinstance(obj[key], str) for key in ("case_id", "summary_text")):
             raise CorpusError(f"{where}: case_id and summary_text must be strings")
@@ -304,21 +306,10 @@ def cmd_eval_rouge(args) -> int:
         if case is None:
             raise CorpusError(f"{where}: candidate for unknown case {obj['case_id']!r}")
         scores = rouge_eval_texts(obj["summary_text"], case.summary_text)
-        rows.append(
-            {
-                "case_id": obj["case_id"],
-                "rouge1": dataclasses.asdict(scores["rouge1"]),
-                "rouge2": dataclasses.asdict(scores["rouge2"]),
-                "rougeL": dataclasses.asdict(scores["rougeL"]),
-            }
-        )
-    means = {}
-    for key in ("rouge1", "rouge2", "rougeL"):
-        means[key] = {
-            stat: float(np.mean([r[key][stat] for r in rows])) if rows else 0.0
-            for stat in ("precision", "recall", "f1")
-        }
-    out = {"cases": rows, "means": means}
+        per_case.append(scores)
+        row = {key: dataclasses.asdict(score) for key, score in scores.items()}
+        rows.append({"case_id": obj["case_id"], **row})
+    out = {"cases": rows, "means": mean_rouge(per_case)}
     _write_lines(args.output, [json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2)])
     return EXIT_OK
 

@@ -17,7 +17,7 @@ segment boundaries are emitted as side-channel ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +27,18 @@ from .tokenization import LexiconHooks
 
 class CorpusError(ValueError):
     """Malformed corpus file or invalid case data."""
+
+
+def config_kwargs(cls, raw, what: str) -> dict:
+    """A copy of raw, a JSON object whose keys must all be fields of the
+    dataclass cls; anything else is a ValueError naming what."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    known = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in known:
+            raise ValueError(f"{what}: unknown key {key!r}")
+    return dict(raw)
 
 
 @dataclass(frozen=True)
@@ -211,7 +223,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SyntheticSpec":
-        kwargs = dict(raw)
+        kwargs = config_kwargs(cls, raw, "synthetic spec")
         if "segments_per_sentence" in kwargs:
             kwargs["segments_per_sentence"] = {
                 int(k): float(v) for k, v in kwargs["segments_per_sentence"].items()

@@ -12,8 +12,11 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 import numpy as np
+
+Model = TypeVar("Model")
 
 MAGIC = b"GRANSUMCKPT\n"
 FORMAT_VERSION = 1
@@ -31,6 +34,47 @@ class Checkpoint:
     seed: int
     step: int
     version: int = field(default=FORMAT_VERSION)
+
+
+def model_checkpoint(kind: str, hyper: dict, store) -> Checkpoint:
+    """A checkpoint of a model's parameters and step, with the
+    hyperparameters that rebuild the model."""
+    return Checkpoint(
+        kind=kind,
+        hyper=hyper,
+        tensors=dict(store.params),
+        seed=store.seed,
+        step=store.step,
+    )
+
+
+def restore_model(
+    ckpt: Checkpoint, kind: str, build: Callable[[dict], Model]
+) -> Model:
+    """The model build makes from ckpt's hyperparameters, holding ckpt's
+    parameters and step.
+
+    build returns a fresh model whose store names every parameter.  A
+    wrong kind, hyperparameters build rejects, and a missing or
+    mis-shaped tensor are CheckpointError.
+    """
+    if ckpt.kind != kind:
+        raise CheckpointError(f"checkpoint kind {ckpt.kind!r}, expected {kind!r}")
+    try:
+        model = build(dict(ckpt.hyper))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint hyperparameters rejected: {exc}") from exc
+    for name, param in model.store.params.items():
+        if name not in ckpt.tensors:
+            raise CheckpointError(f"checkpoint missing tensor {name!r}")
+        if ckpt.tensors[name].shape != param.shape:
+            raise CheckpointError(
+                f"tensor {name!r} shape {ckpt.tensors[name].shape}, "
+                f"expected {param.shape}"
+            )
+        param[...] = ckpt.tensors[name]
+    model.store.step = ckpt.step
+    return model
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:

@@ -406,19 +406,6 @@ class Adam:
             s *= c.lr / bc1
             param -= s
 
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in self.store.params:
-            out[f"opt.m.{name}"] = self.m[name]
-            out[f"opt.v.{name}"] = self.v[name]
-        return out
-
-    def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        for name in self.store.params:
-            if f"opt.m.{name}" in tensors:
-                self.m[name][...] = tensors[f"opt.m.{name}"]
-                self.v[name][...] = tensors[f"opt.v.{name}"]
-
 
 def train_step(model, batch, optimizer: Adam) -> float:
     """One deterministic gradient step on one batch.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .corpus import read_jsonl
+from .corpus import CorpusError, read_jsonl
 from .rouge import rouge_n
 from .spans import Unit
 from .summarizer import budget_select
@@ -93,19 +93,18 @@ def dump_labels(case_id: str, labels: list[LabeledUnit]) -> list[str]:
     return lines
 
 
-def save_labels(path: str, per_case: dict[str, list[LabeledUnit]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for case_id, labels in per_case.items():
-            for line in dump_labels(case_id, labels):
-                fh.write(line)
-                fh.write("\n")
-
-
 def load_labels(path: str) -> dict[str, dict[tuple[int, int], bool]]:
     """Gold flags keyed by case id and (sentence_index, unit_index)."""
     table: dict[str, dict[tuple[int, int], bool]] = {}
-    for _, obj in read_jsonl(path, ("case_id", "sentence_index", "unit_index", "gold")):
-        table.setdefault(obj["case_id"], {})[
-            (obj["sentence_index"], obj["unit_index"])
-        ] = bool(obj["gold"])
+    for where, obj in read_jsonl(
+        path, ("case_id", "sentence_index", "unit_index", "gold")
+    ):
+        if not isinstance(obj["case_id"], str):
+            raise CorpusError(f"{where}: case_id must be a string")
+        key = (obj["sentence_index"], obj["unit_index"])
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in key):
+            raise CorpusError(f"{where}: sentence_index and unit_index must be integers")
+        if not isinstance(obj["gold"], bool):
+            raise CorpusError(f"{where}: gold must be true or false")
+        table.setdefault(obj["case_id"], {})[key] = obj["gold"]
     return table

@@ -30,6 +30,7 @@ from .corpus import (
     GeneratedCorpus,
     GoldTable,
     SyntheticSpec,
+    config_kwargs,
     generate_synthetic,
     gold_table,
     load_corpus,
@@ -116,15 +117,18 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        kwargs = dict(raw)
+        kwargs = config_kwargs(cls, raw, "config")
         if kwargs.get("synthetic") is not None:
             kwargs["synthetic"] = SyntheticSpec.from_dict(kwargs["synthetic"])
         if "kinds" in kwargs:
             kwargs["kinds"] = tuple(UnitKind(k) for k in kwargs["kinds"])
-        if "segmenter" in kwargs:
-            kwargs["segmenter"] = SegmenterConfig(**kwargs["segmenter"])
-        if "summarizer" in kwargs:
-            kwargs["summarizer"] = SummarizerConfig(**kwargs["summarizer"])
+        for name, section in (
+            ("segmenter", SegmenterConfig),
+            ("summarizer", SummarizerConfig),
+        ):
+            if name in kwargs:
+                what = f"config section {name!r}"
+                kwargs[name] = section(**config_kwargs(section, kwargs[name], what))
         return cls(**kwargs)
 
     @classmethod
@@ -376,15 +380,20 @@ def rouge_eval_texts(candidate_text: str, reference_text: str) -> dict[str, Roug
     )
 
 
-def _mean_scores(per_case: list[dict[str, RougeScore]]) -> dict[str, dict[str, float]]:
-    out = {}
-    for key in ("rouge1", "rouge2", "rougeL"):
-        out[key] = {
-            "precision": 100.0 * float(np.mean([s[key].precision for s in per_case])),
-            "recall": 100.0 * float(np.mean([s[key].recall for s in per_case])),
-            "f1": 100.0 * float(np.mean([s[key].f1 for s in per_case])),
+def mean_rouge(
+    per_case: list[dict[str, RougeScore]], scale: float = 1.0
+) -> dict[str, dict[str, float]]:
+    """Mean precision, recall and F1 of each ROUGE variant, times scale;
+    0.0 for no cases."""
+    return {
+        key: {
+            stat: scale * float(np.mean([getattr(s[key], stat) for s in per_case]))
+            if per_case
+            else 0.0
+            for stat in ("precision", "recall", "f1")
         }
-    return out
+        for key in ("rouge1", "rouge2", "rougeL")
+    }
 
 
 def split_indices(n: int, dev_fraction: float, test_fraction: float, seed: int):
@@ -520,7 +529,7 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
         ) as fh:
             fh.write("".join(line + "\n" for line in summaries))
         kind_reports[kind.value] = {
-            "rouge": _mean_scores(per_case),
+            "rouge": mean_rouge(per_case, scale=100.0),
             "dev_rouge1_trajectory": [100.0 * s for s in history.dev_rouge1],
             "best_epoch": history.best_epoch,
             "test_cases": len(test_idx),

@@ -6,8 +6,7 @@ multiplicity.  ROUGE-L scores, per reference sentence, the union of the
 token positions matched by the longest common subsequence against each
 candidate sentence, then normalizes by total reference / candidate tokens.
 
-Token sequences are plain lists of surfaces; a character-level mode is
-available for scripts where word tokenization is contested.
+Token sequences are plain lists of surfaces.
 """
 
 from __future__ import annotations
@@ -50,11 +49,6 @@ def rouge_n(candidate: list[str], reference: list[str], n: int) -> RougeScore:
     recall = match / total_ref if total_ref else 0.0
     precision = match / total_cand if total_cand else 0.0
     return RougeScore.from_pr(precision, recall)
-
-
-def chars_of(tokens: list[str]) -> list[str]:
-    """Flatten token surfaces to characters for character-level ROUGE."""
-    return [c for tok in tokens for c in tok]
 
 
 def _intern_ids(reference: list[str], candidates: list[list[str]]):

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import nn
-from .nn.checkpoint import Checkpoint
+from .nn.checkpoint import Checkpoint, model_checkpoint, restore_model
 from .splitters import BoundarySet
 from .tokenization import SubwordHasher, Token
 
@@ -188,37 +188,12 @@ class PointerSegmenter:
 
     # -- persistence ---------------------------------------------------
 
-    def to_checkpoint(self, optimizer: nn.Adam | None = None) -> Checkpoint:
-        tensors = dict(self.store.params)
-        if optimizer is not None:
-            tensors.update(optimizer.state_tensors())
-        return Checkpoint(
-            kind=self.KIND,
-            hyper=asdict(self.config),
-            tensors=tensors,
-            seed=self.config.seed,
-            step=self.store.step,
-        )
+    def to_checkpoint(self) -> Checkpoint:
+        return model_checkpoint(self.KIND, asdict(self.config), self.store)
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "PointerSegmenter":
-        if ckpt.kind != cls.KIND:
-            raise nn.CheckpointError(
-                f"checkpoint kind {ckpt.kind!r}, expected {cls.KIND!r}"
-            )
-        config = SegmenterConfig(**ckpt.hyper)
-        model = cls(config)
-        for name, param in model.store.params.items():
-            if name not in ckpt.tensors:
-                raise nn.CheckpointError(f"checkpoint missing tensor {name!r}")
-            if ckpt.tensors[name].shape != param.shape:
-                raise nn.CheckpointError(
-                    f"tensor {name!r} shape {ckpt.tensors[name].shape}, "
-                    f"expected {param.shape}"
-                )
-            param[...] = ckpt.tensors[name]
-        model.store.step = ckpt.step
-        return model
+        return restore_model(ckpt, cls.KIND, lambda hyper: cls(SegmenterConfig(**hyper)))
 
 
 @dataclass
@@ -227,30 +202,19 @@ class SegmenterHistory:
 
 
 def segmenter_train(
-    examples: list[SentenceExample],
-    config: SegmenterConfig = SegmenterConfig(),
-    resume: Checkpoint | None = None,
-    start_epoch: int = 0,
-    resume_checkpoint_path: str | None = None,
+    examples: list[SentenceExample], config: SegmenterConfig = SegmenterConfig()
 ) -> tuple[PointerSegmenter, SegmenterHistory]:
     """Train the pointer segmenter on (sentence, BoundarySet) pairs.
 
-    A checkpoint written via resume_checkpoint_path carries optimizer
-    state; resuming from it (with the matching start_epoch) continues
-    training exactly as if it had never stopped, because every epoch's
-    shuffle stream is derived from (seed, epoch).
+    Every epoch's shuffle is drawn from (seed, epoch), so training is
+    deterministic in the config.
     """
     if not examples:
         raise ValueError("empty training corpus")
-    if resume is not None:
-        model = PointerSegmenter.from_checkpoint(resume)
-        optimizer = nn.Adam(model.store, nn.AdamConfig(lr=config.lr))
-        optimizer.load_state(resume.tensors)
-    else:
-        model = PointerSegmenter(config)
-        optimizer = nn.Adam(model.store, nn.AdamConfig(lr=config.lr))
+    model = PointerSegmenter(config)
+    optimizer = nn.Adam(model.store, nn.AdamConfig(lr=config.lr))
     history = SegmenterHistory()
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(config.epochs):
         rng = np.random.default_rng((config.seed, epoch))
         order = rng.permutation(len(examples))
         epoch_loss = 0.0
@@ -260,18 +224,4 @@ def segmenter_train(
             epoch_loss += nn.train_step(model, batch, optimizer)
             n_batches += 1
         history.epoch_losses.append(epoch_loss / n_batches)
-    if resume_checkpoint_path is not None:
-        from .nn.checkpoint import save_checkpoint
-
-        save_checkpoint(model.to_checkpoint(optimizer=optimizer), resume_checkpoint_path)
     return model, history
-
-
-def segmenter_predict(
-    tokens: list[Token] | list[str],
-    model: PointerSegmenter | Checkpoint,
-    sentence_index: int = 0,
-) -> BoundarySet:
-    if isinstance(model, Checkpoint):
-        model = PointerSegmenter.from_checkpoint(model)
-    return model.predict(tokens, sentence_index)

@@ -17,7 +17,7 @@ or meaning-free content.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .spans import TextSpan, Unit, UnitKind
 from .tokenization import (
@@ -25,6 +25,7 @@ from .tokenization import (
     LexiconHooks,
     Tag,
     Token,
+    read_lexicon_json,
 )
 
 
@@ -61,13 +62,8 @@ class BoundarySet:
     def unit_count(self) -> int:
         return len(self.positions) + 1
 
-    def with_index(self, sentence_index: int) -> "BoundarySet":
-        return replace(self, sentence_index=sentence_index)
 
-
-def split_sentences(
-    raw_text: str, fullstop_chars: frozenset[str] = FULLSTOP_CHARS
-) -> list[Sentence]:
+def split_sentences(raw_text: str) -> list[Sentence]:
     """Split raw text into sentences at full stops and bare newlines.
 
     A sentence ends right after a full-stop mark, or at a newline when the
@@ -86,7 +82,7 @@ def split_sentences(
 
     start = 0
     for i, c in enumerate(raw_text):
-        if c in fullstop_chars:
+        if c in FULLSTOP_CHARS:
             emit(start, i + 1)
             start = i + 1
         elif c == "\n":
@@ -164,18 +160,23 @@ class RulePatterns:
 
     @classmethod
     def from_json(cls, path: str) -> "RulePatterns":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_lexicon_json(
+            path,
+            ("case_particles", "denial_surfaces", "plan_surfaces", "temporal_surfaces"),
+        )
         version = raw.get("version")
         if version != DEFAULT_PATTERNS_VERSION:
             raise ValueError(f"unsupported rule pattern file version: {version!r}")
+        max_chunk = raw.get("max_enum_chunk_tokens", 3)
+        if not isinstance(max_chunk, int) or isinstance(max_chunk, bool):
+            raise ValueError(f"{path}: max_enum_chunk_tokens must be an integer")
         return cls(
             version=version,
-            case_particles=frozenset(raw.get("case_particles", ())),
-            denial_surfaces=frozenset(raw.get("denial_surfaces", ())),
-            plan_surfaces=frozenset(raw.get("plan_surfaces", ())),
-            temporal_surfaces=frozenset(raw.get("temporal_surfaces", ())),
-            max_enum_chunk_tokens=int(raw.get("max_enum_chunk_tokens", 3)),
+            case_particles=frozenset(raw["case_particles"]),
+            denial_surfaces=frozenset(raw["denial_surfaces"]),
+            plan_surfaces=frozenset(raw["plan_surfaces"]),
+            temporal_surfaces=frozenset(raw["temporal_surfaces"]),
+            max_enum_chunk_tokens=max_chunk,
         )
 
     def to_json(self, path: str) -> None:

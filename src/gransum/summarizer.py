@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import nn
-from .nn.checkpoint import Checkpoint
+from .nn.checkpoint import Checkpoint, model_checkpoint, restore_model
 from .rouge import rouge_n
 from .spans import Unit, UnitKind
 from .tokenization import SubwordHasher
@@ -204,40 +204,18 @@ class Summarizer:
 
     # -- persistence ---------------------------------------------------
 
-    def to_checkpoint(self, optimizer: nn.Adam | None = None) -> Checkpoint:
-        tensors = dict(self.store.params)
-        if optimizer is not None:
-            tensors.update(optimizer.state_tensors())
+    def to_checkpoint(self) -> Checkpoint:
         hyper = asdict(self.config)
         hyper["unit_kind"] = self.unit_kind.value
-        return Checkpoint(
-            kind=self.KIND,
-            hyper=hyper,
-            tensors=tensors,
-            seed=self.config.seed,
-            step=self.store.step,
-        )
+        return model_checkpoint(self.KIND, hyper, self.store)
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "Summarizer":
-        if ckpt.kind != cls.KIND:
-            raise nn.CheckpointError(
-                f"checkpoint kind {ckpt.kind!r}, expected {cls.KIND!r}"
-            )
-        hyper = dict(ckpt.hyper)
-        unit_kind = UnitKind(hyper.pop("unit_kind"))
-        model = cls(SummarizerConfig(**hyper), unit_kind)
-        for name, param in model.store.params.items():
-            if name not in ckpt.tensors:
-                raise nn.CheckpointError(f"checkpoint missing tensor {name!r}")
-            if ckpt.tensors[name].shape != param.shape:
-                raise nn.CheckpointError(
-                    f"tensor {name!r} shape {ckpt.tensors[name].shape}, "
-                    f"expected {param.shape}"
-                )
-            param[...] = ckpt.tensors[name]
-        model.store.step = ckpt.step
-        return model
+        def build(hyper: dict) -> "Summarizer":
+            unit_kind = UnitKind(hyper.pop("unit_kind"))
+            return cls(SummarizerConfig(**hyper), unit_kind)
+
+        return restore_model(ckpt, cls.KIND, build)
 
 
 @dataclass(frozen=True)
@@ -271,35 +249,30 @@ def budget_select(order: list[int], char_lengths, budget_chars: float, mode: str
 
 def summarize(
     doc: DocumentExample,
-    model: Summarizer | Checkpoint,
+    model: Summarizer,
     budget_chars: float = 1200,
     mode: str = "keep",
-    threshold: float | None = None,
 ) -> SummaryResult:
     """Rank units by probability and select under the character budget.
 
-    Ties rank in document order.  With `threshold` set, selection is by
-    probability cutoff instead of the budget.
+    Ties rank in document order; mode is budget_select's keep or drop
+    rule for the unit that crosses the budget.  The summary lists the
+    selected units in document order.
     """
-    if isinstance(model, Checkpoint):
-        model = Summarizer.from_checkpoint(model)
     probs, unit_idx = model.predict_probs(doc)
-    if threshold is not None:
-        selected = [i for i, p in zip(unit_idx, probs) if p >= threshold]
-    else:
-        order = sorted(
-            range(len(unit_idx)),
-            key=lambda k: (
-                -probs[k],
-                doc.units[unit_idx[k]].sentence_index,
-                doc.units[unit_idx[k]].unit_index,
-            ),
-        )
-        chosen = budget_select(
-            order, [doc.unit_char_lengths[unit_idx[k]] for k in range(len(unit_idx))],
-            budget_chars, mode,
-        )
-        selected = [unit_idx[k] for k in chosen]
+    order = sorted(
+        range(len(unit_idx)),
+        key=lambda k: (
+            -probs[k],
+            doc.units[unit_idx[k]].sentence_index,
+            doc.units[unit_idx[k]].unit_index,
+        ),
+    )
+    chosen = budget_select(
+        order, [doc.unit_char_lengths[unit_idx[k]] for k in range(len(unit_idx))],
+        budget_chars, mode,
+    )
+    selected = [unit_idx[k] for k in chosen]
     selected.sort(
         key=lambda i: (doc.units[i].sentence_index, doc.units[i].unit_index)
     )

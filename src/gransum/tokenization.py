@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -50,6 +50,23 @@ class Token:
     marker: str | None = None  # "disease" | "exam" | "verbal_noun" when tag is MARKER
 
 
+def read_lexicon_json(path: str, list_fields: tuple[str, ...]) -> dict:
+    """The JSON object in path, with each of list_fields a list of strings
+    ([] when absent).  Anything else is a ValueError naming path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    for key in list_fields:
+        value = raw.setdefault(key, [])
+        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+            raise ValueError(f"{path}: {key} must be a list of strings")
+    return raw
+
+
 @dataclass
 class LexiconHooks:
     """Named surface lists that drive tagging and the rule splitters.
@@ -69,16 +86,15 @@ class LexiconHooks:
 
     @classmethod
     def from_json(cls, path: str) -> "LexiconHooks":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_lexicon_json(path, tuple(f.name for f in fields(cls)))
         return cls(
-            verb_list=frozenset(raw.get("verb_list", ())),
-            noun_list=frozenset(raw.get("noun_list", ())),
-            non_independent_list=frozenset(raw.get("non_independent_list", ())),
-            verbal_noun_list=frozenset(raw.get("verbal_noun_list", ())),
-            disease_list=frozenset(raw.get("disease_list", ())),
-            exam_pattern_list=tuple(raw.get("exam_pattern_list", ())),
-            case_particle_list=frozenset(raw.get("case_particle_list", ())),
+            verb_list=frozenset(raw["verb_list"]),
+            noun_list=frozenset(raw["noun_list"]),
+            non_independent_list=frozenset(raw["non_independent_list"]),
+            verbal_noun_list=frozenset(raw["verbal_noun_list"]),
+            disease_list=frozenset(raw["disease_list"]),
+            exam_pattern_list=tuple(raw["exam_pattern_list"]),
+            case_particle_list=frozenset(raw["case_particle_list"]),
         )
 
     def to_json(self, path: str) -> None:
@@ -235,8 +251,3 @@ class SubwordHasher:
         arr = np.asarray(out, dtype=np.int64)
         self._cache[surface] = arr
         return arr
-
-
-def embed_token_id(token: Token, hasher: SubwordHasher) -> list[int]:
-    """Hash bucket indices for one token's surface (multiset, fixed order)."""
-    return hasher.buckets(token.surface).tolist()

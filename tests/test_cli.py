@@ -3,6 +3,10 @@ import json
 import pytest
 
 from gransum.cli import main
+from gransum.nn.checkpoint import save_checkpoint
+from gransum.segmenter import PointerSegmenter, SegmenterConfig
+from gransum.spans import UnitKind
+from gransum.summarizer import Summarizer, SummarizerConfig
 
 
 @pytest.fixture(scope="module")
@@ -327,15 +331,70 @@ def test_malformed_candidates_are_data_error(synth_dir, tmp_path, capsys):
         assert f"{cand}:2:" in capsys.readouterr().err, bad
 
 
-def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path):
-    ckpt = tmp_path / "magic_only.ckpt"
-    ckpt.write_bytes(b"GRANSUMCKPT\n")
-    rc = main(
-        [
-            "summarize",
-            "--corpus", str(synth_dir / "corpus.jsonl"),
-            "--method", "fullstop",
-            "--model", str(ckpt),
-        ]
-    )
-    assert rc == 2
+def _checkpoint_bytes(tmp_path, model, **extra_hyper):
+    """A saved checkpoint of model with its hyperparameters altered."""
+    ckpt = model.to_checkpoint()
+    ckpt.hyper.update(extra_hyper)
+    path = tmp_path / "altered.ckpt"
+    save_checkpoint(ckpt, str(path))
+    return path.read_bytes()
+
+
+def _label_line(**fields):
+    row = {"case_id": "case-00000", "sentence_index": 0, "unit_index": 0,
+           "kind": "SENTENCE", "score": 0.0, "gold": True}
+    row.update(fields)
+    return json.dumps(row) + "\n"
+
+
+def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys):
+    """Damaged checkpoints and every other malformed input file exit 2
+    with a one-line error naming the fault."""
+    corpus = str(synth_dir / "corpus.jsonl")
+    segment = ["segment", "--corpus", corpus, "--method", "rules"]
+    summarize = ["summarize", "--corpus", corpus, "--method", "fullstop"]
+    run = ["run-experiment", "--out", str(tmp_path / "exp"), "--config"]
+    train = ["train-summarizer", "--corpus", corpus, "--kind", "SENTENCE",
+             "--out", str(tmp_path / "sum.ckpt"), "--labels"]
+    segmenter = PointerSegmenter(SegmenterConfig(bucket_count=16))
+    summarizer = Summarizer(SummarizerConfig(bucket_count=16), UnitKind.SENTENCE)
+    bad_index = "{path}:1: sentence_index and unit_index must be integers"
+    cases = [
+        # (argv ending in the option that takes the file, file content, expected)
+        (summarize + ["--model"], b"GRANSUMCKPT\n", "truncated header length"),
+        (["segment", "--corpus", corpus, "--method", "pointer", "--checkpoint"],
+         _checkpoint_bytes(tmp_path, segmenter, bogus=1),
+         "checkpoint hyperparameters rejected: SegmenterConfig"),
+        (summarize + ["--model"],
+         _checkpoint_bytes(tmp_path, summarizer, unit_kind="WORD"),
+         "checkpoint hyperparameters rejected: 'WORD'"),
+        (segment + ["--hooks"], "[1, 2]", "expected a JSON object"),
+        (segment + ["--hooks"], '{"verb_list": 5}',
+         "verb_list must be a list of strings"),
+        (segment + ["--patterns"], "[1]", "expected a JSON object"),
+        (segment + ["--patterns"], '{"version": 1, "plan_surfaces": [1]}',
+         "plan_surfaces must be a list of strings"),
+        (segment + ["--patterns"], '{"version": 1, "max_enum_chunk_tokens": "3"}',
+         "max_enum_chunk_tokens must be an integer"),
+        (run, '{"bogus": 1}', "unknown key 'bogus'"),
+        (run, '{"synthetic": {"bogus": 1}}', "unknown key 'bogus'"),
+        (run, '{"segmenter": {"bogus": 1}}', "unknown key 'bogus'"),
+        (run, '{"summarizer": {"bogus": 1}}', "unknown key 'bogus'"),
+        (["gen-synthetic", "--corpus-out", str(tmp_path / "c.jsonl"), "--spec"],
+         '{"bogus": 1}', "unknown key 'bogus'"),
+        (train, _label_line(sentence_index="0"), bad_index),
+        (train, _label_line(unit_index=0.5), bad_index),
+        (train, _label_line(case_id=3), "{path}:1: case_id"),
+        (train, _label_line(gold="x"), "{path}:1: gold"),
+    ]
+    path = tmp_path / "input"
+    for argv, content, expected in cases:
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        label = f"{argv[0]} {argv[-1]} {content[:40]!r}"
+        assert main(argv + [str(path)]) == 2, label
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, label
+        assert expected.format(path=path) in err, label

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gransum.rouge import chars_of, ngram_counts, rouge_l, rouge_n, union_lcs
+from gransum.rouge import ngram_counts, rouge_l, rouge_n, union_lcs
 
 
 def brute_force_rouge_n(cand, ref, n):
@@ -166,10 +166,9 @@ class TestRougeL:
         assert s.precision == 1 / 2
 
 
-def test_ngram_counts_and_chars():
+def test_ngram_counts():
     assert ngram_counts(["a", "b", "a", "b"], 2) == Counter(
         {("a", "b"): 2, ("b", "a"): 1}
     )
-    assert chars_of(["ab", "c"]) == ["a", "b", "c"]
     with pytest.raises(ValueError):
         ngram_counts(["a"], 0)

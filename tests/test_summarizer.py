@@ -195,12 +195,6 @@ class TestSummarize:
             max_unit = max(doc.unit_char_lengths)
             assert total <= budget + max_unit
 
-    def test_threshold_mode(self):
-        model = Summarizer(SMALL, UnitKind.SEGMENT)
-        doc = toy_doc()
-        result = summarize(doc, model, threshold=0.0)
-        assert len(result.selected) == len(doc.units)
-
     def test_summary_joined_by_single_space(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         result = summarize(toy_doc(), model, budget_chars=10 ** 6)

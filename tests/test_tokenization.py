@@ -5,7 +5,6 @@ from gransum.tokenization import (
     LexiconHooks,
     SubwordHasher,
     Tag,
-    embed_token_id,
     tokenize,
 )
 
@@ -87,7 +86,7 @@ class TestSubwordHasher:
     def test_boundary_padding_count(self):
         hasher = SubwordHasher(n_min=2, n_max=2, bucket_count=97)
         tok = tokenize("ab")[0]
-        buckets = embed_token_id(tok, hasher)
+        buckets = hasher.buckets(tok.surface)
         # padded "<ab>" has bigrams "<a", "ab", "b>"
         assert len(buckets) == 3
 
@@ -95,7 +94,7 @@ class TestSubwordHasher:
         hasher = SubwordHasher()
         a = tokenize("word")[0]
         b = tokenize("word")[0]
-        assert embed_token_id(a, hasher) == embed_token_id(b, hasher)
+        assert hasher.buckets(a.surface).tolist() == hasher.buckets(b.surface).tolist()
 
     def test_oov_never_empty(self):
         hasher = SubwordHasher()

@@ -27,7 +27,7 @@ from .corpus import (
     save_corpus,
     save_gold_boundaries,
 )
-from .oracle import LabeledUnit, UnitText, make_oracle_labels
+from .oracle import LabeledUnit, make_oracle_labels
 from .pipeline import PipelineConfig, run_experiment
 from .rouge import RougeScore, rouge_l, rouge_n, union_lcs
 from .segmenter import (
@@ -91,7 +91,6 @@ __all__ = [
     "Token",
     "Unit",
     "UnitKind",
-    "UnitText",
     "boundary_prf",
     "classify_relation",
     "corpus_boundary_prf",

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .splitters import BoundarySet
+from .spans import budget_length
+from .splitters import BoundarySet, token_ranges
 from .tokenization import Token
 
 
@@ -109,12 +110,6 @@ class RelationCensus:
         return {r: 100.0 * self.counts[r] / total for r in RelationType}
 
 
-def _intervals(boundaries: BoundarySet, n_tokens: int) -> list[tuple[int, int]]:
-    starts = [0] + [p + 1 for p in boundaries.positions]
-    ends = [p + 1 for p in boundaries.positions] + [n_tokens]
-    return list(zip(starts, ends))
-
-
 def relation_census(
     sentences: list[list[Token]],
     segments: list[BoundarySet],
@@ -131,8 +126,8 @@ def relation_census(
     disjoint = 0
     for tokens, seg_set, cl_set in zip(sentences, segments, clauses, strict=True):
         n = len(tokens)
-        for seg in _intervals(seg_set, n):
-            for cl in _intervals(cl_set, n):
+        for seg in token_ranges(seg_set.positions, n):
+            for cl in token_ranges(cl_set.positions, n):
                 rel = classify_relation(seg, cl)
                 if rel is None:
                     if include_disjoint:
@@ -170,7 +165,7 @@ def granularity_stats(
         bset.validate(len(tokens))
         total_units += len(bset.positions) + 1
         total_tokens += len(tokens)
-        total_chars += sum(1 for c in text if not c.isspace())
+        total_chars += budget_length(text)
     n = len(sentences)
     return GranularityStats(
         units_per_sentence=total_units / n,

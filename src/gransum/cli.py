@@ -26,12 +26,11 @@ from .corpus import (
 )
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.core import TrainingError
-from .oracle import dump_labels, load_labels
+from .oracle import dump_labels, load_labels, make_oracle_labels
 from .pipeline import (
     STATS_HEADER,
     BoundaryProvider,
     PipelineConfig,
-    ReportError,
     boundary_scores,
     build_document,
     build_views,
@@ -39,7 +38,6 @@ from .pipeline import (
     census_lines,
     load_lexicons,
     mean_rouge,
-    oracle_labels,
     rouge_eval_texts,
     run_experiment,
     segmenter_examples,
@@ -224,7 +222,10 @@ def cmd_make_oracle(args) -> int:
     lines = []
     for view in views:
         doc = build_document(view, kind, boundaries, args.budget, with_labels=False)
-        lines.extend(dump_labels(doc.case_id, oracle_labels(doc, args.budget, args.mode)))
+        labels = make_oracle_labels(
+            list(doc.units), doc.reference_tokens, args.budget, args.mode
+        )
+        lines.extend(dump_labels(doc.case_id, labels))
     _write_lines(args.output, lines)
     return EXIT_OK
 
@@ -473,7 +474,6 @@ def main(argv=None) -> int:
     except (
         CorpusError,
         CheckpointError,
-        ReportError,
         FileNotFoundError,
         json.JSONDecodeError,
         ValueError,

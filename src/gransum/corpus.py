@@ -17,7 +17,9 @@ segment boundaries are emitted as side-channel ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -31,14 +33,45 @@ class CorpusError(ValueError):
 
 def config_kwargs(cls, raw, what: str) -> dict:
     """A copy of raw, a JSON object whose keys must all be fields of the
-    dataclass cls; anything else is a ValueError naming what."""
+    dataclass cls and whose values must fit the fields' annotations;
+    anything else is a ValueError naming what and the key."""
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object")
-    known = {f.name for f in fields(cls)}
-    for key in raw:
-        if key not in known:
+    declared = {f.name: f.type for f in fields(cls)}
+    hints = get_type_hints(cls)
+    for key, value in raw.items():
+        if key not in declared:
             raise ValueError(f"{what}: unknown key {key!r}")
+        if not _json_fits(value, hints[key]):
+            raise ValueError(
+                f"{what}: {key!r} must be {declared[key]}, got {type(value).__name__}"
+            )
     return dict(raw)
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated hint: a list
+    for a tuple, an object for a dict or a nested config, a string for a
+    str enum, and an integer for a float."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return any(_json_fits(value, a) for a in args)
+    if origin is tuple:
+        if not isinstance(value, list):
+            return False
+        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
+        return len(items) == len(value) and all(map(_json_fits, value, items))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _json_fits(v, args[1]) for v in value.values()
+        )
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, str if issubclass(hint, str) else hint)
 
 
 @dataclass(frozen=True)

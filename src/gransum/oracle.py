@@ -1,12 +1,11 @@
 """Pseudo-label construction by greedy bigram-overlap ranking.
 
-Every unit is scored with ROUGE-2 F1 against the reference summary,
-units are sorted by descending score (ties in document order), and
-selection walks the ranking accumulating unit character lengths.  The
-unit that first pushes the running total past the budget is still
-selected, then selection stops; the stricter drop-and-stop variant is
-available for sensitivity analysis.  Selected units become the positive
-training labels.
+Every unit is scored with ROUGE-2 F1 against the reference summary and
+spans.budget_select picks units under the character budget: descending
+score, ties in document order, and the unit that first pushes the
+running total past the budget is still selected before selection stops
+(the stricter drop-and-stop variant is available for sensitivity
+analysis).  Selected units become the positive training labels.
 """
 
 from __future__ import annotations
@@ -16,19 +15,9 @@ from dataclasses import dataclass
 
 from .corpus import CorpusError, read_jsonl
 from .rouge import rouge_n
-from .spans import Unit
-from .summarizer import budget_select
+from .spans import Unit, budget_select
 
 DEFAULT_BUDGET_CHARS = 1200
-
-
-@dataclass(frozen=True)
-class UnitText:
-    """A unit with the token and character material scoring needs."""
-
-    unit: Unit
-    tokens: tuple[str, ...]
-    char_length: int
 
 
 @dataclass(frozen=True)
@@ -39,36 +28,23 @@ class LabeledUnit:
 
 
 def make_oracle_labels(
-    entries: list[UnitText],
+    units: list[Unit],
     reference_tokens: list[str],
     budget_chars: float = DEFAULT_BUDGET_CHARS,
     mode: str = "keep",
 ) -> list[LabeledUnit]:
-    """Score, rank, and budget-select units of one case.
+    """Score and budget-select the units of one case.
 
-    Returns one LabeledUnit per input entry, in input (document) order.
+    Returns one LabeledUnit per input unit, in input (document) order.
     Units shorter than two tokens carry no bigrams and score 0.
     """
     if budget_chars < 0:
         raise ValueError("budget_chars must be >= 0")
-    if not entries:
-        return []
-    scores = [
-        rouge_n(list(e.tokens), reference_tokens, 2).f1 for e in entries
-    ]
-    order = sorted(
-        range(len(entries)),
-        key=lambda i: (
-            -scores[i],
-            entries[i].unit.sentence_index,
-            entries[i].unit.unit_index,
-        ),
-    )
-    chosen = set(
-        budget_select(order, [e.char_length for e in entries], budget_chars, mode)
-    )
+    scores = [rouge_n(list(u.tokens), reference_tokens, 2).f1 for u in units]
+    chosen = set(budget_select(scores, units, budget_chars, mode))
     return [
-        LabeledUnit(e.unit, scores[i], i in chosen) for i, e in enumerate(entries)
+        LabeledUnit(u, score, i in chosen)
+        for i, (u, score) in enumerate(zip(units, scores))
     ]
 
 

@@ -39,9 +39,9 @@ from .corpus import (
     save_gold_boundaries,
 )
 from .nn.checkpoint import save_checkpoint
-from .oracle import LabeledUnit, UnitText, make_oracle_labels
+from .oracle import make_oracle_labels
 from .rouge import RougeScore, rouge_l, rouge_n
-from .spans import Unit, UnitKind
+from .spans import Unit, UnitKind, budget_length
 from .splitters import (
     BoundarySet,
     RuleConfig,
@@ -74,10 +74,6 @@ from .tokenization import LexiconHooks, Token, tokenize
 REPORT_VERSION = 1
 
 SEGMENT_METHODS = ("pointer", "rules", "gold")
-
-
-class ReportError(ValueError):
-    """Unreadable or incompatible experiment report."""
 
 
 @dataclass(frozen=True)
@@ -301,37 +297,22 @@ def units_for_view(
     view: CaseView,
     kind: UnitKind,
     boundaries: BoundaryProvider | None,
-) -> tuple[list[Unit], list[str], list[int]]:
-    """Materialize units plus their texts and lengths for one case.
+) -> tuple[list[Unit], list[str]]:
+    """Materialize units plus their texts for one case.
 
     boundaries cuts sentences into kind units; SENTENCE units ignore it.
     """
     units: list[Unit] = []
     unit_texts: list[str] = []
-    unit_lengths: list[int] = []
     for si, (sentence, tokens) in enumerate(zip(view.sentences, view.tokens)):
         if kind is UnitKind.SENTENCE:
             sent_units = [sentence_as_unit(sentence.text, tokens, si)]
         else:
             bset = boundaries(view.case.id, si, tokens)
             sent_units = units_from_boundaries(sentence.text, tokens, bset, kind)
-        for u in sent_units:
-            units.append(u)
-            unit_texts.append(u.text(sentence.text))
-            unit_lengths.append(u.char_length(sentence.text))
-    return units, unit_texts, unit_lengths
-
-
-def oracle_labels(
-    doc: DocumentExample, budget_chars: float, oracle_mode: str = "keep"
-) -> list[LabeledUnit]:
-    """Greedy ROUGE-2 labels of a document's units against its summary."""
-    entries = [
-        UnitText(u, doc.sentences[u.sentence_index][u.token_start:u.token_end], ln)
-        for u, ln in zip(doc.units, doc.unit_char_lengths)
-    ]
-    reference = [t for sent in doc.reference_sentences for t in sent]
-    return make_oracle_labels(entries, reference, budget_chars, oracle_mode)
+        units.extend(sent_units)
+        unit_texts.extend(u.text(sentence.text) for u in sent_units)
+    return units, unit_texts
 
 
 def build_document(
@@ -342,18 +323,19 @@ def build_document(
     oracle_mode: str = "keep",
     with_labels: bool = True,
 ) -> DocumentExample:
-    units, unit_texts, unit_lengths = units_for_view(view, kind, boundaries)
+    units, unit_texts = units_for_view(view, kind, boundaries)
     doc = DocumentExample(
         case_id=view.case.id,
         kind=kind,
         sentences=tuple(tuple(t.surface for t in toks) for toks in view.tokens),
         units=tuple(units),
         unit_texts=tuple(unit_texts),
-        unit_char_lengths=tuple(unit_lengths),
         reference_sentences=tuple(tuple(s) for s in view.reference_sentences),
     )
     if with_labels:
-        labeled = oracle_labels(doc, budget_chars, oracle_mode)
+        labeled = make_oracle_labels(
+            units, doc.reference_tokens, budget_chars, oracle_mode
+        )
         doc = replace(doc, labels=tuple(int(lu.gold) for lu in labeled))
     return doc
 
@@ -472,12 +454,7 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
 
     if config.oracle_budget == "auto":
         budget = float(
-            np.mean(
-                [
-                    sum(1 for c in views[i].case.summary_text if not c.isspace())
-                    for i in train_idx
-                ]
-            )
+            np.mean([budget_length(views[i].case.summary_text) for i in train_idx])
         )
     else:
         budget = float(config.oracle_budget)
@@ -517,7 +494,7 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
         summaries = []
         for i in test_idx:
             result = summarize(docs[i], model, budget_chars=budget)
-            cand_sentences = _result_unit_tokens(docs[i], result)
+            cand_sentences = [list(u.tokens) for u in result.units]
             per_case.append(
                 rouge_eval(cand_sentences, list(docs[i].reference_sentences))
             )
@@ -568,22 +545,12 @@ def summary_json(result: SummaryResult) -> str:
     return json.dumps(
         {
             "case_id": result.case_id,
-            "selected_units": [list(s) for s in result.selected],
+            "selected_units": [[u.sentence_index, u.unit_index] for u in result.units],
             "summary_text": result.summary_text,
         },
         ensure_ascii=False,
         sort_keys=True,
     )
-
-
-def _result_unit_tokens(doc: DocumentExample, result) -> list[list[str]]:
-    """Selected units as candidate sentences for ROUGE-L."""
-    index = {(u.sentence_index, u.unit_index): u for u in doc.units}
-    out = []
-    for si, ui in result.selected:
-        u = index[(si, ui)]
-        out.append(list(doc.sentences[si][u.token_start:u.token_end]))
-    return out
 
 
 def census_dict(census: RelationCensus) -> dict:
@@ -654,12 +621,3 @@ def write_report(report: dict, out_dir: str) -> None:
     with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
-
-
-def load_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    version = report.get("report_version")
-    if version != REPORT_VERSION:
-        raise ReportError(f"unsupported report version {version!r}")
-    return report

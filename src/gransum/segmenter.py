@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .nn.checkpoint import Checkpoint, model_checkpoint, restore_model
-from .splitters import BoundarySet
+from .splitters import BoundarySet, token_ranges
 from .tokenization import SubwordHasher, Token
 
 
@@ -105,9 +105,6 @@ class PointerSegmenter:
         store = self.store
         p = store.params
         surfaces = example.surfaces
-        t_count = len(surfaces)
-        ends = list(example.gold) + [t_count - 1]
-        starts = [0] + [e + 1 for e in example.gold]
 
         bucket_lists = self._buckets(surfaces)
         enc, (x, enc_cache) = self._encode(bucket_lists)
@@ -116,11 +113,12 @@ class PointerSegmenter:
         h = p["dec_h0"]
         steps = []
         loss = 0.0
-        for start, end in zip(starts, ends):
+        for start, end in token_ranges(example.gold, len(surfaces)):
             h_seq, cell_cache = nn.gru_forward(enc[start][None, :], store, "dec", h0=h)
             h = h_seq[0]
             probs, act, mask = self._point_distribution(enc_proj, h, start)
-            step_loss, dprobs = nn.cross_entropy_from_probs(probs, end)
+            # the pointer targets the unit's last token
+            step_loss, dprobs = nn.cross_entropy_from_probs(probs, end - 1)
             loss += step_loss
             steps.append((start, h, cell_cache, probs, act, dprobs))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .spans import TextSpan, Unit, UnitKind
+from .spans import TextSpan, Unit, UnitKind, budget_length
 from .tokenization import (
     FULLSTOP_CHARS,
     LexiconHooks,
@@ -61,6 +61,13 @@ class BoundarySet:
     @property
     def unit_count(self) -> int:
         return len(self.positions) + 1
+
+
+def token_ranges(positions, n_tokens: int) -> list[tuple[int, int]]:
+    """Half-open token ranges [start, end) of the units that the sorted
+    internal boundary positions cut a sentence of n_tokens into."""
+    starts = [0] + [p + 1 for p in positions]
+    return list(zip(starts, starts[1:] + [n_tokens]))
 
 
 def split_sentences(raw_text: str) -> list[Sentence]:
@@ -251,17 +258,10 @@ def _phrase_boundaries(tokens, i, config, allow_numbers: bool) -> set[int]:
     return pos
 
 
-def _chunks(positions: list[int], n_tokens: int) -> list[tuple[int, int]]:
-    """Inclusive token ranges delimited by the candidate boundaries."""
-    starts = [0] + [p + 1 for p in positions]
-    ends = list(positions) + [n_tokens - 1]
-    return list(zip(starts, ends))
-
-
-def _content_size(tokens, lo, hi) -> int:
+def _content_size(tokens, start, end) -> int:
     return sum(
         1
-        for t in tokens[lo:hi + 1]
+        for t in tokens[start:end]
         if t.tag in (Tag.WORD, Tag.NUMBER, Tag.MARKER)
     )
 
@@ -313,9 +313,9 @@ def split_clinical_rules(
 
     suppress: set[int] = set()
     if positions and ("R5" in rules or "R6" in rules):
-        chunks = _chunks(positions, n)
+        chunks = token_ranges(positions, n)
         has_marker = [
-            any(t.tag is Tag.MARKER for t in tokens[lo:hi + 1]) for lo, hi in chunks
+            any(t.tag is Tag.MARKER for t in tokens[start:end]) for start, end in chunks
         ]
         pat = config.patterns
 
@@ -325,11 +325,11 @@ def split_clinical_rules(
                     suppress.add(p)
 
         if "R6" in rules:
-            def chunk_has(lo, hi, surfaces):
-                return any(t.surface in surfaces for t in tokens[lo:hi + 1])
+            def chunk_has(start, end, surfaces):
+                return any(t.surface in surfaces for t in tokens[start:end])
 
-            for k, (lo, hi) in enumerate(chunks):
-                if chunk_has(lo, hi, pat.denial_surfaces):
+            for k, (start, end) in enumerate(chunks):
+                if chunk_has(start, end, pat.denial_surfaces):
                     # Enumeration of findings resolved by one denial: merge
                     # the run of short comma-separated chunks it closes.
                     run = k
@@ -341,9 +341,9 @@ def split_clinical_rules(
                     ):
                         suppress.add(positions[run - 1])
                         run -= 1
-                if chunk_has(lo, hi, pat.plan_surfaces) and k > 0:
+                if chunk_has(start, end, pat.plan_surfaces) and k > 0:
                     suppress.add(positions[k - 1])
-                if chunk_has(lo, hi, pat.temporal_surfaces) and k < len(positions):
+                if chunk_has(start, end, pat.temporal_surfaces) and k < len(positions):
                     suppress.add(positions[k])
 
     final = tuple(p for p in positions if p not in suppress)
@@ -365,37 +365,28 @@ def units_from_boundaries(
     if not tokens:
         raise ValueError("cannot materialize units for an empty token list")
     boundaries.validate(len(tokens))
-    token_starts = [0] + [p + 1 for p in boundaries.positions]
-    token_ends = [p + 1 for p in boundaries.positions] + [len(tokens)]
-    char_starts = [
-        0 if k == 0 else tokens[token_starts[k]].span.start
-        for k in range(len(token_starts))
-    ]
+    ranges = token_ranges(boundaries.positions, len(tokens))
+    char_starts = [0] + [tokens[start].span.start for start, _ in ranges[1:]]
     char_ends = char_starts[1:] + [len(sentence_text)]
-    units = []
-    for k, (ts, te) in enumerate(zip(token_starts, token_ends)):
-        units.append(
-            Unit(
-                sentence_index=boundaries.sentence_index,
-                unit_index=k,
-                kind=kind,
-                span=TextSpan(char_starts[k], char_ends[k]),
-                token_start=ts,
-                token_end=te,
-            )
+    return [
+        Unit(
+            sentence_index=boundaries.sentence_index,
+            unit_index=k,
+            kind=kind,
+            span=TextSpan(char_starts[k], char_ends[k]),
+            token_start=start,
+            token_end=end,
+            tokens=tuple(t.surface for t in tokens[start:end]),
+            char_length=budget_length(sentence_text[char_starts[k]:char_ends[k]]),
         )
-    return units
+        for k, (start, end) in enumerate(ranges)
+    ]
 
 
 def sentence_as_unit(
     sentence_text: str, tokens: list[Token], sentence_index: int
 ) -> Unit:
     """The whole sentence as a single SENTENCE-kind unit."""
-    return Unit(
-        sentence_index=sentence_index,
-        unit_index=0,
-        kind=UnitKind.SENTENCE,
-        span=TextSpan(0, len(sentence_text)),
-        token_start=0,
-        token_end=len(tokens),
-    )
+    return units_from_boundaries(
+        sentence_text, tokens, BoundarySet(sentence_index, ()), UnitKind.SENTENCE
+    )[0]

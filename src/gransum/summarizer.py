@@ -9,8 +9,8 @@ their [CLS] vector directly.  A unit-level transformer block
 contextualizes the pooled vectors and a sigmoid head scores each unit;
 training minimizes mean binary cross-entropy against oracle labels.
 
-Inference ranks units by probability and applies the same
-keep-the-crossing-unit character budget rule as the oracle labeler.
+Inference selects units with spans.budget_select, the oracle labeler's
+rule, scoring each unit by its probability.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from .nn.checkpoint import Checkpoint, model_checkpoint, restore_model
 from .rouge import rouge_n
-from .spans import Unit, UnitKind
+from .spans import Unit, UnitKind, budget_select
 from .tokenization import SubwordHasher
 
 
@@ -55,7 +55,6 @@ class DocumentExample:
     sentences: tuple[tuple[str, ...], ...]
     units: tuple[Unit, ...]
     unit_texts: tuple[str, ...]
-    unit_char_lengths: tuple[int, ...]
     labels: tuple[int, ...] | None = None
     reference_sentences: tuple[tuple[str, ...], ...] | None = None
 
@@ -66,6 +65,13 @@ class DocumentExample:
             raise ValueError(f"{self.case_id}: document has no units")
         if self.labels is not None and len(self.labels) != len(self.units):
             raise ValueError(f"{self.case_id}: labels do not match units")
+
+    @property
+    def reference_tokens(self) -> list[str]:
+        """The reference summary as one token sequence."""
+        if self.reference_sentences is None:
+            raise ValueError(f"{self.case_id}: document lacks reference")
+        return [t for sent in self.reference_sentences for t in sent]
 
 
 class Summarizer:
@@ -221,30 +227,8 @@ class Summarizer:
 @dataclass(frozen=True)
 class SummaryResult:
     case_id: str
-    selected: tuple[tuple[int, int], ...]  # (sentence_index, unit_index)
+    units: tuple[Unit, ...]  # the selected units, in document order
     summary_text: str
-    summary_tokens: tuple[str, ...]
-
-
-def budget_select(order: list[int], char_lengths, budget_chars: float, mode: str = "keep") -> list[int]:
-    """Select a prefix of `order` under the character budget.
-
-    keep: the unit that first makes the running total exceed the budget is
-    still selected, then selection stops.  drop: that unit is skipped and
-    selection stops.
-    """
-    if mode not in ("keep", "drop"):
-        raise ValueError(f"unknown budget mode {mode!r}")
-    selected: list[int] = []
-    cum = 0
-    for i in order:
-        if mode == "drop" and cum + char_lengths[i] > budget_chars:
-            break
-        selected.append(i)
-        cum += char_lengths[i]
-        if cum > budget_chars:
-            break
-    return selected
 
 
 def summarize(
@@ -253,43 +237,20 @@ def summarize(
     budget_chars: float = 1200,
     mode: str = "keep",
 ) -> SummaryResult:
-    """Rank units by probability and select under the character budget.
+    """Select units under the character budget, scored by probability.
 
-    Ties rank in document order; mode is budget_select's keep or drop
-    rule for the unit that crosses the budget.  The summary lists the
-    selected units in document order.
+    budget_select ranks them (ties in document order) and applies mode,
+    its keep or drop rule for the unit that crosses the budget.  Units
+    outside the model's window are never selected.  The summary joins the
+    selected units' stripped texts in document order.
     """
     probs, unit_idx = model.predict_probs(doc)
-    order = sorted(
-        range(len(unit_idx)),
-        key=lambda k: (
-            -probs[k],
-            doc.units[unit_idx[k]].sentence_index,
-            doc.units[unit_idx[k]].unit_index,
-        ),
-    )
-    chosen = budget_select(
-        order, [doc.unit_char_lengths[unit_idx[k]] for k in range(len(unit_idx))],
-        budget_chars, mode,
-    )
-    selected = [unit_idx[k] for k in chosen]
-    selected.sort(
-        key=lambda i: (doc.units[i].sentence_index, doc.units[i].unit_index)
-    )
-    texts = [doc.unit_texts[i].strip() for i in selected]
-    tokens: list[str] = []
-    for i in selected:
-        unit = doc.units[i]
-        tokens.extend(
-            doc.sentences[unit.sentence_index][unit.token_start:unit.token_end]
-        )
+    units = [doc.units[i] for i in unit_idx]
+    chosen = budget_select(probs, units, budget_chars, mode)
     return SummaryResult(
         case_id=doc.case_id,
-        selected=tuple(
-            (doc.units[i].sentence_index, doc.units[i].unit_index) for i in selected
-        ),
-        summary_text=" ".join(texts),
-        summary_tokens=tuple(tokens),
+        units=tuple(units[k] for k in chosen),
+        summary_text=" ".join(doc.unit_texts[unit_idx[k]].strip() for k in chosen),
     )
 
 
@@ -303,11 +264,10 @@ class SummarizerHistory:
 def dev_rouge1_f1(model: Summarizer, docs: list[DocumentExample], budget: float) -> float:
     scores = []
     for doc in docs:
-        if doc.reference_sentences is None:
-            raise ValueError(f"{doc.case_id}: dev document lacks reference")
+        reference = doc.reference_tokens
         result = summarize(doc, model, budget_chars=budget)
-        ref_tokens = [t for sent in doc.reference_sentences for t in sent]
-        scores.append(rouge_n(list(result.summary_tokens), ref_tokens, 1).f1)
+        summary = [t for unit in result.units for t in unit.tokens]
+        scores.append(rouge_n(summary, reference, 1).f1)
     return float(np.mean(scores)) if scores else 0.0
 
 

@@ -13,7 +13,7 @@ import pytest
 from gransum import nn
 from gransum.analysis import corpus_boundary_prf, relation_census, granularity_stats
 from gransum.corpus import SyntheticSpec, generate_synthetic
-from gransum.oracle import UnitText, make_oracle_labels
+from gransum.oracle import make_oracle_labels
 from gransum.pipeline import PipelineConfig, build_views, run_experiment
 from gransum.rouge import rouge_n, union_lcs
 from gransum.segmenter import (
@@ -22,7 +22,7 @@ from gransum.segmenter import (
     SentenceExample,
     segmenter_train,
 )
-from gransum.spans import TextSpan, Unit, UnitKind, check_tiling
+from gransum.spans import TextSpan, Unit, UnitKind, budget_select, check_tiling
 from gransum.splitters import (
     BoundarySet,
     RuleConfig,
@@ -127,14 +127,13 @@ def test_c2_metric_oracle_equivalence():
 # ----------------------------------------------------------------------
 
 def _reference_oracle(entries, reference, budget, mode="keep"):
+    scores = [rouge_n(list(e.tokens), reference, 2).f1 for e in entries]
+    return _reference_selection(scores, entries, budget, mode)
+
+
+def _reference_selection(scores, entries, budget, mode="keep"):
     scored = [
-        (
-            rouge_n(list(e.tokens), reference, 2).f1,
-            e.unit.sentence_index,
-            e.unit.unit_index,
-            i,
-        )
-        for i, e in enumerate(entries)
+        (scores[i], e.sentence_index, e.unit_index, i) for i, e in enumerate(entries)
     ]
     ranked = sorted(scored, key=lambda t: (-t[0], t[1], t[2]))
     chosen = set()
@@ -161,23 +160,45 @@ def test_c3_oracle_labeler_equivalence():
             for ui in range(int(rng.integers(1, 4))):
                 toks = tuple(vocab[i] for i in rng.integers(0, 10, rng.integers(1, 8)))
                 length = int(rng.integers(1, 16))
-                unit = Unit(si, ui, UnitKind.SEGMENT, TextSpan(0, max(1, length)), 0, len(toks))
-                entries.append(UnitText(unit, toks, length))
+                entries.append(
+                    Unit(si, ui, UnitKind.SEGMENT, TextSpan(0, max(1, length)),
+                         0, len(toks), toks, length)
+                )
         return entries, reference
+
+    def budgets_for(entries):
+        lengths = [e.char_length for e in entries]
+        # random budgets plus the edge cases 0, 1, and exactly-at-budget sums
+        return [0, 1, float(rng.integers(0, 50)), float(sum(lengths[:2]))]
 
     checked = 0
     for _ in range(200):
         entries, reference = random_case()
-        lengths = [e.char_length for e in entries]
-        # random budgets plus the edge cases 0, 1, and exactly-at-budget sums
-        budgets = [0, 1, float(rng.integers(0, 50)), float(sum(lengths[:2]))]
-        for budget in budgets:
+        for budget in budgets_for(entries):
             for mode in ("keep", "drop"):
                 labels = make_oracle_labels(entries, reference, budget, mode)
                 got = {i for i, l in enumerate(labels) if l.gold}
                 assert got == _reference_oracle(entries, reference, budget, mode)
                 checked += 1
-    report_line("C3", f"{checked} case/budget/mode combinations exact")
+
+    # The selector on its own, as inference calls it: float scores with
+    # ties, units out of document order, an ndarray of scores.
+    selected = 0
+    for _ in range(200):
+        entries, _ = random_case()
+        entries = [entries[i] for i in rng.permutation(len(entries))]
+        scores = rng.choice(rng.random(3), size=len(entries))
+        for budget in budgets_for(entries):
+            for mode in ("keep", "drop"):
+                got = budget_select(scores, entries, budget, mode)
+                assert got == sorted(got)
+                assert set(got) == _reference_selection(scores, entries, budget, mode)
+                selected += 1
+    report_line(
+        "C3",
+        f"{checked} case/budget/mode combinations exact; "
+        f"{selected} budget_select calls on tied float scores exact",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -274,12 +295,11 @@ def test_c4_gradient_checks():
         kind=UnitKind.SEGMENT,
         sentences=(("wa", "bo", ",", "ke"), ("lu", "mi", "。")),
         units=(
-            Unit(0, 0, UnitKind.SEGMENT, TextSpan(0, 6), 0, 3),
-            Unit(0, 1, UnitKind.SEGMENT, TextSpan(6, 9), 3, 4),
-            Unit(1, 0, UnitKind.SEGMENT, TextSpan(0, 6), 0, 3),
+            Unit(0, 0, UnitKind.SEGMENT, TextSpan(0, 6), 0, 3, ("wa", "bo", ","), 5),
+            Unit(0, 1, UnitKind.SEGMENT, TextSpan(6, 9), 3, 4, ("ke",), 2),
+            Unit(1, 0, UnitKind.SEGMENT, TextSpan(0, 6), 0, 3, ("lu", "mi", "。"), 5),
         ),
         unit_texts=("wa bo,", "ke", "lu mi。"),
-        unit_char_lengths=(5, 2, 5),
         labels=(1, 0, 1),
         reference_sentences=(("wa", "bo"),),
     )

@@ -1,7 +1,10 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+from gransum import pipeline
 from gransum.cli import main
 from gransum.nn.checkpoint import save_checkpoint
 from gransum.segmenter import PointerSegmenter, SegmenterConfig
@@ -380,6 +383,9 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys):
         (run, '{"synthetic": {"bogus": 1}}', "unknown key 'bogus'"),
         (run, '{"segmenter": {"bogus": 1}}', "unknown key 'bogus'"),
         (run, '{"summarizer": {"bogus": 1}}', "unknown key 'bogus'"),
+        (run, '{"synthetic": {"case_count": "x"}}', "'case_count' must be int, got str"),
+        (run, '{"kinds": 5}', "'kinds' must be tuple[UnitKind, ...], got int"),
+        (run, '{"segmenter": {"hidden": "x"}}', "'hidden' must be int, got str"),
         (["gen-synthetic", "--corpus-out", str(tmp_path / "c.jsonl"), "--spec"],
          '{"bogus": 1}', "unknown key 'bogus'"),
         (train, _label_line(sentence_index="0"), bad_index),
@@ -398,3 +404,40 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, label
         assert expected.format(path=path) in err, label
+
+
+def _benchmark_tracer():
+    """perfbench/tracer.py's Tracer, loaded from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
+    """The benchmark's tracer wraps program functions by name and reads
+    their arguments and results; a rename or a reshaped argument fails
+    here rather than in a benchmark run."""
+    ckpt = tmp_path / "sum.ckpt"
+    model = Summarizer(SummarizerConfig(bucket_count=16), UnitKind.SEGMENT)
+    save_checkpoint(model.to_checkpoint(), str(ckpt))
+    common = [
+        "--corpus", str(synth_dir / "corpus.jsonl"),
+        "--hooks", str(synth_dir / "hooks.json"),
+        "--patterns", str(synth_dir / "patterns.json"),
+        "--method", "rules",
+    ]
+    tracer = _benchmark_tracer()
+    tracer.install()
+    try:
+        assert main(["make-oracle", *common, "--kind", "SEGMENT",
+                     "--output", str(tmp_path / "labels.jsonl")]) == 0
+        assert main(["summarize", *common, "--model", str(ckpt),
+                     "--output", str(tmp_path / "summaries.jsonl")]) == 0
+    finally:
+        tracer.remove()
+    counts = tracer.work_counts()
+    for name in ("oracle.units_scored", "work.units.SEGMENT", "summarizer.summarize.calls"):
+        assert counts[name] > 0, name
+    assert not hasattr(pipeline.make_oracle_labels, "__wrapped__")

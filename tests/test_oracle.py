@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from gransum.oracle import UnitText, make_oracle_labels
+from gransum.oracle import make_oracle_labels
 from gransum.rouge import rouge_n
 from gransum.spans import TextSpan, Unit, UnitKind
 
 
 def entry(si, ui, tokens, length=None):
-    unit = Unit(si, ui, UnitKind.SEGMENT, TextSpan(0, max(1, length or 1)), 0, len(tokens))
-    return UnitText(unit, tuple(tokens), length if length is not None else len("".join(tokens)))
+    length = length if length is not None else len("".join(tokens))
+    return Unit(
+        si, ui, UnitKind.SEGMENT, TextSpan(0, max(1, length)), 0, len(tokens),
+        tuple(tokens), length,
+    )
 
 
 def reference_selection(entries, reference, budget, mode="keep"):
@@ -16,8 +19,8 @@ def reference_selection(entries, reference, budget, mode="keep"):
     scored = []
     for i, e in enumerate(entries):
         scored.append(
-            (rouge_n(list(e.tokens), reference, 2).f1, e.unit.sentence_index,
-             e.unit.unit_index, i)
+            (rouge_n(list(e.tokens), reference, 2).f1, e.sentence_index,
+             e.unit_index, i)
         )
     ranked = sorted(scored, key=lambda t: (-t[0], t[1], t[2]))
     chosen = set()

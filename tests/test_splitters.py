@@ -187,7 +187,9 @@ class TestUnitsFromBoundaries:
         check_tiling(units, len(text))
         assert units[0].text(text) == "aa bb, "
         assert units[1].text(text) == "cc dd。"
-        assert units[0].char_length(text) == 5  # "aabb," without whitespace
+        assert units[0].char_length == 5  # "aabb," without whitespace
+        assert units[0].tokens == ("aa", "bb", ",")
+        assert units[1].tokens == ("cc", "dd", "。")
 
     def test_fuzz_tiling_all_splitters(self):
         rng = np.random.default_rng(17)

@@ -7,12 +7,11 @@ from gransum import nn
 from gransum.corpus import SyntheticSpec, generate_synthetic
 from gransum.nn.checkpoint import load_checkpoint, save_checkpoint
 from gransum.pipeline import BoundaryProvider, build_document, build_views
-from gransum.spans import TextSpan, Unit, UnitKind
+from gransum.spans import TextSpan, Unit, UnitKind, budget_length, budget_select
 from gransum.summarizer import (
     DocumentExample,
     Summarizer,
     SummarizerConfig,
-    budget_select,
     summarize,
     summarizer_train,
 )
@@ -22,30 +21,30 @@ SMALL = SummarizerConfig(
 )
 
 
-def unit(si, ui, ts, te, kind=UnitKind.SEGMENT):
-    return Unit(si, ui, kind, TextSpan(0, 4), ts, te)
+SENTENCES = (("wa", "bo", ",", "ke"), ("lu", "mi", "。"))
+
+
+def unit(si, ui, ts, te, length, kind=UnitKind.SEGMENT):
+    return Unit(si, ui, kind, TextSpan(0, 4), ts, te, SENTENCES[si][ts:te], length)
 
 
 def toy_doc(kind=UnitKind.SEGMENT, labels=(1, 0, 1)):
     if kind is UnitKind.SENTENCE:
         units = (
-            unit(0, 0, 0, 4, kind),
-            unit(1, 0, 0, 3, kind),
+            unit(0, 0, 0, 4, 7, kind),
+            unit(1, 0, 0, 3, 5, kind),
         )
         labels = labels[: len(units)]
         texts = ("wa bo, ke", "lu mi。")
-        lengths = (7, 5)
     else:
-        units = (unit(0, 0, 0, 3), unit(0, 1, 3, 4), unit(1, 0, 0, 3))
+        units = (unit(0, 0, 0, 3, 5), unit(0, 1, 3, 4, 2), unit(1, 0, 0, 3, 5))
         texts = ("wa bo,", "ke", "lu mi。")
-        lengths = (5, 2, 5)
     return DocumentExample(
         case_id="c1",
         kind=kind,
-        sentences=(("wa", "bo", ",", "ke"), ("lu", "mi", "。")),
+        sentences=SENTENCES,
         units=units,
         unit_texts=texts,
-        unit_char_lengths=lengths,
         labels=tuple(labels),
         reference_sentences=(("wa", "bo"),),
     )
@@ -63,11 +62,7 @@ def synth_docs(kind, case_count=40, seed=77, marker_prob=0.12):
         UnitKind.SEGMENT: BoundaryProvider("gold", g.hooks, gold=g.gold_by_case()),
         UnitKind.CLAUSE: BoundaryProvider("clauses", g.hooks),
     }[kind]
-    budget = float(
-        np.mean(
-            [sum(1 for c in v.case.summary_text if not c.isspace()) for v in views]
-        )
-    )
+    budget = float(np.mean([budget_length(v.case.summary_text) for v in views]))
     docs = [build_document(v, kind, boundaries, budget) for v in views]
     return docs, g, budget
 
@@ -138,7 +133,7 @@ class TestEncodeDocument:
         with pytest.raises(ValueError):
             DocumentExample(
                 case_id="x", kind=UnitKind.SEGMENT, sentences=(),
-                units=(), unit_texts=(), unit_char_lengths=(),
+                units=(), unit_texts=(),
             )
 
 
@@ -161,7 +156,7 @@ class TestSummarize:
     def test_budget_zero_selects_single_top_unit(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         result = summarize(toy_doc(), model, budget_chars=0)
-        assert len(result.selected) == 1
+        assert len(result.units) == 1
 
     def test_equal_probabilities_document_order_prefix(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
@@ -171,16 +166,16 @@ class TestSummarize:
         result = summarize(doc, model, budget_chars=6)
         # char lengths 5, 2, 5: prefix crosses budget at the second unit...
         # 5 + 2 = 7 > 6, so exactly the first two units in document order
-        assert result.selected == ((0, 0), (0, 1))
+        assert result.units == doc.units[:2]
 
     def test_ranking_invariant_under_monotone_logit_transform(self):
         docs, _, budget = synth_docs(UnitKind.SEGMENT, case_count=4)
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        base = [summarize(d, model, budget_chars=budget).selected for d in docs]
+        base = [summarize(d, model, budget_chars=budget).units for d in docs]
         # scale the head: logits -> 3 * logits + 1 is strictly monotone
         model.store.params["head_w"][...] *= 3.0
         model.store.params["head_b"][...] = model.store.params["head_b"] * 3.0 + 1.0
-        after = [summarize(d, model, budget_chars=budget).selected for d in docs]
+        after = [summarize(d, model, budget_chars=budget).units for d in docs]
         assert base == after
 
     def test_output_length_exceeds_budget_by_at_most_one_unit(self):
@@ -188,11 +183,8 @@ class TestSummarize:
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         for doc in docs:
             result = summarize(doc, model, budget_chars=budget)
-            total = sum(
-                doc.unit_char_lengths[_index_of(doc, si, ui)]
-                for si, ui in result.selected
-            )
-            max_unit = max(doc.unit_char_lengths)
+            total = sum(u.char_length for u in result.units)
+            max_unit = max(u.char_length for u in doc.units)
             assert total <= budget + max_unit
 
     def test_summary_joined_by_single_space(self):
@@ -201,26 +193,23 @@ class TestSummarize:
         assert result.summary_text == "wa bo, ke lu mi。"
 
 
-def _index_of(doc, si, ui):
-    for i, u in enumerate(doc.units):
-        if (u.sentence_index, u.unit_index) == (si, ui):
-            return i
-    raise KeyError((si, ui))
+def ten_char_units(count):
+    return [unit(0, ui, 0, 1, 10) for ui in range(count)]
 
 
 class TestBudgetSelect:
     def test_keep_includes_crossing_unit(self):
-        assert budget_select([0, 1, 2], [10, 10, 10], 25) == [0, 1, 2]
+        assert budget_select([3, 2, 1], ten_char_units(3), 25) == [0, 1, 2]
 
     def test_exact_budget_not_crossing(self):
-        assert budget_select([0, 1], [10, 10], 20) == [0, 1]
+        assert budget_select([2, 1], ten_char_units(2), 20) == [0, 1]
 
     def test_drop_excludes_crossing_unit(self):
-        assert budget_select([0, 1, 2], [10, 10, 10], 25, mode="drop") == [0, 1]
+        assert budget_select([3, 2, 1], ten_char_units(3), 25, mode="drop") == [0, 1]
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            budget_select([0], [1], 10, mode="bad")
+            budget_select([0], ten_char_units(1), 10, mode="bad")
 
 
 class TestTraining:
@@ -253,8 +242,7 @@ class TestTraining:
         for doc in docs:
             labels = []
             for u in doc.units:
-                toks = doc.sentences[u.sentence_index][u.token_start:u.token_end]
-                labels.append(int(any(t in markers for t in toks)))
+                labels.append(int(any(t in markers for t in u.tokens)))
             relabeled.append(dataclasses.replace(doc, labels=tuple(labels)))
         train, dev, test = relabeled[:44], relabeled[44:50], relabeled[50:]
         config = SummarizerConfig(bucket_count=2 ** 14, epochs=6, seed=1)
@@ -280,9 +268,7 @@ class TestTraining:
 
     @pytest.mark.slow
     def test_trained_beats_random_selection_paired(self):
-        from gransum.pipeline import rouge_eval, _result_unit_tokens
-        from gransum.rouge import rouge_n
-        from gransum.summarizer import budget_select
+        from gransum.pipeline import rouge_eval
 
         docs, _, budget = synth_docs(UnitKind.SEGMENT, case_count=110, seed=12)
         train, dev, test = docs[:50], docs[50:55], docs[55:]
@@ -294,16 +280,13 @@ class TestTraining:
         for doc in test:
             trained = summarize(doc, model, budget_chars=budget)
             refs = [list(s) for s in doc.reference_sentences]
-            trained_f1 = rouge_eval(_result_unit_tokens(doc, trained), refs)["rouge1"].f1
+            trained_tokens = [list(u.tokens) for u in trained.units]
+            trained_f1 = rouge_eval(trained_tokens, refs)["rouge1"].f1
 
-            order = list(rng.permutation(len(doc.units)))
-            chosen = budget_select(order, list(doc.unit_char_lengths), budget)
-            rand_tokens = []
-            for i in sorted(chosen):
-                u = doc.units[i]
-                rand_tokens.append(
-                    list(doc.sentences[u.sentence_index][u.token_start:u.token_end])
-                )
+            # a random ranking: the unit at rank k scores -k
+            rank = np.argsort(rng.permutation(len(doc.units)))
+            chosen = budget_select(-rank, list(doc.units), budget)
+            rand_tokens = [list(doc.units[i].tokens) for i in chosen]
             random_f1 = rouge_eval(rand_tokens, refs)["rouge1"].f1
             diffs.append(trained_f1 - random_f1)
         assert np.mean(diffs) > 0.0

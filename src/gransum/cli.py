@@ -192,11 +192,11 @@ def cmd_segment(args) -> int:
 
 
 def cmd_train_segmenter(args) -> int:
-    views, hooks, _ = _views(args)
-    gold = _gold_boundaries(args.gold, hooks)
     config = SegmenterConfig(
         epochs=args.epochs, seed=args.seed if args.seed is not None else 0
     )
+    views, hooks, _ = _views(args)
+    gold = _gold_boundaries(args.gold, hooks)
     model, history = segmenter_train(segmenter_examples(views, gold), config)
     save_checkpoint(model.to_checkpoint(), args.out)
     print(
@@ -231,6 +231,8 @@ def cmd_make_oracle(args) -> int:
 
 
 def cmd_train_summarizer(args) -> int:
+    seed = args.seed if args.seed is not None else 0
+    config = SummarizerConfig(epochs=args.epochs, seed=seed)
     views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
     boundaries = _unit_boundaries(args, hooks, patterns, kind)
@@ -254,14 +256,12 @@ def cmd_train_summarizer(args) -> int:
                 )
             labels.append(int(case_labels[key]))
         labeled_docs.append(dataclasses.replace(doc, labels=tuple(labels)))
-    seed = args.seed if args.seed is not None else 0
     order = np.random.default_rng(seed).permutation(len(labeled_docs))
     n_dev = max(1, int(round(len(labeled_docs) * args.dev_fraction)))
     if n_dev >= len(labeled_docs):
         raise CorpusError("corpus too small for the requested dev fraction")
     dev_i = sorted(int(i) for i in order[:n_dev])
     train_i = sorted(int(i) for i in order[n_dev:])
-    config = SummarizerConfig(epochs=args.epochs, seed=seed)
     model, history = summarizer_train(
         [labeled_docs[i] for i in train_i],
         [labeled_docs[i] for i in dev_i],

@@ -1,18 +1,15 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: the LCS dynamic program behind ROUGE-L and the
+batched GRU recurrence shared by both trainable models.
 
-The two genuinely hot inner loops of the toolkit live here: the LCS
-dynamic program behind ROUGE-L, and the GRU recurrence used by both
-trainable models.  Each kernel exists in two variants that execute the
-same floating-point operations in the same order:
+The GRU kernels run B sequences per call, each step one batched matmul
+per gate group (the recurrent batching of Appleyard et al., 2016).  The
+scalar one-sequence forms they replaced live in ``tests/`` as the
+reference they are checked against.
 
-    *_py  — plain numpy/Python loop
-    *_nb  — the same function compiled with numba @njit (None if numba
-            is unavailable)
-
-The module-level names (``lcs_mask_greedy``, ``gru_seq_forward``, ...)
-point at the selected variant.  Selection: numba when importable, unless
-the environment variable ``GRANSUM_NUMBA`` is set to 0/false/no/off.
-``benchmarks/bench_kernels.py`` times both variants side by side.
+The LCS kernel has a numba @njit twin, ``_lcs_mask_greedy_nb`` (None if
+numba is unavailable); ``lcs_mask_greedy`` points at it when numba is
+importable, unless the environment variable ``GRANSUM_NUMBA`` is set to
+0/false/no/off.
 """
 
 from __future__ import annotations
@@ -70,88 +67,154 @@ def _lcs_mask_greedy_py(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _gru_seq_forward_py(xzr, xn, whzr, whn, bzr, bn, h0):
-    """Run a GRU over a sequence of pre-projected inputs.
+if NUMBA_ENABLED:
+    _lcs_mask_greedy_nb = _njit(cache=True)(_lcs_mask_greedy_py)
+else:
+    _lcs_mask_greedy_nb = None
 
-    xzr: [T, 2H] input projections for the update/reset gates.
-    xn:  [T, H] input projection for the candidate state.
-    Returns (hs, zs, rs, ns) where hs is [T+1, H] with hs[0] == h0; the
-    gate activations are kept for the backward pass.
+lcs_mask_greedy = _lcs_mask_greedy_nb if NUMBA_ENABLED else _lcs_mask_greedy_py
+
+
+def gru_seq_forward(xzr, xn, whzr, whn, bzr, bn, h0, lengths=None):
+    """Run B GRUs side by side over padded sequences of input projections.
+
+    The weights are stacked on a leading axis of G sets, G dividing B:
+    sequence b runs on set b // (B // G).  With G == B every sequence has
+    its own weights, so GRUs with different weights (the two directions
+    of a BiGRU) share one call; sequences that share a set are grouped so
+    each step is one batched matmul per gate group either way.
+
+    xzr: [T, B, 2H] input projections for the update/reset gates.
+    xn:  [T, B, H] input projection for the candidate state.
+    whzr [G, H, 2H], whn [G, H, H], bzr [G, 2H], bn [G, H]; h0 [B, H].
+    lengths: [B] real steps per sequence (None: all T).  Steps at or past
+    a sequence's length are padding: its update gate there is exactly 1,
+    so h passes through unchanged and, in the backward pass, the step's
+    gradients are exactly zero.  Each step is two batched matmuls and ten
+    elementwise calls writing into buffers allocated once per call.
+
+    Returns (hs, zs, rs, ns): hs is [T+1, B, H] with hs[0] == h0, and the
+    gate activations [T, B, H] are kept for the backward pass.
     """
-    T = xzr.shape[0]
-    H = h0.shape[0]
-    hs = np.empty((T + 1, H))
+    T, B, H2 = xzr.shape
+    H = H2 // 2
+    G = whzr.shape[0]
+    S = B // G
+    # Biases are folded into the projections once.  One exp serves both
+    # gates: the buffer holds +a_z and -a_r, so 1 / (1 + exp(.)) gives
+    # 1 - z and r, and h' = h + (1 - z) * (n - h).
+    pre = xzr.reshape(T, G, S, H2) + bzr[:, None]
+    pre[..., H:] *= -1.0
+    pre = pre.reshape(T, B, H2)
+    if lengths is not None:
+        pre[:, :, :H][np.arange(T)[:, None] >= np.asarray(lengths)] = np.inf
+    w_rec = whzr.copy()
+    w_rec[..., :H] *= -1.0
+    xn_b = (xn.reshape(T, G, S, H) + bn[:, None]).reshape(T, B, H)
+    hs = np.empty((T + 1, B, H))
     hs[0] = h0
-    zs = np.empty((T, H))
-    rs = np.empty((T, H))
-    ns = np.empty((T, H))
+    gates = np.empty((T, B, H2))
+    omz = gates[:, :, :H]
+    rs = gates[:, :, H:]
+    ns = np.empty((T, B, H))
+    # per-step views made once: [G, S, .] for the matmuls, [B, .] otherwise
+    hs_g = hs.reshape(T + 1, G, S, H)
+    rec_zr = np.empty((G, S, H2))
+    rec_n = np.empty((G, S, H))
+    rh = np.empty((G, S, H))
+    rec_zr_b = rec_zr.reshape(B, H2)
+    rec_n_b = rec_n.reshape(B, H)
+    rh_b = rh.reshape(B, H)
+    matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
+    exp, divide, tanh = np.exp, np.divide, np.tanh
     for t in range(T):
         h = hs[t]
-        a_zr = xzr[t] + h @ whzr + bzr
-        z = 1.0 / (1.0 + np.exp(-a_zr[:H]))
-        r = 1.0 / (1.0 + np.exp(-a_zr[H:]))
-        a_n = xn[t] + (r * h) @ whn + bn
-        n = np.tanh(a_n)
-        hs[t + 1] = (1.0 - z) * n + z * h
-        zs[t] = z
-        rs[t] = r
-        ns[t] = n
+        g = gates[t]
+        n = ns[t]
+        matmul(hs_g[t], w_rec, out=rec_zr)
+        subtract(pre[t], rec_zr_b, out=g)
+        exp(g, out=g)
+        g += 1.0
+        divide(1.0, g, out=g)
+        multiply(rs[t], h, out=rh_b)
+        matmul(rh, whn, out=rec_n)
+        add(xn_b[t], rec_n_b, out=n)
+        tanh(n, out=n)
+        subtract(n, h, out=rh_b)
+        rh_b *= omz[t]
+        add(h, rh_b, out=hs[t + 1])
+    zs = np.subtract(1.0, omz, out=omz)
     return hs, zs, rs, ns
 
 
-def _gru_seq_backward_py(hs, zs, rs, ns, whzr, whn, dh_out, dh_final):
-    """Backward pass matching _gru_seq_forward_py.
+def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out, dh_final):
+    """Backward pass matching gru_seq_forward.
 
-    dh_out: [T, H] gradient w.r.t. each emitted state hs[1..T].
-    dh_final: [H] extra gradient on the last state (from downstream use).
-    Returns (dxzr, dxn, dwhzr, dwhn, dbzr, dbn, dh0).  Weight gradients are
-    assembled from the per-step gate gradients with two matmuls after the
-    recurrence, keeping the loop itself to two small dots per step.
+    dh_out: [T, B, H] gradient w.r.t. each emitted state hs[1..T].
+    dh_final: [B, H] extra gradient on the last state (from downstream use).
+    Returns (dxzr, dxn, dwhzr, dwhn, dbzr, dbn, dh0); the weight and bias
+    gradients are per weight set ([G, ...]), summed over its sequences.
+    The gate factors that do not depend on the carried gradient are
+    computed for all steps before the recurrence and the weight gradients
+    with batched matmuls after it, so each step is two small matmuls and
+    a few elementwise products.
     """
-    T = zs.shape[0]
-    H = hs.shape[1]
-    whzr_t = whzr.T.copy()
-    whn_t = whn.T.copy()
-    dxzr = np.empty((T, 2 * H))
-    dxn = np.empty((T, H))
-    carry = dh_final.copy()
-    da_zr = np.empty(2 * H)
+    T, B, H = zs.shape
+    G = whzr.shape[0]
+    S = B // G
+    h_prev = hs[:T]
+    one_z = np.subtract(1.0, zs)
+    f_z = np.subtract(h_prev, ns)
+    f_z *= zs
+    f_z *= one_z
+    f_n = np.multiply(ns, ns)
+    np.subtract(1.0, f_n, out=f_n)
+    f_n *= one_z
+    f_r = np.subtract(1.0, rs)
+    f_r *= rs
+    f_r *= h_prev
+    del one_z
+    whzr_t = whzr.transpose(0, 2, 1).copy()
+    whn_t = whn.transpose(0, 2, 1).copy()
+    dxzr = np.empty((T, B, 2 * H))
+    dxn = np.empty((T, B, H))
+    carry = np.array(dh_final, dtype=np.float64).reshape(B, H)
+    # per-step views made once: [G, S, .] for the matmuls, [B, .] otherwise
+    dxz = dxzr[:, :, :H]
+    dxr = dxzr[:, :, H:]
+    dxzr_g = dxzr.reshape(T, G, S, 2 * H)
+    dxn_g = dxn.reshape(T, G, S, H)
+    dhp = np.empty((B, H))
+    drh = np.empty((G, S, H))
+    rec = np.empty((G, S, H))
+    drh_b = drh.reshape(B, H)
+    rec_b = rec.reshape(B, H)
+    tmp = np.empty((B, H))
+    matmul, multiply, add = np.matmul, np.multiply, np.add
     for t in range(T - 1, -1, -1):
-        dhp = dh_out[t] + carry
-        h = hs[t]
-        z = zs[t]
-        r = rs[t]
-        n = ns[t]
-        da_z = dhp * (h - n) * z * (1.0 - z)
-        da_n = dhp * (1.0 - z) * (1.0 - n * n)
-        carry = dhp * z
-        drh = da_n @ whn_t
-        da_r = drh * h * r * (1.0 - r)
-        carry = carry + drh * r
-        da_zr[:H] = da_z
-        da_zr[H:] = da_r
-        carry = carry + da_zr @ whzr_t
-        dxzr[t] = da_zr
-        dxn[t] = da_n
-    dwhzr = hs[:T].T @ dxzr
-    dwhn = (rs * hs[:T]).T @ dxn
-    dbzr = dxzr.sum(axis=0)
-    dbn = dxn.sum(axis=0)
+        add(dh_out[t], carry, out=dhp)
+        multiply(dhp, f_z[t], out=dxz[t])
+        multiply(dhp, f_n[t], out=dxn[t])
+        matmul(dxn_g[t], whn_t, out=drh)
+        multiply(drh_b, f_r[t], out=dxr[t])
+        multiply(dhp, zs[t], out=carry)
+        multiply(drh_b, rs[t], out=tmp)
+        carry += tmp
+        matmul(dxzr_g[t], whzr_t, out=rec)
+        carry += rec_b
+
+    def per_set(a):
+        # [T, B, k] -> [G, T*S, k]: the rows of each weight set's sequences
+        return a.reshape(T, G, S, a.shape[2]).transpose(1, 0, 2, 3).reshape(G, T * S, -1)
+
+    del f_z, f_n
+    dxzr_rows = per_set(dxzr)
+    dxn_rows = per_set(dxn)
+    dwhzr = np.matmul(per_set(h_prev).transpose(0, 2, 1), dxzr_rows)
+    dwhn = np.matmul(per_set(np.multiply(rs, h_prev, out=f_r)).transpose(0, 2, 1), dxn_rows)
+    dbzr = dxzr_rows.sum(axis=1)
+    dbn = dxn_rows.sum(axis=1)
     return dxzr, dxn, dwhzr, dwhn, dbzr, dbn, carry
-
-
-if NUMBA_ENABLED:
-    _lcs_mask_greedy_nb = _njit(cache=True)(_lcs_mask_greedy_py)
-    _gru_seq_forward_nb = _njit(cache=True)(_gru_seq_forward_py)
-    _gru_seq_backward_nb = _njit(cache=True)(_gru_seq_backward_py)
-else:
-    _lcs_mask_greedy_nb = None
-    _gru_seq_forward_nb = None
-    _gru_seq_backward_nb = None
-
-lcs_mask_greedy = _lcs_mask_greedy_nb if NUMBA_ENABLED else _lcs_mask_greedy_py
-gru_seq_forward = _gru_seq_forward_nb if NUMBA_ENABLED else _gru_seq_forward_py
-gru_seq_backward = _gru_seq_backward_nb if NUMBA_ENABLED else _gru_seq_backward_py
 
 
 def lcs_ref_match_mask(ref_ids: np.ndarray, cand_ids: np.ndarray) -> np.ndarray:

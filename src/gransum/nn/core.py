@@ -25,16 +25,37 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible."""
 
 
+# float64 values one store may hold: 128 MiB of weights, about 640 MiB
+# with the gradients and Adam's state.
+MAX_PARAMETERS = 2 ** 24
+
+
+def check_hyperparameters(config, minimums: dict[str, int]) -> None:
+    """Range checks shared by the model configs: each field named in
+    minimums is at least its minimum, and lr is finite and > 0.  A
+    failure is a ValueError naming the config and the key."""
+    what = type(config).__name__
+    for key, low in minimums.items():
+        value = getattr(config, key)
+        if value < low:
+            raise ValueError(f"{what}: {key!r} must be >= {low}, got {value!r}")
+    if not 0.0 < config.lr < math.inf:
+        raise ValueError(f"{what}: 'lr' must be finite and > 0, got {config.lr!r}")
+
+
 class ParameterStore:
     """Named parameters with matching gradient buffers.
 
     Initialization is deterministic in the seed and in the order add() is
     called, so two models built by the same code path are bit-identical.
+    add() refuses, before allocating, a parameter that would take the
+    store past MAX_PARAMETERS values.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self.step = 0
+        self.size = 0
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self._rng = np.random.default_rng(seed)
@@ -42,6 +63,13 @@ class ParameterStore:
     def add(self, name: str, shape: tuple[int, ...], init: str = "glorot") -> np.ndarray:
         if name in self.params:
             raise ValueError(f"duplicate parameter {name!r}")
+        size = self.size + math.prod(shape)
+        if size > MAX_PARAMETERS:
+            raise ValueError(
+                f"parameter {name!r} of shape {shape} would bring the model to "
+                f"{size} values, over the cap of {MAX_PARAMETERS}"
+            )
+        self.size = size
         if init == "glorot":
             fan_in = shape[0]
             fan_out = shape[-1]
@@ -156,7 +184,7 @@ def layer_norm_backward(dy, cache, store: ParameterStore):
 
 
 # ----------------------------------------------------------------------
-# GRU (sequence form, backed by the jit kernels)
+# GRU (sequence form, backed by the batched kernels)
 # ----------------------------------------------------------------------
 
 def add_gru_params(store: ParameterStore, prefix: str, input_dim: int, hidden: int):
@@ -177,10 +205,11 @@ def gru_forward(x, store: ParameterStore, prefix: str, h0=None):
     xzr = x @ p[f"{prefix}.wx_zr"]
     xn = x @ p[f"{prefix}.wx_n"]
     hs, zs, rs, ns = kernels.gru_seq_forward(
-        xzr, xn, p[f"{prefix}.wh_zr"], p[f"{prefix}.wh_n"],
-        p[f"{prefix}.b_zr"], p[f"{prefix}.b_n"], h0,
+        xzr[:, None], xn[:, None], p[f"{prefix}.wh_zr"][None], p[f"{prefix}.wh_n"][None],
+        p[f"{prefix}.b_zr"][None], p[f"{prefix}.b_n"][None], h0[None],
     )
-    return hs[1:], (x, hs, zs, rs, ns, prefix)
+    hs = hs[:, 0]
+    return hs[1:], (x, hs, zs[:, 0], rs[:, 0], ns[:, 0], prefix)
 
 
 def gru_backward(dh_out, cache, store: ParameterStore, dh_final=None):
@@ -191,16 +220,20 @@ def gru_backward(dh_out, cache, store: ParameterStore, dh_final=None):
     if dh_final is None:
         dh_final = np.zeros(hidden)
     dxzr, dxn, dwhzr, dwhn, dbzr, dbn, dh0 = kernels.gru_seq_backward(
-        hs, zs, rs, ns, p[f"{prefix}.wh_zr"], p[f"{prefix}.wh_n"], dh_out, dh_final
+        hs[:, None], zs[:, None], rs[:, None], ns[:, None],
+        p[f"{prefix}.wh_zr"][None], p[f"{prefix}.wh_n"][None],
+        dh_out[:, None], dh_final[None],
     )
-    store.accumulate(f"{prefix}.wh_zr", dwhzr)
-    store.accumulate(f"{prefix}.wh_n", dwhn)
-    store.accumulate(f"{prefix}.b_zr", dbzr)
-    store.accumulate(f"{prefix}.b_n", dbn)
+    dxzr = dxzr[:, 0]
+    dxn = dxn[:, 0]
+    store.accumulate(f"{prefix}.wh_zr", dwhzr[0])
+    store.accumulate(f"{prefix}.wh_n", dwhn[0])
+    store.accumulate(f"{prefix}.b_zr", dbzr[0])
+    store.accumulate(f"{prefix}.b_n", dbn[0])
     store.accumulate(f"{prefix}.wx_zr", x.T @ dxzr)
     store.accumulate(f"{prefix}.wx_n", x.T @ dxn)
     dx = dxzr @ p[f"{prefix}.wx_zr"].T + dxn @ p[f"{prefix}.wx_n"].T
-    return dx, dh0
+    return dx, dh0[0]
 
 
 def add_bigru_params(store: ParameterStore, prefix: str, input_dim: int, hidden: int):
@@ -208,21 +241,72 @@ def add_bigru_params(store: ParameterStore, prefix: str, input_dim: int, hidden:
     add_gru_params(store, f"{prefix}.bwd", input_dim, hidden)
 
 
-def bigru_forward(x, store: ParameterStore, prefix: str):
-    """Bidirectional GRU; output [T, 2H] is fwd/bwd concatenation."""
-    h_f, cache_f = gru_forward(x, store, f"{prefix}.fwd")
-    h_b_rev, cache_b = gru_forward(x[::-1], store, f"{prefix}.bwd")
-    out = np.concatenate([h_f, h_b_rev[::-1]], axis=1)
-    return out, (cache_f, cache_b, h_f.shape[1])
+def _flip(steps: int, seqs: int, lengths):
+    """Reverses the step axis of a [T, S, ...] array, each sequence within
+    its own length (all T when lengths is None); padded steps stay in
+    place.  It is its own inverse."""
+    t = np.arange(steps)[:, None]
+    n = np.full((1, seqs), steps) if lengths is None else np.asarray(lengths)[None, :]
+    rows = np.where(t < n, n - 1 - t, t)
+    cols = np.arange(seqs)[None, :]
+    return lambda a: a[rows, cols]
+
+
+def bigru_forward(x, store: ParameterStore, prefix: str, lengths=None):
+    """Bidirectional GRU; output is the fwd/bwd concatenation.
+
+    x is one sequence [T, I] (output [T, 2H]) or S zero-padded sequences
+    [T, S, I] with lengths [S] (output [T, S, 2H]; padded rows carry no
+    meaning).  Both directions of every sequence run as one kernel call
+    of 2S sequences, the backward direction on each sequence reversed
+    within its own length.  The four input projections are one matmul.
+    """
+    p = store.params
+    names = (f"{prefix}.fwd", f"{prefix}.bwd")
+    xs = x[:, None, :] if x.ndim == 2 else x
+    steps, seqs, in_dim = xs.shape
+    hidden = p[f"{names[0]}.wh_n"].shape[0]
+    flip = _flip(steps, seqs, lengths)
+    w_in = np.concatenate([p[f"{q}.{w}"] for q in names for w in ("wx_zr", "wx_n")], axis=1)
+    proj = (xs.reshape(steps * seqs, in_dim) @ w_in).reshape(steps, seqs, 6 * hidden)
+    proj = np.concatenate([proj[:, :, :3 * hidden], flip(proj[:, :, 3 * hidden:])], axis=1)
+    whzr, whn, bzr, bn = (
+        np.stack([p[f"{q}.{w}"] for q in names]) for w in ("wh_zr", "wh_n", "b_zr", "b_n")
+    )
+    states = kernels.gru_seq_forward(
+        proj[:, :, :2 * hidden], proj[:, :, 2 * hidden:], whzr, whn, bzr, bn,
+        np.zeros((2 * seqs, hidden)), None if lengths is None else np.tile(lengths, 2),
+    )
+    hs = states[0][1:]
+    out = np.concatenate([hs[:, :seqs], flip(hs[:, seqs:])], axis=2)
+    cache = (xs, w_in, flip, states, whzr, whn, names)
+    return (out[:, 0] if x.ndim == 2 else out), cache
 
 
 def bigru_backward(dout, cache, store: ParameterStore):
-    cache_f, cache_b, hidden = cache
-    dx_f, _ = gru_backward(np.ascontiguousarray(dout[:, :hidden]), cache_f, store)
-    dx_b, _ = gru_backward(
-        np.ascontiguousarray(dout[::-1, hidden:]), cache_b, store
+    """Backward for bigru_forward; dx has the shape of its x."""
+    xs, w_in, flip, states, whzr, whn, names = cache
+    douts = dout[:, None, :] if dout.ndim == 2 else dout
+    steps, seqs, in_dim = xs.shape
+    hidden = whn.shape[1]
+    dh_out = np.concatenate([douts[:, :, :hidden], flip(douts[:, :, hidden:])], axis=1)
+    dxzr, dxn, dwhzr, dwhn, dbzr, dbn, _ = kernels.gru_seq_backward(
+        *states, whzr, whn, dh_out, np.zeros((2 * seqs, hidden))
     )
-    return dx_f + dx_b[::-1]
+    dproj = np.concatenate(
+        [dxzr[:, :seqs], dxn[:, :seqs], flip(dxzr[:, seqs:]), flip(dxn[:, seqs:])], axis=2
+    ).reshape(steps * seqs, 6 * hidden)
+    dw_in = xs.reshape(steps * seqs, in_dim).T @ dproj
+    for g, q in enumerate(names):
+        store.accumulate(f"{q}.wh_zr", dwhzr[g])
+        store.accumulate(f"{q}.wh_n", dwhn[g])
+        store.accumulate(f"{q}.b_zr", dbzr[g])
+        store.accumulate(f"{q}.b_n", dbn[g])
+        lo = 3 * hidden * g
+        store.accumulate(f"{q}.wx_zr", dw_in[:, lo:lo + 2 * hidden])
+        store.accumulate(f"{q}.wx_n", dw_in[:, lo + 2 * hidden:lo + 3 * hidden])
+    dx = (dproj @ w_in.T).reshape(steps, seqs, in_dim)
+    return dx[:, 0] if dout.ndim == 2 else dx
 
 
 # ----------------------------------------------------------------------
@@ -327,12 +411,15 @@ def embed_bag_backward(dx, bucket_lists, grad_table: np.ndarray) -> None:
         return
     counts = np.array([len(b) for b in bucket_lists])
     flat = np.concatenate(bucket_lists)
-    contrib = np.repeat(dx / counts[:, None], counts, axis=0)
     # sort-based segment sum; np.add.at is an order of magnitude slower
     order = np.argsort(flat, kind="stable")
     sorted_idx = flat[order]
     starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-    grad_table[sorted_idx[starts]] += np.add.reduceat(contrib[order], starts, axis=0)
+    # one gather gives each sorted entry its token's share of dx
+    rows = np.repeat(np.arange(len(counts)), counts)[order]
+    grad_table[sorted_idx[starts]] += np.add.reduceat(
+        (dx / counts[:, None])[rows], starts, axis=0
+    )
 
 
 # ----------------------------------------------------------------------
@@ -351,14 +438,6 @@ def sigmoid_bce(logits: np.ndarray, labels: np.ndarray):
     per = np.maximum(logits, 0.0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
     dlogits = (sigmoid(logits) - labels) / n
     return float(per.mean()), dlogits
-
-
-def cross_entropy_from_probs(p: np.ndarray, target: int):
-    """NLL of one target under a probability row; returns (loss, dp)."""
-    pt = max(float(p[target]), 1e-300)
-    dp = np.zeros_like(p)
-    dp[target] = -1.0 / pt
-    return -math.log(pt), dp
 
 
 # ----------------------------------------------------------------------
@@ -411,14 +490,18 @@ def train_step(model, batch, optimizer: Adam) -> float:
     """One deterministic gradient step on one batch.
 
     The model must expose store (a ParameterStore) and
-    loss_and_grads(batch) accumulating into store.grads.
+    loss_and_grads(batch) accumulating into store.grads.  A non-finite
+    loss is a TrainingError naming the step, the seed and the first
+    parameter whose gradient is non-finite.
     """
-    model.store.zero_grads()
+    store = model.store
+    store.zero_grads()
     loss = model.loss_and_grads(batch)
     if not np.isfinite(loss):
+        bad = next((n for n, g in store.grads.items() if not np.isfinite(g).all()), None)
         raise TrainingError(
-            f"non-finite loss {loss!r} at step {model.store.step} "
-            f"(seed {model.store.seed})"
+            f"non-finite loss {loss!r} at step {store.step} (seed {store.seed}); "
+            + ("all gradients finite" if bad is None else f"first non-finite gradient {bad!r}")
         )
     optimizer.step()
     return loss

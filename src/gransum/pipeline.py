@@ -100,6 +100,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.corpus_path is None and self.synthetic is None:
             raise ValueError("config needs corpus_path or a synthetic spec")
+        if not self.kinds:
+            raise ValueError("config: 'kinds' must name at least one unit kind")
         if self.segment_method not in SEGMENT_METHODS:
             raise ValueError(f"segment_method must be one of {SEGMENT_METHODS}")
         if self.oracle_mode not in ("keep", "drop"):

@@ -36,6 +36,12 @@ class SegmenterConfig:
     batch_sentences: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        nn.check_hyperparameters(self, {
+            "embed_dim": 1, "hidden": 1, "dec_hidden": 1, "attn_dim": 1, "n_min": 1,
+            "bucket_count": 1, "epochs": 1, "batch_sentences": 1,
+        })
+
     def hasher(self) -> SubwordHasher:
         return SubwordHasher(self.n_min, self.n_max, self.bucket_count, self.hash_seed)
 
@@ -87,75 +93,81 @@ class PointerSegmenter:
         enc, cache = nn.bigru_forward(x, self.store, "enc")
         return enc, (x, cache)
 
-    def _point_distribution(self, enc_proj, dec_state, start):
-        """Masked pointer distribution over [start, T-1]."""
+    def _point_distribution(self, enc_proj, dec_states, starts):
+        """Masked pointer distributions [m, T] for decoder states [m, Hd]:
+        row k is over positions [starts[k], T-1].  Returns (probs, act)."""
         p = self.store.params
-        t_count = enc_proj.shape[0]
-        act = np.tanh(enc_proj + dec_state @ p["attn.w_dec"])
-        scores = act @ p["attn.v"]
-        mask = np.zeros(t_count, dtype=bool)
-        mask[start:] = True
-        probs = nn.masked_softmax(scores[None, :], mask[None, :])[0]
-        return probs, act, mask
+        act = np.tanh(enc_proj[None, :, :] + (dec_states @ p["attn.w_dec"])[:, None, :])
+        mask = np.arange(enc_proj.shape[0])[None, :] >= np.asarray(starts)[:, None]
+        return nn.masked_softmax(act @ p["attn.v"], mask), act
 
     # -- training ------------------------------------------------------
 
-    def _sentence_loss_grads(self, example: SentenceExample, scale: float) -> float:
-        """Teacher-forced pointer loss for one sentence (grads scaled)."""
+    def _pointer_loss_grads(self, gold, enc, scale: float):
+        """Teacher-forced pointer loss of one sentence from its encodings
+        enc [T, 2H]; accumulates the decoder and attention grads (scaled)
+        and returns (loss, denc).
+
+        The decoder input at step k is the encoding of unit k's first
+        token, which the gold boundaries alone fix, so the m decoder steps
+        run as one sequence and the m pointer distributions as one [m, T]
+        masked softmax.
+        """
         store = self.store
         p = store.params
-        surfaces = example.surfaces
+        t_count = enc.shape[0]
+        ranges = token_ranges(gold, t_count)
+        starts = np.array([a for a, _ in ranges])
+        # the pointer targets the unit's last token
+        ends = np.array([b - 1 for _, b in ranges])
+        m = len(ranges)
+        steps = np.arange(m)
 
-        bucket_lists = self._buckets(surfaces)
-        enc, (x, enc_cache) = self._encode(bucket_lists)
         enc_proj = enc @ p["attn.w_enc"] + p["attn.b"]
+        h, dec_cache = nn.gru_forward(enc[starts], store, "dec", h0=p["dec_h0"])
+        probs, act = self._point_distribution(enc_proj, h, starts)
+        target = np.maximum(probs[steps, ends], 1e-300)
+        loss = float(-np.log(target).sum()) / m
 
-        h = p["dec_h0"]
-        steps = []
-        loss = 0.0
-        for start, end in token_ranges(example.gold, len(surfaces)):
-            h_seq, cell_cache = nn.gru_forward(enc[start][None, :], store, "dec", h0=h)
-            h = h_seq[0]
-            probs, act, mask = self._point_distribution(enc_proj, h, start)
-            # the pointer targets the unit's last token
-            step_loss, dprobs = nn.cross_entropy_from_probs(probs, end - 1)
-            loss += step_loss
-            steps.append((start, h, cell_cache, probs, act, dprobs))
+        dprobs = np.zeros_like(probs)
+        dprobs[steps, ends] = -(scale / m) / target
+        dscores = nn.softmax_backward(dprobs, probs)
+        store.accumulate("attn.v", act.reshape(-1, act.shape[2]).T @ dscores.reshape(-1))
+        dpre = dscores[:, :, None] * p["attn.v"] * (1.0 - act * act)
+        dpre_dec = dpre.sum(axis=1)
+        store.accumulate("attn.w_dec", h.T @ dpre_dec)
+        dx_dec, dh0 = nn.gru_backward(dpre_dec @ p["attn.w_dec"].T, dec_cache, store)
+        store.accumulate("dec_h0", dh0)
 
-        m = len(steps)
-        loss /= m
-
-        denc = np.zeros_like(enc)
-        denc_proj = np.zeros_like(enc_proj)
-        carry = np.zeros_like(p["dec_h0"])
-        for start, h_state, cell_cache, probs, act, dprobs in reversed(steps):
-            dscores = nn.softmax_backward(
-                dprobs[None, :] * (scale / m), probs[None, :]
-            )[0]
-            store.accumulate("attn.v", act.T @ dscores)
-            dact = np.outer(dscores, p["attn.v"])
-            dpre = dact * (1.0 - act * act)
-            denc_proj += dpre
-            dh = dpre.sum(axis=0) @ p["attn.w_dec"].T
-            store.accumulate("attn.w_dec", np.outer(h_state, dpre.sum(axis=0)))
-            dx_cell, carry = nn.gru_backward(
-                (dh + carry)[None, :], cell_cache, store
-            )
-            denc[start] += dx_cell[0]
-        store.accumulate("dec_h0", carry)
-
+        denc_proj = dpre.sum(axis=0)
         store.accumulate("attn.w_enc", enc.T @ denc_proj)
         store.accumulate("attn.b", denc_proj.sum(axis=0))
-        denc += denc_proj @ p["attn.w_enc"].T
-        dx = nn.bigru_backward(denc, enc_cache, store)
-        nn.embed_bag_backward(dx, bucket_lists, store.grads["emb"])
-        return loss
+        denc = denc_proj @ p["attn.w_enc"].T
+        denc[starts] += dx_dec
+        return loss, denc
 
     def loss_and_grads(self, batch: list[SentenceExample]) -> float:
-        total = 0.0
+        """Mean teacher-forced loss over the batch.  The batch's sentences
+        are encoded together as one zero-padded [T, S] BiGRU batch."""
+        store = self.store
         scale = 1.0 / len(batch)
-        for ex in batch:
-            total += self._sentence_loss_grads(ex, scale)
+        bucket_lists = [self._buckets(ex.surfaces) for ex in batch]
+        lengths = np.array([len(lists) for lists in bucket_lists])
+        rows = np.concatenate([np.arange(n) for n in lengths])
+        cols = np.repeat(np.arange(len(batch)), lengths)
+        flat = [b for lists in bucket_lists for b in lists]
+        x = np.zeros((lengths.max(), len(batch), self.config.embed_dim))
+        x[rows, cols] = nn.embed_bag_forward(flat, store.params["emb"])
+        enc, enc_cache = nn.bigru_forward(x, store, "enc", lengths)
+
+        total = 0.0
+        denc = np.zeros_like(enc)
+        for s, (ex, n) in enumerate(zip(batch, lengths)):
+            loss, denc[:n, s] = self._pointer_loss_grads(ex.gold, enc[:n, s], scale)
+            total += loss
+        dx = nn.bigru_backward(denc, enc_cache, store)[rows, cols]
+        del enc, enc_cache, denc  # frees the batch's encoder state before the bag backward
+        nn.embed_bag_backward(dx, flat, store.grads["emb"])
         return total * scale
 
     # -- inference -----------------------------------------------------
@@ -176,8 +188,8 @@ class PointerSegmenter:
         while start < t_count:
             h_seq, _ = nn.gru_forward(enc[start][None, :], self.store, "dec", h0=h)
             h = h_seq[0]
-            probs, _, _ = self._point_distribution(enc_proj, h, start)
-            end = int(np.argmax(probs))
+            probs, _ = self._point_distribution(enc_proj, h_seq, [start])
+            end = int(np.argmax(probs[0]))
             if end >= t_count - 1:
                 break
             positions.append(end)

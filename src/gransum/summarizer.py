@@ -42,6 +42,12 @@ class SummarizerConfig:
     unit_pe_scale: float = 0.02  # unit order is a weak, deliberately faint signal
     seed: int = 0
 
+    def __post_init__(self):
+        nn.check_hyperparameters(self, {
+            "embed_dim": 1, "hidden": 1, "d_ff": 1, "max_window": 3, "n_min": 1,
+            "bucket_count": 1, "epochs": 1,
+        })
+
     def hasher(self) -> SubwordHasher:
         return SubwordHasher(self.n_min, self.n_max, self.bucket_count, self.hash_seed)
 

@@ -392,6 +392,20 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys):
         (train, _label_line(unit_index=0.5), bad_index),
         (train, _label_line(case_id=3), "{path}:1: case_id"),
         (train, _label_line(gold="x"), "{path}:1: gold"),
+        # out-of-range hyperparameters, refused before any training
+        (["train-segmenter", "--corpus", corpus, "--epochs", "0",
+          "--out", str(tmp_path / "seg.ckpt"), "--gold"], "", "'epochs' must be >= 1"),
+        (train[:-1] + ["--epochs", "0", "--labels"], _label_line(), "'epochs' must be >= 1"),
+        (run, '{"segmenter": {"hidden": 0}}', "'hidden' must be >= 1"),
+        (run, '{"segmenter": {"batch_sentences": 0}}', "'batch_sentences' must be >= 1"),
+        (run, '{"summarizer": {"epochs": 0}}', "'epochs' must be >= 1"),
+        (run, '{"summarizer": {"max_window": 2}}', "'max_window' must be >= 3"),
+        (run, '{"summarizer": {"lr": Infinity}}', "'lr' must be finite and > 0"),
+        (run, '{"segmenter": {"lr": 0}}', "'lr' must be finite and > 0"),
+        (run, '{"kinds": []}', "'kinds' must name at least one unit kind"),
+        # a model too large to allocate is refused before allocating
+        (run, '{"synthetic": {"case_count": 10}, "segmenter": {"bucket_count": 1099511627776}}',
+         "over the cap"),
     ]
     path = tmp_path / "input"
     for argv, content, expected in cases:
@@ -435,9 +449,18 @@ def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
                      "--output", str(tmp_path / "labels.jsonl")]) == 0
         assert main(["summarize", *common, "--model", str(ckpt),
                      "--output", str(tmp_path / "summaries.jsonl")]) == 0
+        # training runs the GRU kernels, whose argument layout the
+        # tracer's hooks read
+        assert main(["train-segmenter", *common[:4], "--gold", str(synth_dir / "gold.jsonl"),
+                     "--epochs", "1", "--out", str(tmp_path / "seg.ckpt")]) == 0
+        assert main(["train-summarizer", *common, "--kind", "SEGMENT", "--epochs", "1",
+                     "--labels", str(tmp_path / "labels.jsonl"),
+                     "--out", str(tmp_path / "trained.ckpt")]) == 0
     finally:
         tracer.remove()
     counts = tracer.work_counts()
-    for name in ("oracle.units_scored", "work.units.SEGMENT", "summarizer.summarize.calls"):
+    for name in ("oracle.units_scored", "work.units.SEGMENT", "summarizer.summarize.calls",
+                 "kernels.gru_forward.steps", "kernels.gru_backward.steps",
+                 "segmenter.train.calls", "summarizer.train.calls"):
         assert counts[name] > 0, name
     assert not hasattr(pipeline.make_oracle_labels, "__wrapped__")

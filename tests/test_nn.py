@@ -148,6 +148,32 @@ class TestGru:
 
         assert nn.finite_difference_check(loss_fn, store) < 1e-4
 
+    def test_ragged_batch_matches_separate_sequences(self):
+        lengths = (6, 3, 1)
+        store = nn.ParameterStore(8)
+        nn.add_bigru_params(store, "g", 3, 4)
+        rng = np.random.default_rng(9)
+        x = np.zeros((6, 3, 3))
+        dout = np.zeros((6, 3, 8))
+        for s, n in enumerate(lengths):
+            x[:n, s] = rng.normal(size=(n, 3))
+            dout[:n, s] = rng.normal(size=(n, 8))
+
+        store.zero_grads()
+        out, cache = nn.bigru_forward(x, store, "g", np.array(lengths))
+        dx = nn.bigru_backward(dout, cache, store)
+        batched = {k: v.copy() for k, v in store.grads.items()}
+
+        store.zero_grads()
+        for s, n in enumerate(lengths):
+            out_s, cache_s = nn.bigru_forward(x[:n, s], store, "g")
+            dx_s = nn.bigru_backward(dout[:n, s], cache_s, store)
+            np.testing.assert_allclose(out[:n, s], out_s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dx[:n, s], dx_s, rtol=0, atol=1e-12)
+            assert not dx[n:, s].any()
+        for name, grad in store.grads.items():
+            np.testing.assert_allclose(batched[name], grad, rtol=0, atol=1e-12, err_msg=name)
+
 
 class TestLayerNormAndLinear:
     def test_layer_norm_gradcheck(self):
@@ -223,6 +249,18 @@ class TestTraining:
         opt = nn.Adam(model.store, nn.AdamConfig())
         with pytest.raises(nn.TrainingError):
             nn.train_step(model, _toy_batch(n=4, dim=2), opt)
+
+    def test_parameter_cap_refuses_before_allocating(self):
+        store = nn.ParameterStore(0)
+        store.add("small", (3, 4))
+        # 2**40 float64 values would need 8 TiB; refusing must not try
+        with pytest.raises(ValueError, match="'huge' of shape .* over the cap"):
+            store.add("huge", (2 ** 20, 2 ** 20))
+        assert list(store.params) == ["small"] and store.size == 12
+        store.size = nn.core.MAX_PARAMETERS - 12  # as if the model were nearly full
+        store.add("fits", (3, 4))
+        with pytest.raises(ValueError, match="over the cap"):
+            store.add("one_more", (1,))
 
 
 class TestCheckpoint:

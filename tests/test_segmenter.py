@@ -68,7 +68,7 @@ class TestStructuralInvariants:
         p = model.store.params
         enc_proj = enc @ p["attn.w_enc"] + p["attn.b"]
         h_seq, _ = nn.gru_forward(enc[2][None, :], model.store, "dec", h0=p["dec_h0"])
-        probs, _, _ = model._point_distribution(enc_proj, h_seq[0], start=2)
+        probs = model._point_distribution(enc_proj, h_seq, [2])[0][0]
         assert (probs[:2] == 0.0).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -149,5 +149,24 @@ def test_gradcheck_six_token_sentence():
     def loss_fn():
         model.store.zero_grads()
         return model.loss_and_grads([ex])
+
+    assert nn.finite_difference_check(loss_fn, model.store) < 1e-4
+
+
+def test_gradcheck_ragged_three_sentence_batch():
+    config = SegmenterConfig(
+        embed_dim=5, hidden=4, dec_hidden=5, attn_dim=5, bucket_count=48,
+        epochs=1, seed=3,
+    )
+    model = PointerSegmenter(config)
+    batch = [
+        SentenceExample(("wa", "bo", ",", "ke", "lu", "。"), (2,)),
+        SentenceExample(("ne",), ()),
+        SentenceExample(("mi", ",", "su", "。"), (1,)),
+    ]
+
+    def loss_fn():
+        model.store.zero_grads()
+        return model.loss_and_grads(batch)
 
     assert nn.finite_difference_check(loss_fn, model.store) < 1e-4

@@ -260,6 +260,15 @@ class TestTraining:
         f1 = 2 * precision * recall / (precision + recall)
         assert f1 >= 0.9
 
+    def test_non_finite_training_names_first_bad_gradient(self):
+        docs = [toy_doc(), dataclasses.replace(toy_doc(), case_id="c2", labels=(0, 1, 0))]
+        config = dataclasses.replace(SMALL, lr=1e300)
+        with np.errstate(all="ignore"), pytest.raises(nn.TrainingError) as exc:
+            summarizer_train(docs, [], UnitKind.SEGMENT, config)
+        assert str(exc.value) == (
+            "non-finite loss nan at step 1 (seed 0); first non-finite gradient 'emb'"
+        )
+
     def test_missing_labels_rejected(self):
         doc = dataclasses.replace(toy_doc(), labels=None)
         model = Summarizer(SMALL, UnitKind.SEGMENT)

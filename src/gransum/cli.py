@@ -32,7 +32,7 @@ from .pipeline import (
     BoundaryProvider,
     PipelineConfig,
     boundary_scores,
-    build_document,
+    build_documents,
     build_views,
     census_dict,
     census_lines,
@@ -41,6 +41,7 @@ from .pipeline import (
     rouge_eval_texts,
     run_experiment,
     segmenter_examples,
+    sentence_boundaries,
     stats_line,
     summary_json,
     view_census,
@@ -172,21 +173,15 @@ def cmd_split_sentences(args) -> int:
 def cmd_segment(args) -> int:
     views, hooks, patterns = _views(args)
     boundaries = _boundaries(args, hooks, patterns)
-    lines = []
-    for view in views:
-        for si, tokens in enumerate(view.tokens):
-            bset = boundaries(view.case.id, si, tokens)
-            lines.append(
-                json.dumps(
-                    {
-                        "id": view.case.id,
-                        "sentence_index": si,
-                        "boundaries": list(bset.positions),
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-            )
+    keys = [(view.case.id, si) for view in views for si in range(len(view.tokens))]
+    lines = [
+        json.dumps(
+            {"id": case_id, "sentence_index": si, "boundaries": list(bset.positions)},
+            ensure_ascii=False,
+            sort_keys=True,
+        )
+        for (case_id, si), bset in zip(keys, sentence_boundaries(views, boundaries))
+    ]
     _write_lines(args.output, lines)
     return EXIT_OK
 
@@ -220,8 +215,7 @@ def cmd_make_oracle(args) -> int:
     kind = UnitKind(args.kind)
     boundaries = _unit_boundaries(args, hooks, patterns, kind)
     lines = []
-    for view in views:
-        doc = build_document(view, kind, boundaries, args.budget, with_labels=False)
+    for doc in build_documents(views, kind, boundaries, args.budget):
         labels = make_oracle_labels(
             list(doc.units), doc.reference_tokens, args.budget, args.mode
         )
@@ -236,10 +230,7 @@ def cmd_train_summarizer(args) -> int:
     views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
     boundaries = _unit_boundaries(args, hooks, patterns, kind)
-    docs = [
-        build_document(view, kind, boundaries, args.budget, with_labels=False)
-        for view in views
-    ]
+    docs = list(build_documents(views, kind, boundaries, args.budget))
     label_table = load_labels(args.labels)
     labeled_docs = []
     for doc in docs:
@@ -284,15 +275,9 @@ def cmd_summarize(args) -> int:
     model = Summarizer.from_checkpoint(ckpt)
     kind = model.unit_kind
     boundaries = _unit_boundaries(args, hooks, patterns, kind)
-    docs = [
-        build_document(view, kind, boundaries, args.budget, with_labels=False)
-        for view in views
-    ]
-    lines = []
-    for doc in docs:
-        result = summarize(doc, model, budget_chars=args.budget, mode=args.mode)
-        lines.append(summary_json(result))
-    _write_lines(args.output, lines)
+    docs = list(build_documents(views, kind, boundaries, args.budget))
+    results = summarize(docs, model, budget_chars=args.budget, mode=args.mode)
+    _write_lines(args.output, [summary_json(result) for result in results])
     return EXIT_OK
 
 

@@ -188,14 +188,21 @@ def _is_int(value) -> bool:
 
 
 def load_gold_boundaries(path: str) -> list[GoldBoundary]:
+    """Gold boundaries in file order; a second line for one (id,
+    sentence_index) is a CorpusError."""
     out = []
+    seen: set[tuple[str, int]] = set()
     for where, obj in read_jsonl(path, ("id", "sentence_index", "boundaries")):
         if not _is_int(obj["sentence_index"]):
             raise CorpusError(f"{where}: sentence_index must be an integer")
         positions = obj["boundaries"]
         if not isinstance(positions, list) or not all(_is_int(p) for p in positions):
             raise CorpusError(f"{where}: boundaries must be a list of integers")
-        out.append(GoldBoundary(str(obj["id"]), obj["sentence_index"], tuple(positions)))
+        key = (str(obj["id"]), obj["sentence_index"])
+        if key in seen:
+            raise CorpusError(f"{where}: duplicate gold boundaries for case {key[0]!r} sentence {key[1]}")
+        seen.add(key)
+        out.append(GoldBoundary(*key, tuple(positions)))
     return out
 
 

@@ -5,36 +5,17 @@ The GRU kernels run B sequences per call, each step one batched matmul
 per gate group (the recurrent batching of Appleyard et al., 2016).  The
 scalar one-sequence forms they replaced live in ``tests/`` as the
 reference they are checked against.
-
-The LCS kernel has a numba @njit twin, ``_lcs_mask_greedy_nb`` (None if
-numba is unavailable); ``lcs_mask_greedy`` points at it when numba is
-importable, unless the environment variable ``GRANSUM_NUMBA`` is set to
-0/false/no/off.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("GRANSUM_NUMBA", "1").strip().lower()
-    return flag not in {"0", "false", "no", "off"}
-
-
+# Read by perfbench/run.py::machine_facts until the benchmark stops reading it.
 NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - depends on environment
-        NUMBA_ENABLED = False
 
 
-def _lcs_mask_greedy_py(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def lcs_mask_greedy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mark positions of ``a`` matched by one LCS of ``a`` and ``b``.
 
     Backtrace is greedy from the end: take the diagonal whenever symbols
@@ -65,14 +46,6 @@ def _lcs_mask_greedy_py(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         else:
             j -= 1
     return mask
-
-
-if NUMBA_ENABLED:
-    _lcs_mask_greedy_nb = _njit(cache=True)(_lcs_mask_greedy_py)
-else:
-    _lcs_mask_greedy_nb = None
-
-lcs_mask_greedy = _lcs_mask_greedy_nb if NUMBA_ENABLED else _lcs_mask_greedy_py
 
 
 def gru_seq_forward(xzr, xn, whzr, whn, bzr, bn, h0, lengths=None):
@@ -117,7 +90,8 @@ def gru_seq_forward(xzr, xn, whzr, whn, bzr, bn, h0, lengths=None):
     omz = gates[:, :, :H]
     rs = gates[:, :, H:]
     ns = np.empty((T, B, H))
-    # per-step views made once: [G, S, .] for the matmuls, [B, .] otherwise
+    # step views come from iterating over arrays made once: [G, S, .] for
+    # the matmuls, [B, .] otherwise
     hs_g = hs.reshape(T + 1, G, S, H)
     rec_zr = np.empty((G, S, H2))
     rec_n = np.empty((G, S, H))
@@ -127,22 +101,20 @@ def gru_seq_forward(xzr, xn, whzr, whn, bzr, bn, h0, lengths=None):
     rh_b = rh.reshape(B, H)
     matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
     exp, divide, tanh = np.exp, np.divide, np.tanh
-    for t in range(T):
-        h = hs[t]
-        g = gates[t]
-        n = ns[t]
-        matmul(hs_g[t], w_rec, out=rec_zr)
-        subtract(pre[t], rec_zr_b, out=g)
+    steps = zip(hs[:T], hs[1:], hs_g, gates, omz, rs, ns, pre, xn_b)
+    for h, h_next, h_g, g, omz_t, r, n, pre_t, xn_t in steps:
+        matmul(h_g, w_rec, out=rec_zr)
+        subtract(pre_t, rec_zr_b, out=g)
         exp(g, out=g)
         g += 1.0
         divide(1.0, g, out=g)
-        multiply(rs[t], h, out=rh_b)
+        multiply(r, h, out=rh_b)
         matmul(rh, whn, out=rec_n)
-        add(xn_b[t], rec_n_b, out=n)
+        add(xn_t, rec_n_b, out=n)
         tanh(n, out=n)
         subtract(n, h, out=rh_b)
-        rh_b *= omz[t]
-        add(h, rh_b, out=hs[t + 1])
+        rh_b *= omz_t
+        add(h, rh_b, out=h_next)
     zs = np.subtract(1.0, omz, out=omz)
     return hs, zs, rs, ns
 
@@ -179,7 +151,8 @@ def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out, dh_final):
     dxzr = np.empty((T, B, 2 * H))
     dxn = np.empty((T, B, H))
     carry = np.array(dh_final, dtype=np.float64).reshape(B, H)
-    # per-step views made once: [G, S, .] for the matmuls, [B, .] otherwise
+    # step views come from iterating, last step first, over arrays made
+    # once: [G, S, .] for the matmuls, [B, .] otherwise
     dxz = dxzr[:, :, :H]
     dxr = dxzr[:, :, H:]
     dxzr_g = dxzr.reshape(T, G, S, 2 * H)
@@ -191,16 +164,18 @@ def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out, dh_final):
     rec_b = rec.reshape(B, H)
     tmp = np.empty((B, H))
     matmul, multiply, add = np.matmul, np.multiply, np.add
-    for t in range(T - 1, -1, -1):
-        add(dh_out[t], carry, out=dhp)
-        multiply(dhp, f_z[t], out=dxz[t])
-        multiply(dhp, f_n[t], out=dxn[t])
-        matmul(dxn_g[t], whn_t, out=drh)
-        multiply(drh_b, f_r[t], out=dxr[t])
-        multiply(dhp, zs[t], out=carry)
-        multiply(drh_b, rs[t], out=tmp)
+    back = slice(None, None, -1)
+    steps = zip(*(a[back] for a in (dh_out, f_z, f_n, f_r, zs, rs, dxz, dxr, dxn, dxn_g, dxzr_g)))
+    for dh, fz, fn, fr, z, r, dxz_t, dxr_t, dxn_t, dxn_gt, dxzr_gt in steps:
+        add(dh, carry, out=dhp)
+        multiply(dhp, fz, out=dxz_t)
+        multiply(dhp, fn, out=dxn_t)
+        matmul(dxn_gt, whn_t, out=drh)
+        multiply(drh_b, fr, out=dxr_t)
+        multiply(dhp, z, out=carry)
+        multiply(drh_b, r, out=tmp)
         carry += tmp
-        matmul(dxzr_g[t], whzr_t, out=rec)
+        matmul(dxzr_gt, whzr_t, out=rec)
         carry += rec_b
 
     def per_set(a):

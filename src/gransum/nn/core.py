@@ -196,44 +196,51 @@ def add_gru_params(store: ParameterStore, prefix: str, input_dim: int, hidden: i
     store.add(f"{prefix}.b_n", (hidden,), init="zeros")
 
 
-def gru_forward(x, store: ParameterStore, prefix: str, h0=None):
-    """GRU over sequence x [T, I]; returns states [T, H] and a cache."""
+def gru_forward(x, store: ParameterStore, prefix: str, h0=None, lengths=None):
+    """GRU over one sequence x [T, I] (states [T, H]) or over S zero-padded
+    sequences x [T, S, I] with h0 [S, H] and lengths [S] (states
+    [T, S, H]; a sequence's state is carried unchanged through its padded
+    steps).  Returns the states and a cache."""
     p = store.params
     hidden = p[f"{prefix}.wh_n"].shape[0]
-    if h0 is None:
-        h0 = np.zeros(hidden)
-    xzr = x @ p[f"{prefix}.wx_zr"]
-    xn = x @ p[f"{prefix}.wx_n"]
+    xs = x[:, None, :] if x.ndim == 2 else x
+    steps, seqs, in_dim = xs.shape
+    h0 = np.zeros((seqs, hidden)) if h0 is None else np.reshape(h0, (seqs, hidden))
+    rows = xs.reshape(steps * seqs, in_dim)
+    xzr = (rows @ p[f"{prefix}.wx_zr"]).reshape(steps, seqs, 2 * hidden)
+    xn = (rows @ p[f"{prefix}.wx_n"]).reshape(steps, seqs, hidden)
     hs, zs, rs, ns = kernels.gru_seq_forward(
-        xzr[:, None], xn[:, None], p[f"{prefix}.wh_zr"][None], p[f"{prefix}.wh_n"][None],
-        p[f"{prefix}.b_zr"][None], p[f"{prefix}.b_n"][None], h0[None],
+        xzr, xn, p[f"{prefix}.wh_zr"][None], p[f"{prefix}.wh_n"][None],
+        p[f"{prefix}.b_zr"][None], p[f"{prefix}.b_n"][None], h0, lengths,
     )
-    hs = hs[:, 0]
-    return hs[1:], (x, hs, zs[:, 0], rs[:, 0], ns[:, 0], prefix)
+    if x.ndim == 2:
+        hs, zs, rs, ns = hs[:, 0], zs[:, 0], rs[:, 0], ns[:, 0]
+    return hs[1:], (x, hs, zs, rs, ns, prefix)
 
 
 def gru_backward(dh_out, cache, store: ParameterStore, dh_final=None):
-    """Backward for gru_forward; returns (dx, dh0)."""
+    """Backward for gru_forward; returns (dx, dh0) shaped like its x and h0."""
     x, hs, zs, rs, ns, prefix = cache
     p = store.params
-    hidden = hs.shape[1]
-    if dh_final is None:
-        dh_final = np.zeros(hidden)
+    one = x.ndim == 2
+    if one:  # one sequence: add the batch axis
+        x, hs, zs, rs, ns, dh_out = (a[:, None] for a in (x, hs, zs, rs, ns, dh_out))
+    steps, seqs, hidden = zs.shape
+    dh_final = np.zeros((seqs, hidden)) if dh_final is None else np.reshape(dh_final, (seqs, hidden))
     dxzr, dxn, dwhzr, dwhn, dbzr, dbn, dh0 = kernels.gru_seq_backward(
-        hs[:, None], zs[:, None], rs[:, None], ns[:, None],
-        p[f"{prefix}.wh_zr"][None], p[f"{prefix}.wh_n"][None],
-        dh_out[:, None], dh_final[None],
+        hs, zs, rs, ns, p[f"{prefix}.wh_zr"][None], p[f"{prefix}.wh_n"][None], dh_out, dh_final,
     )
-    dxzr = dxzr[:, 0]
-    dxn = dxn[:, 0]
+    dxzr = dxzr.reshape(steps * seqs, 2 * hidden)
+    dxn = dxn.reshape(steps * seqs, hidden)
+    rows = x.reshape(steps * seqs, -1)
     store.accumulate(f"{prefix}.wh_zr", dwhzr[0])
     store.accumulate(f"{prefix}.wh_n", dwhn[0])
     store.accumulate(f"{prefix}.b_zr", dbzr[0])
     store.accumulate(f"{prefix}.b_n", dbn[0])
-    store.accumulate(f"{prefix}.wx_zr", x.T @ dxzr)
-    store.accumulate(f"{prefix}.wx_n", x.T @ dxn)
-    dx = dxzr @ p[f"{prefix}.wx_zr"].T + dxn @ p[f"{prefix}.wx_n"].T
-    return dx, dh0[0]
+    store.accumulate(f"{prefix}.wx_zr", rows.T @ dxzr)
+    store.accumulate(f"{prefix}.wx_n", rows.T @ dxn)
+    dx = (dxzr @ p[f"{prefix}.wx_zr"].T + dxn @ p[f"{prefix}.wx_n"].T).reshape(x.shape)
+    return (dx[:, 0], dh0[0]) if one else (dx, dh0)
 
 
 def add_bigru_params(store: ParameterStore, prefix: str, input_dim: int, hidden: int):

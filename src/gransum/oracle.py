@@ -70,7 +70,8 @@ def dump_labels(case_id: str, labels: list[LabeledUnit]) -> list[str]:
 
 
 def load_labels(path: str) -> dict[str, dict[tuple[int, int], bool]]:
-    """Gold flags keyed by case id and (sentence_index, unit_index)."""
+    """Gold flags keyed by case id and (sentence_index, unit_index); a
+    second line for one key is a CorpusError."""
     table: dict[str, dict[tuple[int, int], bool]] = {}
     for where, obj in read_jsonl(
         path, ("case_id", "sentence_index", "unit_index", "gold")
@@ -82,5 +83,8 @@ def load_labels(path: str) -> dict[str, dict[tuple[int, int], bool]]:
             raise CorpusError(f"{where}: sentence_index and unit_index must be integers")
         if not isinstance(obj["gold"], bool):
             raise CorpusError(f"{where}: gold must be true or false")
-        table.setdefault(obj["case_id"], {})[key] = obj["gold"]
+        case_labels = table.setdefault(obj["case_id"], {})
+        if key in case_labels:
+            raise CorpusError(f"{where}: duplicate label for case {obj['case_id']!r} unit {key}")
+        case_labels[key] = obj["gold"]
     return table

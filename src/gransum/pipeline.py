@@ -185,10 +185,12 @@ class BoundaryProvider:
 
     Methods: fullstop, fullstop-verb, clauses, rules, pointer (needs a
     trained segmenter) and gold (needs a gold table; sentences it lacks
-    stay whole).  Calls map (case_id, sentence_index, tokens) to a
-    BoundarySet and are memoized per (case_id, sentence_index), so a
-    provider serves one corpus.  A gold position that is negative or at
-    or beyond the sentence's last token is a CorpusError.
+    stay whole).  many() maps (case_id, sentence_index, tokens) items to
+    BoundarySets in one pass, so the pointer segmenter decodes them in
+    batches; a call is one item.  Results are memoized per (case_id,
+    sentence_index), so a provider serves one corpus.  A gold position
+    that is negative or at or beyond the sentence's last token is a
+    CorpusError.
     """
 
     def __init__(
@@ -199,7 +201,16 @@ class BoundaryProvider:
         pointer: PointerSegmenter | None = None,
         gold: GoldTable | None = None,
     ):
-        if method == "fullstop":
+        # every method but pointer maps one item at a time with split
+        split_many = lambda items: [split(*item) for item in items]
+        if method == "pointer":
+            if pointer is None:
+                raise ValueError("pointer method needs a trained segmenter")
+            split_many = lambda items: [
+                BoundarySet(si, positions)
+                for (_, si, _), positions in zip(items, pointer.predict([t for _, _, t in items]))
+            ]
+        elif method == "fullstop":
             split = lambda cid, si, toks: split_fullstop(toks, si)
         elif method == "fullstop-verb":
             split = lambda cid, si, toks: split_fullstop_verb(toks, hooks, si)
@@ -208,26 +219,26 @@ class BoundaryProvider:
         elif method == "rules":
             config = RuleConfig(hooks=hooks, patterns=patterns or RulePatterns())
             split = lambda cid, si, toks: split_clinical_rules(toks, config, si)
-        elif method == "pointer":
-            if pointer is None:
-                raise ValueError("pointer method needs a trained segmenter")
-            split = lambda cid, si, toks: pointer.predict(toks, si)
         elif method == "gold":
             if gold is None:
                 raise CorpusError("gold method needs gold boundaries")
             split = lambda cid, si, toks: _gold_set(gold, cid, si, toks)
         else:
             raise ValueError(f"unknown split method {method!r}")
-        self._split = split
+        self._split_many = split_many
         self._memo: dict[tuple[str, int], BoundarySet] = {}
+
+    def many(self, items: list[tuple[str, int, list[Token]]]) -> list[BoundarySet]:
+        todo = [item for item in items if item[:2] not in self._memo]
+        if todo:
+            for item, bset in zip(todo, self._split_many(todo)):
+                self._memo[item[:2]] = bset
+        return [self._memo[item[:2]] for item in items]
 
     def __call__(
         self, case_id: str, sentence_index: int, tokens: list[Token]
     ) -> BoundarySet:
-        key = (case_id, sentence_index)
-        if key not in self._memo:
-            self._memo[key] = self._split(case_id, sentence_index, tokens)
-        return self._memo[key]
+        return self.many([(case_id, sentence_index, tokens)])[0]
 
 
 def _gold_set(
@@ -246,12 +257,16 @@ def _gold_set(
 def sentence_boundaries(
     views: list[CaseView], boundaries: BoundaryProvider | None
 ) -> list[BoundarySet]:
-    """Every sentence's boundary set in corpus order; None keeps sentences whole."""
-    return [
-        boundaries(view.case.id, si, tokens) if boundaries else BoundarySet(si, ())
+    """Every sentence's boundary set in corpus order, fetched in one pass;
+    None keeps sentences whole."""
+    items = [
+        (view.case.id, si, tokens)
         for view in views
         for si, tokens in enumerate(view.tokens)
     ]
+    if boundaries is None:
+        return [BoundarySet(si, ()) for _, si, _ in items]
+    return boundaries.many(items)
 
 
 def segmenter_examples(
@@ -340,6 +355,23 @@ def build_document(
         )
         doc = replace(doc, labels=tuple(int(lu.gold) for lu in labeled))
     return doc
+
+
+def build_documents(
+    views: list[CaseView],
+    kind: UnitKind,
+    boundaries: BoundaryProvider | None,
+    budget_chars: float,
+    oracle_mode: str = "keep",
+    labeled=(),
+):
+    """Yields build_document of each view, one at a time; the views whose
+    index is in labeled get oracle labels.  Every sentence's boundaries are
+    fetched first in one pass, so the pointer segmenter decodes them in
+    batches."""
+    sentence_boundaries(views, boundaries)
+    for i, view in enumerate(views):
+        yield build_document(view, kind, boundaries, budget_chars, oracle_mode, i in labeled)
 
 
 # ----------------------------------------------------------------------
@@ -445,6 +477,8 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
             pointer.to_checkpoint(), os.path.join(out_dir, "segmenter.ckpt")
         )
         providers["pointer"] = BoundaryProvider("pointer", hooks, pointer=pointer)
+        # one batched pass over every sentence; the memo serves the rest
+        sentence_boundaries(views, providers["pointer"])
     segmentation_report = {}
     if gold:
         test_views = [views[i] for i in test_idx]
@@ -475,12 +509,10 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
     kind_reports = {}
     per_kind_stats = {}
     for kind in config.kinds:
-        docs = [
-            build_document(
-                view, kind, unit_boundaries[kind], budget, config.oracle_mode
-            )
-            for view in views
-        ]
+        # only the training documents need oracle labels
+        docs = list(build_documents(
+            views, kind, unit_boundaries[kind], budget, config.oracle_mode, set(train_idx)
+        ))
         model, history = summarizer_train(
             [docs[i] for i in train_idx],
             [docs[i] for i in dev_idx],
@@ -494,12 +526,10 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
         )
         per_case = []
         summaries = []
-        for i in test_idx:
-            result = summarize(docs[i], model, budget_chars=budget)
+        test_docs = [docs[i] for i in test_idx]
+        for doc, result in zip(test_docs, summarize(test_docs, model, budget_chars=budget)):
             cand_sentences = [list(u.tokens) for u in result.units]
-            per_case.append(
-                rouge_eval(cand_sentences, list(docs[i].reference_sentences))
-            )
+            per_case.append(rouge_eval(cand_sentences, list(doc.reference_sentences)))
             summaries.append(summary_json(result))
         with open(
             os.path.join(out_dir, f"summaries_{kind.value.lower()}.jsonl"),

@@ -85,116 +85,129 @@ class PointerSegmenter:
 
     # -- encoding ------------------------------------------------------
 
-    def _buckets(self, surfaces) -> list[np.ndarray]:
-        return [self.hasher.buckets(s) for s in surfaces]
+    def _encode(self, sentences):
+        """Encodes sentences (lists of token surfaces) as one zero-padded
+        [T, S] batch: one embed-bag call and one BiGRU call with lengths.
+        Returns (enc [T, S, 2H], lengths [S], cache); the cache holds the
+        token rows and columns, the bucket lists and the BiGRU cache."""
+        bucket_lists = [self.hasher.buckets(s) for sentence in sentences for s in sentence]
+        lengths = np.array([len(sentence) for sentence in sentences])
+        rows = np.concatenate([np.arange(n) for n in lengths])
+        cols = np.repeat(np.arange(len(sentences)), lengths)
+        x = np.zeros((lengths.max(), len(sentences), self.config.embed_dim))
+        x[rows, cols] = nn.embed_bag_forward(bucket_lists, self.store.params["emb"])
+        enc, enc_cache = nn.bigru_forward(x, self.store, "enc", lengths)
+        return enc, lengths, (rows, cols, bucket_lists, enc_cache)
 
-    def _encode(self, bucket_lists):
-        x = nn.embed_bag_forward(bucket_lists, self.store.params["emb"])
-        enc, cache = nn.bigru_forward(x, self.store, "enc")
-        return enc, (x, cache)
-
-    def _point_distribution(self, enc_proj, dec_states, starts):
-        """Masked pointer distributions [m, T] for decoder states [m, Hd]:
-        row k is over positions [starts[k], T-1].  Returns (probs, act)."""
+    def _point_distribution(self, enc_proj, dec_states, starts, lengths):
+        """Masked pointer distributions [S, m, T] for decoder states
+        [S, m, Hd] over encoder projections enc_proj [S, T, A]: row (s, k)
+        is over positions [starts[s, k], lengths[s] - 1].  Returns
+        (probs, act)."""
         p = self.store.params
-        act = np.tanh(enc_proj[None, :, :] + (dec_states @ p["attn.w_dec"])[:, None, :])
-        mask = np.arange(enc_proj.shape[0])[None, :] >= np.asarray(starts)[:, None]
+        act = np.tanh(enc_proj[:, None] + (dec_states @ p["attn.w_dec"])[:, :, None])
+        t = np.arange(enc_proj.shape[1])
+        mask = (t >= starts[:, :, None]) & (t < lengths[:, None, None])
         return nn.masked_softmax(act @ p["attn.v"], mask), act
 
     # -- training ------------------------------------------------------
 
-    def _pointer_loss_grads(self, gold, enc, scale: float):
-        """Teacher-forced pointer loss of one sentence from its encodings
-        enc [T, 2H]; accumulates the decoder and attention grads (scaled)
-        and returns (loss, denc).
+    def loss_and_grads(self, batch: list[SentenceExample]) -> float:
+        """Mean teacher-forced loss over the batch.
 
-        The decoder input at step k is the encoding of unit k's first
-        token, which the gold boundaries alone fix, so the m decoder steps
-        run as one sequence and the m pointer distributions as one [m, T]
-        masked softmax.
+        The batch's S sentences are encoded together.  The decoder input at
+        step k is the encoding of unit k's first token, which the gold
+        boundaries alone fix, so the decoders of all S sentences run as one
+        zero-padded [m_max, S] GRU batch with lengths and their pointer
+        distributions as one [S, m_max, T] masked softmax.  Padded decoder
+        steps point from position 0 and get no gradient.
         """
         store = self.store
         p = store.params
-        t_count = enc.shape[0]
-        ranges = token_ranges(gold, t_count)
-        starts = np.array([a for a, _ in ranges])
+        enc, lengths, (rows, cols, bucket_lists, enc_cache) = self._encode(
+            [ex.surfaces for ex in batch]
+        )
+        seqs = len(batch)
+        ranges = [token_ranges(ex.gold, n) for ex, n in zip(batch, lengths)]
+        units = np.array([len(r) for r in ranges])
+        # the (sentence, step) pairs of the real decoder steps
+        sent = np.repeat(np.arange(seqs), units)
+        step = np.concatenate([np.arange(m) for m in units])
+        starts = np.zeros((seqs, units.max()), dtype=np.int64)
+        starts[sent, step] = [a for r in ranges for a, _ in r]
         # the pointer targets the unit's last token
-        ends = np.array([b - 1 for _, b in ranges])
-        m = len(ranges)
-        steps = np.arange(m)
+        ends = np.array([b - 1 for r in ranges for _, b in r])
+        first = starts[sent, step]
 
-        enc_proj = enc @ p["attn.w_enc"] + p["attn.b"]
-        h, dec_cache = nn.gru_forward(enc[starts], store, "dec", h0=p["dec_h0"])
-        probs, act = self._point_distribution(enc_proj, h, starts)
-        target = np.maximum(probs[steps, ends], 1e-300)
-        loss = float(-np.log(target).sum()) / m
+        x_dec = np.zeros((units.max(), seqs, enc.shape[2]))
+        x_dec[step, sent] = enc[first, sent]
+        h0 = np.broadcast_to(p["dec_h0"], (seqs, p["dec_h0"].shape[0]))
+        h, dec_cache = nn.gru_forward(x_dec, store, "dec", h0, units)
+        h = h.transpose(1, 0, 2)
+        enc_proj = (enc @ p["attn.w_enc"] + p["attn.b"]).transpose(1, 0, 2)
+        probs, act = self._point_distribution(enc_proj, h, starts, lengths)
+        target = np.maximum(probs[sent, step, ends], 1e-300)
+        loss = float((-np.log(target) / units[sent]).sum()) / seqs
 
         dprobs = np.zeros_like(probs)
-        dprobs[steps, ends] = -(scale / m) / target
+        dprobs[sent, step, ends] = -(1.0 / seqs / units[sent]) / target
         dscores = nn.softmax_backward(dprobs, probs)
-        store.accumulate("attn.v", act.reshape(-1, act.shape[2]).T @ dscores.reshape(-1))
-        dpre = dscores[:, :, None] * p["attn.v"] * (1.0 - act * act)
-        dpre_dec = dpre.sum(axis=1)
-        store.accumulate("attn.w_dec", h.T @ dpre_dec)
-        dx_dec, dh0 = nn.gru_backward(dpre_dec @ p["attn.w_dec"].T, dec_cache, store)
-        store.accumulate("dec_h0", dh0)
+        attn = act.shape[3]
+        store.accumulate("attn.v", act.reshape(-1, attn).T @ dscores.reshape(-1))
+        dpre = dscores[..., None] * p["attn.v"] * (1.0 - act * act)
+        dpre_dec = dpre.sum(axis=2)
+        store.accumulate("attn.w_dec", h.reshape(-1, h.shape[2]).T @ dpre_dec.reshape(-1, attn))
+        dh = (dpre_dec @ p["attn.w_dec"].T).transpose(1, 0, 2)
+        dx_dec, dh0 = nn.gru_backward(dh, dec_cache, store)
+        store.accumulate("dec_h0", dh0.sum(axis=0))
 
-        denc_proj = dpre.sum(axis=0)
-        store.accumulate("attn.w_enc", enc.T @ denc_proj)
-        store.accumulate("attn.b", denc_proj.sum(axis=0))
+        denc_proj = dpre.sum(axis=1).transpose(1, 0, 2)
+        store.accumulate("attn.w_enc", enc.reshape(-1, enc.shape[2]).T @ denc_proj.reshape(-1, attn))
+        store.accumulate("attn.b", denc_proj.sum(axis=(0, 1)))
         denc = denc_proj @ p["attn.w_enc"].T
-        denc[starts] += dx_dec
-        return loss, denc
-
-    def loss_and_grads(self, batch: list[SentenceExample]) -> float:
-        """Mean teacher-forced loss over the batch.  The batch's sentences
-        are encoded together as one zero-padded [T, S] BiGRU batch."""
-        store = self.store
-        scale = 1.0 / len(batch)
-        bucket_lists = [self._buckets(ex.surfaces) for ex in batch]
-        lengths = np.array([len(lists) for lists in bucket_lists])
-        rows = np.concatenate([np.arange(n) for n in lengths])
-        cols = np.repeat(np.arange(len(batch)), lengths)
-        flat = [b for lists in bucket_lists for b in lists]
-        x = np.zeros((lengths.max(), len(batch), self.config.embed_dim))
-        x[rows, cols] = nn.embed_bag_forward(flat, store.params["emb"])
-        enc, enc_cache = nn.bigru_forward(x, store, "enc", lengths)
-
-        total = 0.0
-        denc = np.zeros_like(enc)
-        for s, (ex, n) in enumerate(zip(batch, lengths)):
-            loss, denc[:n, s] = self._pointer_loss_grads(ex.gold, enc[:n, s], scale)
-            total += loss
+        denc[first, sent] += dx_dec[step, sent]
         dx = nn.bigru_backward(denc, enc_cache, store)[rows, cols]
         del enc, enc_cache, denc  # frees the batch's encoder state before the bag backward
-        nn.embed_bag_backward(dx, flat, store.grads["emb"])
-        return total * scale
+        nn.embed_bag_backward(dx, bucket_lists, store.grads["emb"])
+        return loss
 
     # -- inference -----------------------------------------------------
 
-    def predict(self, tokens: list[Token] | list[str], sentence_index: int = 0) -> BoundarySet:
-        """Greedy monotone decode; always yields a valid BoundarySet."""
-        surfaces = [t.surface if isinstance(t, Token) else t for t in tokens]
-        if not surfaces:
+    def predict(self, sentences: list[list[Token]] | list[list[str]]) -> list[tuple[int, ...]]:
+        """Greedy monotone decode of each sentence (tokens or surfaces);
+        returns each sentence's internal boundary positions, always a valid
+        boundary set.
+
+        Sentences are decoded in chunks of batch_sentences, in lockstep:
+        each step runs the decoder GRU on the chunk's unfinished sentences
+        at once and points with one masked [k, T] attention.  A sentence
+        finishes when it points at its last token.
+        """
+        surfaces = [[t.surface if isinstance(t, Token) else t for t in s] for s in sentences]
+        if not all(surfaces):
             raise ValueError("cannot segment an empty sentence")
         p = self.store.params
-        bucket_lists = self._buckets(surfaces)
-        enc, _ = self._encode(bucket_lists)
-        enc_proj = enc @ p["attn.w_enc"] + p["attn.b"]
-        t_count = len(surfaces)
-        positions = []
-        start = 0
-        h = p["dec_h0"]
-        while start < t_count:
-            h_seq, _ = nn.gru_forward(enc[start][None, :], self.store, "dec", h0=h)
-            h = h_seq[0]
-            probs, _ = self._point_distribution(enc_proj, h_seq, [start])
-            end = int(np.argmax(probs[0]))
-            if end >= t_count - 1:
-                break
-            positions.append(end)
-            start = end + 1
-        return BoundarySet(sentence_index, tuple(positions))
+        out = []
+        for lo in range(0, len(surfaces), self.config.batch_sentences):
+            enc, lengths = self._encode(surfaces[lo:lo + self.config.batch_sentences])[:2]
+            enc_proj = (enc @ p["attn.w_enc"] + p["attn.b"]).transpose(1, 0, 2)
+            positions = [[] for _ in lengths]
+            live = np.arange(len(lengths))
+            starts = np.zeros(len(lengths), dtype=np.int64)
+            h = np.broadcast_to(p["dec_h0"], (len(lengths), p["dec_h0"].shape[0]))
+            while live.size:
+                h = nn.gru_forward(enc[starts[live], live][None], self.store, "dec", h0=h)[0][0]
+                probs = self._point_distribution(
+                    enc_proj[live], h[:, None], starts[live, None], lengths[live]
+                )[0]
+                ends = probs[:, 0].argmax(axis=1)
+                going = ends < lengths[live] - 1
+                live, h, ends = live[going], h[going], ends[going]
+                for s, end in zip(live, ends):
+                    positions[s].append(int(end))
+                starts[live] = ends + 1
+            out.extend(tuple(pos) for pos in positions)
+        return out
 
     # -- persistence ---------------------------------------------------
 

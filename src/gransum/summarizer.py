@@ -146,54 +146,67 @@ class Summarizer:
 
     # -- forward / backward --------------------------------------------
 
-    def _forward(self, doc: DocumentExample):
+    def _forward(self, docs: list[DocumentExample], layouts):
+        """Unit logits of each document, from its _layout.  The documents'
+        token streams run through the BiGRU as one zero-padded [T, S]
+        batch with lengths; pooling, the unit transformer and the head run
+        per document.  Returns (logits, unit indices, cache), the first two
+        one entry per document."""
         p = self.store.params
-        stream, pools, unit_idx = self._layout(doc)
-        if not unit_idx:
-            raise ValueError(f"{doc.case_id}: no units fit the token window")
-
-        roles = np.array([role for _, role in stream])
-        real_idx = np.flatnonzero(roles == 2)
-        bucket_lists = [self.hasher.buckets(stream[t][0]) for t in real_idx]
-        x = np.empty((len(stream), self.config.embed_dim))
+        for doc, (_, _, unit_idx) in zip(docs, layouts):
+            if not unit_idx:
+                raise ValueError(f"{doc.case_id}: no units fit the token window")
+        lengths = np.array([len(stream) for stream, _, _ in layouts])
+        steps = lengths.max()
+        roles = np.full((len(docs), steps), -1)  # -1 marks padding
+        for s, (stream, _, _) in enumerate(layouts):
+            roles[s, :len(stream)] = [role for _, role in stream]
+        bucket_lists = [
+            self.hasher.buckets(surface)
+            for stream, _, _ in layouts
+            for surface, role in stream
+            if role == 2
+        ]
+        x = np.zeros((len(docs), steps, self.config.embed_dim))
         x[roles == 0] = p["cls_vec"]
         x[roles == 1] = p["sep_vec"]
-        x[real_idx] = nn.embed_bag_forward(bucket_lists, p["emb"])
-        x = x + self.config.pe_scale * nn.sinusoidal_encoding(
-            len(stream), self.config.embed_dim
-        )
+        x[roles == 2] = nn.embed_bag_forward(bucket_lists, p["emb"])
+        x += self.config.pe_scale * nn.sinusoidal_encoding(steps, self.config.embed_dim)
+        x[roles < 0] = 0.0
 
-        enc, enc_cache = nn.bigru_forward(x, self.store, "enc")
-        pooled = np.empty((len(pools), enc.shape[1]))
-        for u, (a, b) in enumerate(pools):
-            pooled[u] = enc[a:b].mean(axis=0)
-        s_in = pooled + self.config.unit_pe_scale * nn.sinusoidal_encoding(
-            len(pools), enc.shape[1]
-        )
-        s_out, tf_cache = nn.transformer_forward(s_in, self.store, "unit_tf")
-        logits = s_out @ p["head_w"] + p["head_b"][0]
-        cache = (roles, real_idx, bucket_lists, enc_cache, enc.shape, pools, s_out, tf_cache)
-        return logits, unit_idx, cache
+        enc, enc_cache = nn.bigru_forward(x.transpose(1, 0, 2), self.store, "enc", lengths)
+        logits = []
+        per_doc = []
+        for s, (_, pools, _) in enumerate(layouts):
+            pooled = np.empty((len(pools), enc.shape[2]))
+            for u, (a, b) in enumerate(pools):
+                pooled[u] = enc[a:b, s].mean(axis=0)
+            s_in = pooled + self.config.unit_pe_scale * nn.sinusoidal_encoding(
+                len(pools), enc.shape[2]
+            )
+            s_out, tf_cache = nn.transformer_forward(s_in, self.store, "unit_tf")
+            logits.append(s_out @ p["head_w"] + p["head_b"][0])
+            per_doc.append((pools, s_out, tf_cache))
+        unit_idxs = [unit_idx for _, _, unit_idx in layouts]
+        return logits, unit_idxs, (roles, bucket_lists, enc_cache, enc.shape, per_doc)
 
     def _backward(self, dlogits, cache):
         store = self.store
         p = store.params
-        roles, real_idx, bucket_lists, enc_cache, enc_shape, pools, s_out, tf_cache = cache
-        store.accumulate("head_w", s_out.T @ dlogits)
-        store.accumulate("head_b", np.array([dlogits.sum()]))
-        ds_out = np.outer(dlogits, p["head_w"])
-        ds_in = nn.transformer_backward(ds_out, tf_cache, store)
+        roles, bucket_lists, enc_cache, enc_shape, per_doc = cache
         denc = np.zeros(enc_shape)
-        for u, (a, b) in enumerate(pools):
-            denc[a:b] += ds_in[u] / (b - a)
-        dx = nn.bigru_backward(denc, enc_cache, store)
+        for s, (dl, (pools, s_out, tf_cache)) in enumerate(zip(dlogits, per_doc)):
+            store.accumulate("head_w", s_out.T @ dl)
+            store.accumulate("head_b", np.array([dl.sum()]))
+            ds_in = nn.transformer_backward(np.outer(dl, p["head_w"]), tf_cache, store)
+            for u, (a, b) in enumerate(pools):
+                denc[a:b, s] += ds_in[u] / (b - a)
+        dx = nn.bigru_backward(denc, enc_cache, store).transpose(1, 0, 2)
         store.grads["cls_vec"] += dx[roles == 0].sum(axis=0)
         store.grads["sep_vec"] += dx[roles == 1].sum(axis=0)
-        nn.embed_bag_backward(dx[real_idx], bucket_lists, store.grads["emb"])
+        nn.embed_bag_backward(dx[roles == 2], bucket_lists, store.grads["emb"])
 
     def loss_and_grads(self, batch: list[DocumentExample]) -> float:
-        total = 0.0
-        scale = 1.0 / len(batch)
         for doc in batch:
             if doc.labels is None:
                 raise ValueError(f"{doc.case_id}: no labels for training")
@@ -202,17 +215,40 @@ class Summarizer:
                     f"{doc.case_id}: document kind {doc.kind} does not match "
                     f"model kind {self.unit_kind}"
                 )
-            logits, unit_idx, cache = self._forward(doc)
+        logits, unit_idxs, cache = self._forward(batch, [self._layout(doc) for doc in batch])
+        total = 0.0
+        scale = 1.0 / len(batch)
+        dlogits = []
+        for doc, doc_logits, unit_idx in zip(batch, logits, unit_idxs):
             labels = np.asarray([doc.labels[i] for i in unit_idx], dtype=np.float64)
-            loss, dlogits = nn.sigmoid_bce(logits, labels)
+            loss, dl = nn.sigmoid_bce(doc_logits, labels)
             total += loss
-            self._backward(dlogits * scale, cache)
+            dlogits.append(dl * scale)
+        self._backward(dlogits, cache)
         return total * scale
 
-    def predict_probs(self, doc: DocumentExample):
-        """Per-unit probabilities; units outside the window are omitted."""
-        logits, unit_idx, _ = self._forward(doc)
-        return nn.sigmoid(logits), unit_idx
+    def predict_probs(self, docs: list[DocumentExample]):
+        """(probabilities, unit indices) of each document's units; units
+        outside the window are omitted.  Consecutive documents share a
+        _forward while their padded token count (longest stream times
+        documents) stays within max_window, the buffers of one maximal
+        training document."""
+        layouts = [self._layout(doc) for doc in docs]
+        out = []
+        lo = 0
+        while lo < len(docs):
+            hi = lo + 1
+            longest = len(layouts[lo][0])
+            while hi < len(docs):
+                longest = max(longest, len(layouts[hi][0]))
+                if longest * (hi + 1 - lo) > self.config.max_window:
+                    break
+                hi += 1
+            # the cache is not kept, so one group's buffers are alive at a time
+            logits, unit_idxs = self._forward(docs[lo:hi], layouts[lo:hi])[:2]
+            out.extend((nn.sigmoid(lg), unit_idx) for lg, unit_idx in zip(logits, unit_idxs))
+            lo = hi
+        return out
 
     # -- persistence ---------------------------------------------------
 
@@ -238,26 +274,29 @@ class SummaryResult:
 
 
 def summarize(
-    doc: DocumentExample,
+    docs: list[DocumentExample],
     model: Summarizer,
     budget_chars: float = 1200,
     mode: str = "keep",
-) -> SummaryResult:
-    """Select units under the character budget, scored by probability.
+) -> list[SummaryResult]:
+    """Select each document's units under the character budget, scored by
+    probability.
 
     budget_select ranks them (ties in document order) and applies mode,
     its keep or drop rule for the unit that crosses the budget.  Units
-    outside the model's window are never selected.  The summary joins the
+    outside the model's window are never selected.  A summary joins the
     selected units' stripped texts in document order.
     """
-    probs, unit_idx = model.predict_probs(doc)
-    units = [doc.units[i] for i in unit_idx]
-    chosen = budget_select(probs, units, budget_chars, mode)
-    return SummaryResult(
-        case_id=doc.case_id,
-        units=tuple(units[k] for k in chosen),
-        summary_text=" ".join(doc.unit_texts[unit_idx[k]].strip() for k in chosen),
-    )
+    results = []
+    for doc, (probs, unit_idx) in zip(docs, model.predict_probs(docs)):
+        units = [doc.units[i] for i in unit_idx]
+        chosen = budget_select(probs, units, budget_chars, mode)
+        results.append(SummaryResult(
+            case_id=doc.case_id,
+            units=tuple(units[k] for k in chosen),
+            summary_text=" ".join(doc.unit_texts[unit_idx[k]].strip() for k in chosen),
+        ))
+    return results
 
 
 @dataclass
@@ -268,12 +307,10 @@ class SummarizerHistory:
 
 
 def dev_rouge1_f1(model: Summarizer, docs: list[DocumentExample], budget: float) -> float:
-    scores = []
-    for doc in docs:
-        reference = doc.reference_tokens
-        result = summarize(doc, model, budget_chars=budget)
-        summary = [t for unit in result.units for t in unit.tokens]
-        scores.append(rouge_n(summary, reference, 1).f1)
+    scores = [
+        rouge_n([t for unit in result.units for t in unit.tokens], doc.reference_tokens, 1).f1
+        for doc, result in zip(docs, summarize(docs, model, budget_chars=budget))
+    ]
     return float(np.mean(scores)) if scores else 0.0
 
 

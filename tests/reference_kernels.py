@@ -1,13 +1,16 @@
-"""Scalar reference kernels, the simple forms the fast kernels in
-``gransum.kernels`` are checked against.
+"""Scalar reference forms, the simple code the fast paths in ``gransum``
+are checked against.
 
 These are the one-sequence GRU recurrence and the table-filling LCS
-backtrace as they stood before the GRU kernel was batched.  Nothing in
-``src/`` calls them; ``test_kernels.py`` runs both forms on the
-same seeded inputs and requires them to agree.
+backtrace as they stood before the GRU kernel was batched, and the
+pointer segmenter's one-sentence greedy decode as it stood before
+decoding was batched.  Nothing in ``src/`` calls them; the tests run
+both forms on the same seeded inputs and require them to agree.
 """
 
 import numpy as np
+
+from gransum import nn
 
 
 def lcs_mask_greedy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,3 +114,29 @@ def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out, dh_final):
     dbzr = dxzr.sum(axis=0)
     dbn = dxn.sum(axis=0)
     return dxzr, dxn, dwhzr, dwhn, dbzr, dbn, carry
+
+
+def pointer_greedy_decode(model, surfaces) -> tuple[int, ...]:
+    """One sentence's greedy monotone decode by a PointerSegmenter: the
+    sentence is encoded alone and the decoder takes one T=1 step per
+    unit, pointing with one masked distribution per step."""
+    p = model.store.params
+    x = nn.embed_bag_forward([model.hasher.buckets(s) for s in surfaces], p["emb"])
+    enc, _ = nn.bigru_forward(x, model.store, "enc")
+    enc_proj = enc @ p["attn.w_enc"] + p["attn.b"]
+    t_count = len(surfaces)
+    positions = []
+    start = 0
+    h = p["dec_h0"]
+    while start < t_count:
+        h_seq, _ = nn.gru_forward(enc[start][None, :], model.store, "dec", h0=h)
+        h = h_seq[0]
+        act = np.tanh(enc_proj[None, :, :] + (h_seq @ p["attn.w_dec"])[:, None, :])
+        mask = np.arange(t_count)[None, :] >= start
+        probs = nn.masked_softmax(act @ p["attn.v"], mask)
+        end = int(np.argmax(probs[0]))
+        if end >= t_count - 1:
+            break
+        positions.append(end)
+        start = end + 1
+    return tuple(positions)

@@ -22,7 +22,7 @@ from gransum.segmenter import (
     SentenceExample,
     segmenter_train,
 )
-from gransum.spans import TextSpan, Unit, UnitKind, budget_select, check_tiling
+from gransum.spans import TextSpan, Unit, UnitKind, budget_select
 from gransum.splitters import (
     BoundarySet,
     RuleConfig,
@@ -35,6 +35,8 @@ from gransum.splitters import (
 )
 from gransum.summarizer import DocumentExample, Summarizer, SummarizerConfig
 from gransum.tokenization import LexiconHooks, tokenize
+
+from unit_checks import check_tiling
 
 
 def report_line(criterion, detail):
@@ -347,10 +349,11 @@ def test_c5_segmenter_learnability_and_ordering():
 
     learned_pairs = []
     baseline_pairs = []
-    for ex in held:
+    predicted = model.predict([ex.surfaces for ex in held])
+    for ex, positions in zip(held, predicted):
         tokens = tokenize(" ".join(ex.surfaces))  # surfaces reconstruct losslessly
         gold_set = BoundarySet(0, ex.gold)
-        learned_pairs.append((model.predict(list(ex.surfaces)), gold_set))
+        learned_pairs.append((BoundarySet(0, positions), gold_set))
         baseline_pairs.append((split_fullstop(tokens), gold_set))
     learned, _ = corpus_boundary_prf(learned_pairs)
     baseline, _ = corpus_boundary_prf(baseline_pairs)
@@ -442,7 +445,8 @@ def test_c7_structural_fuzz():
             units = units_from_boundaries(text, tokens, bset, UnitKind.SEGMENT)
             check_tiling(units, len(text))
         if k % 10 == 0:
-            pred = pointer.predict(tokens)
+            [positions] = pointer.predict([tokens])
+            pred = BoundarySet(0, positions)
             assert all(a < b for a, b in zip(pred.positions, pred.positions[1:]))
             pred.validate(len(tokens))
         if k < 400:

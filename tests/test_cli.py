@@ -392,6 +392,12 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys):
         (train, _label_line(unit_index=0.5), bad_index),
         (train, _label_line(case_id=3), "{path}:1: case_id"),
         (train, _label_line(gold="x"), "{path}:1: gold"),
+        # a second line for one key
+        (train, _label_line() + _label_line(gold=False),
+         "{path}:2: duplicate label for case 'case-00000' unit (0, 0)"),
+        (["segment", "--corpus", corpus, "--method", "gold", "--gold"],
+         '{"id": "case-00000", "sentence_index": 0, "boundaries": []}\n' * 2,
+         "{path}:2: duplicate gold boundaries for case 'case-00000' sentence 0"),
         # out-of-range hyperparameters, refused before any training
         (["train-segmenter", "--corpus", corpus, "--epochs", "0",
           "--out", str(tmp_path / "seg.ckpt"), "--gold"], "", "'epochs' must be >= 1"),
@@ -453,6 +459,10 @@ def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
         # tracer's hooks read
         assert main(["train-segmenter", *common[:4], "--gold", str(synth_dir / "gold.jsonl"),
                      "--epochs", "1", "--out", str(tmp_path / "seg.ckpt")]) == 0
+        # pointer inference: batched decoding with T=1 decoder steps
+        assert main(["segment", *common[:6], "--method", "pointer",
+                     "--checkpoint", str(tmp_path / "seg.ckpt"),
+                     "--output", str(tmp_path / "pointer.jsonl")]) == 0
         assert main(["train-summarizer", *common, "--kind", "SEGMENT", "--epochs", "1",
                      "--labels", str(tmp_path / "labels.jsonl"),
                      "--out", str(tmp_path / "trained.ckpt")]) == 0
@@ -461,6 +471,9 @@ def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
     counts = tracer.work_counts()
     for name in ("oracle.units_scored", "work.units.SEGMENT", "summarizer.summarize.calls",
                  "kernels.gru_forward.steps", "kernels.gru_backward.steps",
-                 "segmenter.train.calls", "summarizer.train.calls"):
+                 "segmenter.train.calls", "summarizer.train.calls",
+                 "segmenter.predict.calls", "kernels.gru_forward.t1_calls"):
         assert counts[name] > 0, name
+    # summarize ran on several documents at once
+    assert len((tmp_path / "summaries.jsonl").read_text().splitlines()) >= 3
     assert not hasattr(pipeline.make_oracle_labels, "__wrapped__")

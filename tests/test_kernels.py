@@ -1,27 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from gransum import kernels
 
 import reference_kernels
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba unavailable or disabled")
-class TestNumbaMatchesNumpy:
-    def test_lcs_mask(self):
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            a = rng.integers(0, 4, rng.integers(0, 15)).astype(np.int64)
-            b = rng.integers(0, 4, rng.integers(0, 15)).astype(np.int64)
-            if a.size == 0 or b.size == 0:
-                continue
-            py = kernels._lcs_mask_greedy_py(a, b)
-            nb = kernels._lcs_mask_greedy_nb(a, b)
-            np.testing.assert_array_equal(py, nb)
 
 
 class TestLcsMask:
@@ -44,32 +26,6 @@ class TestLcsMask:
             np.array([1, 9, 3, 9, 4], dtype=np.int64),
         )
         assert mask.sum() == 3
-
-
-def test_env_flag_disables_numba():
-    # The child must import the same gransum as this process: put the
-    # directory holding the package first on its PYTHONPATH.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
-    env = dict(os.environ, GRANSUM_NUMBA="0")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys; from gransum import kernels; "
-        "print(kernels.NUMBA_ENABLED, kernels.lcs_mask_greedy is kernels._lcs_mask_greedy_py); "
-        "print(kernels._numba_requested(), kernels.__file__, file=sys.stderr)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    requested, child_file = out.stderr.splitlines()[-1].split(" ", 1)
-    assert os.path.samefile(child_file, kernels.__file__)
-    # Without numba installed NUMBA_ENABLED is False either way; this
-    # checks that the flag itself was read.
-    assert requested == "False"
-    assert out.stdout.strip() == "False True"
 
 
 def _gru_batch(seed, lengths, weight_sets, hidden=4):

@@ -175,6 +175,36 @@ class TestGru:
             np.testing.assert_allclose(batched[name], grad, rtol=0, atol=1e-12, err_msg=name)
 
 
+    def test_unidirectional_ragged_batch_matches_separate_sequences(self):
+        lengths = (5, 1, 3)
+        store = nn.ParameterStore(10)
+        nn.add_gru_params(store, "g", 3, 4)
+        rng = np.random.default_rng(11)
+        x = np.zeros((5, 3, 3))
+        dh = np.zeros((5, 3, 4))
+        for s, n in enumerate(lengths):
+            x[:n, s] = rng.normal(size=(n, 3))
+            dh[:n, s] = rng.normal(size=(n, 4))
+        h0 = rng.normal(size=(3, 4))
+
+        store.zero_grads()
+        h, cache = nn.gru_forward(x, store, "g", h0, np.array(lengths))
+        dx, dh0 = nn.gru_backward(dh, cache, store)
+        batched = {k: v.copy() for k, v in store.grads.items()}
+
+        store.zero_grads()
+        for s, n in enumerate(lengths):
+            h_s, cache_s = nn.gru_forward(x[:n, s], store, "g", h0[s])
+            dx_s, dh0_s = nn.gru_backward(dh[:n, s], cache_s, store)
+            np.testing.assert_allclose(h[:n, s], h_s, rtol=0, atol=1e-12)
+            assert (h[n:, s] == h[n - 1, s]).all()  # padded steps carry the state
+            np.testing.assert_allclose(dx[:n, s], dx_s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dh0[s], dh0_s, rtol=0, atol=1e-12)
+            assert not dx[n:, s].any()
+        for name, grad in store.grads.items():
+            np.testing.assert_allclose(batched[name], grad, rtol=0, atol=1e-12, err_msg=name)
+
+
 class TestLayerNormAndLinear:
     def test_layer_norm_gradcheck(self):
         store = nn.ParameterStore(8)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from gransum.segmenter import (
 )
 from gransum.splitters import BoundarySet, split_sentences
 from gransum.tokenization import tokenize
+
+import reference_kernels
 
 SMALL = SegmenterConfig(
     embed_dim=8, hidden=6, dec_hidden=8, attn_dim=8, bucket_count=256, epochs=2, seed=0
@@ -42,33 +46,32 @@ def make_examples(case_count=30, seed=42):
 class TestStructuralInvariants:
     def test_untrained_one_token_sentence_empty(self):
         model = PointerSegmenter(SMALL)
-        assert model.predict(["w"]).positions == ()
+        assert model.predict([["w"]]) == [()]
 
     def test_positions_strictly_increasing_fuzz(self):
         model = PointerSegmenter(SMALL)
         rng = np.random.default_rng(9)
         pieces = ["wa", "bo", ",", "ke", "。", "lu", "mi"]
-        for _ in range(300):
-            n = int(rng.integers(1, 15))
-            surfaces = [pieces[i] for i in rng.integers(0, len(pieces), n)]
-            bset = model.predict(surfaces)
-            assert all(a < b for a, b in zip(bset.positions, bset.positions[1:]))
-            bset.validate(len(surfaces))
+        sentences = [
+            [pieces[i] for i in rng.integers(0, len(pieces), int(rng.integers(1, 15)))]
+            for _ in range(300)
+        ]
+        for surfaces, positions in zip(sentences, model.predict(sentences)):
+            assert all(a < b for a, b in zip(positions, positions[1:]))
+            BoundarySet(0, positions).validate(len(surfaces))
 
     def test_greedy_decode_deterministic(self):
         model = PointerSegmenter(SMALL)
         surfaces = ["wa", ",", "bo", ",", "ke"]
-        assert model.predict(surfaces) == model.predict(surfaces)
+        assert model.predict([surfaces]) == model.predict([surfaces])
 
     def test_attention_mass_zero_before_start(self):
         model = PointerSegmenter(SMALL)
-        surfaces = ["wa", "bo", ",", "ke", "lu"]
-        bucket_lists = model._buckets(surfaces)
-        enc, _ = model._encode(bucket_lists)
+        enc, lengths, _ = model._encode([["wa", "bo", ",", "ke", "lu"]])
         p = model.store.params
-        enc_proj = enc @ p["attn.w_enc"] + p["attn.b"]
-        h_seq, _ = nn.gru_forward(enc[2][None, :], model.store, "dec", h0=p["dec_h0"])
-        probs = model._point_distribution(enc_proj, h_seq, [2])[0][0]
+        enc_proj = (enc @ p["attn.w_enc"] + p["attn.b"]).transpose(1, 0, 2)
+        h, _ = nn.gru_forward(enc[2], model.store, "dec", h0=p["dec_h0"])
+        probs = model._point_distribution(enc_proj, h[None], np.array([[2]]), lengths)[0][0, 0]
         assert (probs[:2] == 0.0).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -94,13 +97,15 @@ class TestTraining:
         config = SegmenterConfig(bucket_count=2 ** 12, epochs=4, seed=0)
         model, history = segmenter_train(train, config)
         assert history.epoch_losses[-1] < history.epoch_losses[0]
+        predicted = model.predict([ex.surfaces for ex in held])
         pairs = [
-            (model.predict(list(ex.surfaces)), BoundarySet(0, ex.gold)) for ex in held
+            (BoundarySet(0, positions), BoundarySet(0, ex.gold))
+            for ex, positions in zip(held, predicted)
         ]
         micro, _ = corpus_boundary_prf(pairs)
         assert micro.f1 >= 0.95
         # comma-cue model points at the commas even on unseen surfaces
-        assert model.predict(["w", ",", "w", ",", "w"]).positions == (1, 3)
+        assert model.predict([["w", ",", "w", ",", "w"]]) == [(1, 3)]
 
     def test_training_deterministic(self):
         examples = make_examples(case_count=6)
@@ -119,7 +124,7 @@ class TestCheckpointing:
         path = tmp_path / "seg.ckpt"
         save_checkpoint(model.to_checkpoint(), str(path))
         loaded = load_checkpoint(str(path))
-        surfaces = list(examples[0].surfaces)
+        surfaces = [ex.surfaces for ex in examples]
         restored = PointerSegmenter.from_checkpoint(loaded)
         assert restored.predict(surfaces) == model.predict(surfaces)
 
@@ -159,8 +164,9 @@ def test_gradcheck_ragged_three_sentence_batch():
         epochs=1, seed=3,
     )
     model = PointerSegmenter(config)
+    # 3, 1 and 2 units: the padded decoder batch is ragged too
     batch = [
-        SentenceExample(("wa", "bo", ",", "ke", "lu", "。"), (2,)),
+        SentenceExample(("wa", "bo", ",", "ke", "lu", "。"), (1, 3)),
         SentenceExample(("ne",), ()),
         SentenceExample(("mi", ",", "su", "。"), (1,)),
     ]
@@ -170,3 +176,45 @@ def test_gradcheck_ragged_three_sentence_batch():
         return model.loss_and_grads(batch)
 
     assert nn.finite_difference_check(loss_fn, model.store) < 1e-4
+
+
+def test_batched_predict_matches_one_sentence_reference():
+    """The lockstep decoder gives exactly the positions of the
+    one-sentence greedy decode, on ragged chunks that hold a 1-token
+    sentence and more sentences than batch_sentences."""
+    examples = make_examples(case_count=6)
+    config = dataclasses.replace(SMALL, epochs=6, lr=1e-2, batch_sentences=4)
+    model, _ = segmenter_train(examples, config)
+    surfaces = [ex.surfaces for ex in examples]
+    sentences = surfaces[:9] + [("ne",)] + surfaces[9:14]
+    assert len(sentences) > model.config.batch_sentences
+    want = [reference_kernels.pointer_greedy_decode(model, s) for s in sentences]
+    assert model.predict(sentences) == want
+    assert any(len(positions) >= 2 for positions in want)
+    assert want[9] == ()
+
+
+def test_batched_decoder_matches_per_sentence_loop():
+    """Loss and every gradient of one ragged batch agree with the mean
+    over one-sentence batches."""
+    model = PointerSegmenter(SMALL)
+    batch = [
+        SentenceExample(("wa", "bo", ",", "ke", "lu", "。", "mi"), (1, 3, 4)),
+        SentenceExample(("ne",), ()),
+        SentenceExample(("mi", ",", "su", "。"), (1,)),
+        SentenceExample(("ko", "ra", ",", "te"), ()),
+        SentenceExample(("a", ",", "b", ",", "c"), (0, 2)),
+    ]
+    model.store.zero_grads()
+    loss = model.loss_and_grads(batch)
+    grads = {k: g.copy() for k, g in model.store.grads.items()}
+    want_loss = 0.0
+    want = {k: np.zeros_like(g) for k, g in grads.items()}
+    for ex in batch:
+        model.store.zero_grads()
+        want_loss += model.loss_and_grads([ex]) / len(batch)
+        for k, g in model.store.grads.items():
+            want[k] += g / len(batch)
+    assert loss == pytest.approx(want_loss, rel=0, abs=1e-12)
+    for k in want:
+        np.testing.assert_allclose(grads[k], want[k], rtol=0, atol=1e-12, err_msg=k)

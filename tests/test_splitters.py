@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gransum.spans import UnitKind, check_tiling
+from gransum.spans import UnitKind
 from gransum.splitters import (
     BoundarySet,
     RuleConfig,
@@ -14,6 +14,8 @@ from gransum.splitters import (
     units_from_boundaries,
 )
 from gransum.tokenization import LexiconHooks, tokenize
+
+from unit_checks import check_tiling
 
 HOOKS = LexiconHooks(
     verb_list=frozenset({"vrun", "vsee"}),

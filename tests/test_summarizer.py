@@ -71,8 +71,7 @@ class TestEncodeDocument:
     def test_single_token_unit_pool_is_identity(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         doc = toy_doc()
-        logits, unit_idx, cache = model._forward(doc)
-        pools = cache[5]
+        _, pools, _ = model._layout(doc)
         # the middle unit covers exactly one token
         a, b = pools[1]
         assert b - a == 1
@@ -114,14 +113,15 @@ class TestEncodeDocument:
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         model.store.params["head_w"][...] = 0.0
         model.store.params["head_b"][...] = 0.0
-        probs, _ = model.predict_probs(toy_doc())
+        [(probs, _)] = model.predict_probs([toy_doc()])
         np.testing.assert_allclose(probs, 0.5, atol=1e-15)
 
     def test_window_truncation_drops_trailing_sentences(self):
         config = dataclasses.replace(SMALL, max_window=8)
         model = Summarizer(config, UnitKind.SEGMENT)
         # first sentence costs 6 (4 tokens + cls + sep); second would overflow
-        _, unit_idx, _ = model._forward(toy_doc())
+        doc = toy_doc()
+        _, [unit_idx], _ = model._forward([doc], [model._layout(doc)])
         assert unit_idx == [0, 1]
 
     def test_kind_mismatch_rejected(self):
@@ -155,7 +155,7 @@ class TestGradients:
 class TestSummarize:
     def test_budget_zero_selects_single_top_unit(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        result = summarize(toy_doc(), model, budget_chars=0)
+        [result] = summarize([toy_doc()], model, budget_chars=0)
         assert len(result.units) == 1
 
     def test_equal_probabilities_document_order_prefix(self):
@@ -163,7 +163,7 @@ class TestSummarize:
         model.store.params["head_w"][...] = 0.0
         model.store.params["head_b"][...] = 0.0
         doc = toy_doc()
-        result = summarize(doc, model, budget_chars=6)
+        [result] = summarize([doc], model, budget_chars=6)
         # char lengths 5, 2, 5: prefix crosses budget at the second unit...
         # 5 + 2 = 7 > 6, so exactly the first two units in document order
         assert result.units == doc.units[:2]
@@ -171,25 +171,24 @@ class TestSummarize:
     def test_ranking_invariant_under_monotone_logit_transform(self):
         docs, _, budget = synth_docs(UnitKind.SEGMENT, case_count=4)
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        base = [summarize(d, model, budget_chars=budget).units for d in docs]
+        base = [r.units for r in summarize(docs, model, budget_chars=budget)]
         # scale the head: logits -> 3 * logits + 1 is strictly monotone
         model.store.params["head_w"][...] *= 3.0
         model.store.params["head_b"][...] = model.store.params["head_b"] * 3.0 + 1.0
-        after = [summarize(d, model, budget_chars=budget).units for d in docs]
+        after = [r.units for r in summarize(docs, model, budget_chars=budget)]
         assert base == after
 
     def test_output_length_exceeds_budget_by_at_most_one_unit(self):
         docs, _, budget = synth_docs(UnitKind.SEGMENT, case_count=6)
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        for doc in docs:
-            result = summarize(doc, model, budget_chars=budget)
+        for doc, result in zip(docs, summarize(docs, model, budget_chars=budget)):
             total = sum(u.char_length for u in result.units)
             max_unit = max(u.char_length for u in doc.units)
             assert total <= budget + max_unit
 
     def test_summary_joined_by_single_space(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        result = summarize(toy_doc(), model, budget_chars=10 ** 6)
+        [result] = summarize([toy_doc()], model, budget_chars=10 ** 6)
         assert result.summary_text == "wa bo, ke lu mi。"
 
 
@@ -220,10 +219,7 @@ class TestTraining:
         ]
         config = dataclasses.replace(SMALL, epochs=4)
         model, _ = summarizer_train(zeroed, [], UnitKind.SEGMENT, config, budget)
-        probs = []
-        for doc in zeroed:
-            p, _ = model.predict_probs(doc)
-            probs.extend(p.tolist())
+        probs = [q for p, _ in model.predict_probs(zeroed) for q in p.tolist()]
         assert np.mean(probs) < 0.1
 
     def test_same_seed_identical_dev_trajectories(self):
@@ -248,8 +244,7 @@ class TestTraining:
         config = SummarizerConfig(bucket_count=2 ** 14, epochs=6, seed=1)
         model, _ = summarizer_train(train, dev, UnitKind.SEGMENT, config, 100)
         tp = fp = fn = 0
-        for doc in test:
-            probs, idx = model.predict_probs(doc)
+        for doc, (probs, idx) in zip(test, model.predict_probs(test)):
             for p, i in zip(probs, idx):
                 pred, gold = p >= 0.5, doc.labels[i]
                 tp += pred and gold
@@ -286,8 +281,7 @@ class TestTraining:
         model, _ = summarizer_train(train, dev, UnitKind.SEGMENT, config, budget)
         rng = np.random.default_rng(9)
         diffs = []
-        for doc in test:
-            trained = summarize(doc, model, budget_chars=budget)
+        for doc, trained in zip(test, summarize(test, model, budget_chars=budget)):
             refs = [list(s) for s in doc.reference_sentences]
             trained_tokens = [list(u.tokens) for u in trained.units]
             trained_f1 = rouge_eval(trained_tokens, refs)["rouge1"].f1
@@ -309,6 +303,25 @@ class TestCheckpointing:
         save_checkpoint(model.to_checkpoint(), str(path))
         loaded = Summarizer.from_checkpoint(load_checkpoint(str(path)))
         assert loaded.unit_kind is UnitKind.SEGMENT
-        p0, _ = model.predict_probs(docs[3])
-        p1, _ = loaded.predict_probs(docs[3])
+        [(p0, _)] = model.predict_probs(docs[3:])
+        [(p1, _)] = loaded.predict_probs(docs[3:])
         np.testing.assert_array_equal(p0, p1)
+
+
+def test_batched_inference_matches_one_document_calls():
+    """predict_probs over documents of different lengths, grouped under
+    max_window, agrees with one-document calls, and summarize selects the
+    same units."""
+    docs, _, budget = synth_docs(UnitKind.SEGMENT, case_count=5)
+    lengths = [len(Summarizer(SMALL, UnitKind.SEGMENT)._layout(d)[0]) for d in docs]
+    window = 2 * max(lengths)
+    assert len(set(lengths)) > 1 and sum(lengths) > window  # two documents a group at most
+    model = Summarizer(dataclasses.replace(SMALL, max_window=window), UnitKind.SEGMENT)
+    batched = model.predict_probs(docs)
+    for doc, (probs, unit_idx) in zip(docs, batched):
+        [(want, want_idx)] = model.predict_probs([doc])
+        assert unit_idx == want_idx
+        np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+    together = [r.units for r in summarize(docs, model, budget_chars=budget)]
+    alone = [summarize([doc], model, budget_chars=budget)[0].units for doc in docs]
+    assert together == alone

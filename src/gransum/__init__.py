@@ -19,7 +19,7 @@ from .corpus import (
     Case,
     CorpusError,
     GeneratedCorpus,
-    GoldBoundary,
+    GoldTable,
     SyntheticSpec,
     generate_synthetic,
     load_corpus,
@@ -29,7 +29,7 @@ from .corpus import (
 )
 from .oracle import LabeledUnit, make_oracle_labels
 from .pipeline import PipelineConfig, run_experiment
-from .rouge import RougeScore, rouge_l, rouge_n, union_lcs
+from .rouge import PRF, rouge_l, rouge_n, union_lcs
 from .segmenter import (
     PointerSegmenter,
     SegmenterConfig,
@@ -42,7 +42,6 @@ from .splitters import (
     RuleConfig,
     RulePatterns,
     Sentence,
-    sentence_as_unit,
     split_clauses,
     split_clinical_rules,
     split_fullstop,
@@ -68,14 +67,14 @@ __all__ = [
     "CorpusError",
     "DocumentExample",
     "GeneratedCorpus",
-    "GoldBoundary",
+    "GoldTable",
     "GranularityStats",
     "LabeledUnit",
     "LexiconHooks",
+    "PRF",
     "PipelineConfig",
     "PointerSegmenter",
     "RelationType",
-    "RougeScore",
     "RuleConfig",
     "RulePatterns",
     "SegmenterConfig",
@@ -106,7 +105,6 @@ __all__ = [
     "save_corpus",
     "save_gold_boundaries",
     "segmenter_train",
-    "sentence_as_unit",
     "split_clauses",
     "split_clinical_rules",
     "split_fullstop",

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .rouge import PRF
 from .spans import budget_length
 from .splitters import BoundarySet, token_ranges
 from .tokenization import Token
@@ -25,52 +26,40 @@ class RelationType(str, Enum):
     OVERLAP = "OVERLAP"
 
 
-@dataclass(frozen=True)
-class PRF:
-    precision: float
-    recall: float
-    f1: float
+def _boundary_counts(predicted: BoundarySet, gold: BoundarySet) -> tuple[int, int, int]:
+    """(matched, predicted, gold) boundary counts of one sentence."""
+    pset = set(predicted.positions)
+    gset = set(gold.positions)
+    return len(pset & gset), len(pset), len(gset)
 
 
-def _prf(tp: int, pred: int, gold: int) -> PRF:
-    if pred == 0 and gold == 0:
+def _boundary_score(match: int, predicted: int, gold: int) -> PRF:
+    """PRF.from_counts, except that two empty boundary sets agree fully."""
+    if predicted == 0 and gold == 0:
         return PRF(1.0, 1.0, 1.0)
-    p = tp / pred if pred else 0.0
-    r = tp / gold if gold else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return PRF(p, r, f1)
+    return PRF.from_counts(match, predicted, gold)
 
 
 def boundary_prf(predicted: BoundarySet, gold: BoundarySet) -> PRF:
     """P/R/F1 over internal boundary positions of one sentence."""
-    pset = set(predicted.positions)
-    gset = set(gold.positions)
-    return _prf(len(pset & gset), len(pset), len(gset))
+    return _boundary_score(*_boundary_counts(predicted, gold))
 
 
 def corpus_boundary_prf(
     pairs: list[tuple[BoundarySet, BoundarySet]]
 ) -> tuple[PRF, PRF]:
     """(micro, macro) boundary scores over (predicted, gold) pairs."""
-    tp = pred = gold = 0
-    per_sentence = []
-    for predicted, gold_set in pairs:
-        pset = set(predicted.positions)
-        gset = set(gold_set.positions)
-        tp += len(pset & gset)
-        pred += len(pset)
-        gold += len(gset)
-        per_sentence.append(_prf(len(pset & gset), len(pset), len(gset)))
-    micro = _prf(tp, pred, gold)
-    if per_sentence:
-        n = len(per_sentence)
-        macro = PRF(
-            sum(s.precision for s in per_sentence) / n,
-            sum(s.recall for s in per_sentence) / n,
-            sum(s.f1 for s in per_sentence) / n,
-        )
-    else:
-        macro = PRF(1.0, 1.0, 1.0)
+    counts = [_boundary_counts(predicted, gold) for predicted, gold in pairs]
+    if not counts:
+        return PRF(1.0, 1.0, 1.0), PRF(1.0, 1.0, 1.0)
+    micro = _boundary_score(*map(sum, zip(*counts)))
+    per_sentence = [_boundary_score(*c) for c in counts]
+    n = len(per_sentence)
+    macro = PRF(
+        sum(s.precision for s in per_sentence) / n,
+        sum(s.recall for s in per_sentence) / n,
+        sum(s.f1 for s in per_sentence) / n,
+    )
     return micro, macro
 
 

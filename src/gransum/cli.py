@@ -17,12 +17,9 @@ from .corpus import (
     CorpusError,
     SyntheticSpec,
     generate_synthetic,
-    gold_table,
     load_corpus,
     load_gold_boundaries,
     read_jsonl,
-    save_corpus,
-    save_gold_boundaries,
 )
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.core import TrainingError
@@ -93,7 +90,7 @@ def _views(args):
 
 
 def _gold_boundaries(path: str, hooks: LexiconHooks) -> BoundaryProvider:
-    return BoundaryProvider("gold", hooks, gold=gold_table(load_gold_boundaries(path)))
+    return BoundaryProvider("gold", hooks, gold=load_gold_boundaries(path))
 
 
 def _boundaries(args, hooks, patterns) -> BoundaryProvider:
@@ -137,13 +134,7 @@ def cmd_gen_synthetic(args) -> int:
             seed=args.seed if args.seed is not None else 1234,
         )
     generated = generate_synthetic(spec)
-    save_corpus(generated.cases, args.corpus_out)
-    if args.gold_out:
-        save_gold_boundaries(generated.gold_boundaries, args.gold_out)
-    if args.hooks_out:
-        generated.hooks.to_json(args.hooks_out)
-    if args.patterns_out:
-        generated.patterns.to_json(args.patterns_out)
+    generated.save(args.corpus_out, args.gold_out, args.hooks_out, args.patterns_out)
     print(f"wrote {len(generated.cases)} cases to {args.corpus_out}")
     return EXIT_OK
 

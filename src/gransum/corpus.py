@@ -156,65 +156,47 @@ def save_corpus(cases: list[Case], path: str) -> None:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
-class GoldBoundary:
-    """Side-channel planted boundaries for one generated sentence."""
-
-    case_id: str
-    sentence_index: int
-    positions: tuple[int, ...]
+# Gold boundary positions by case id, then sentence index.
+GoldTable = dict[str, dict[int, tuple[int, ...]]]
 
 
-def save_gold_boundaries(entries: list[GoldBoundary], path: str) -> None:
+def save_gold_boundaries(gold: GoldTable, path: str) -> None:
+    """One line per sentence, in the table's insertion order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": e.case_id,
-                        "sentence_index": e.sentence_index,
-                        "boundaries": list(e.positions),
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                    separators=(",", ":"),
+        for case_id, sentences in gold.items():
+            for si, positions in sentences.items():
+                fh.write(
+                    json.dumps(
+                        {"id": case_id, "sentence_index": si, "boundaries": list(positions)},
+                        ensure_ascii=False,
+                        sort_keys=True,
+                        separators=(",", ":"),
+                    )
                 )
-            )
-            fh.write("\n")
+                fh.write("\n")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_gold_boundaries(path: str) -> list[GoldBoundary]:
-    """Gold boundaries in file order; a second line for one (id,
+def load_gold_boundaries(path: str) -> GoldTable:
+    """The gold table of a file; a second line for one (id,
     sentence_index) is a CorpusError."""
-    out = []
-    seen: set[tuple[str, int]] = set()
+    gold: GoldTable = {}
     for where, obj in read_jsonl(path, ("id", "sentence_index", "boundaries")):
-        if not _is_int(obj["sentence_index"]):
+        si = obj["sentence_index"]
+        if not _is_int(si):
             raise CorpusError(f"{where}: sentence_index must be an integer")
         positions = obj["boundaries"]
         if not isinstance(positions, list) or not all(_is_int(p) for p in positions):
             raise CorpusError(f"{where}: boundaries must be a list of integers")
-        key = (str(obj["id"]), obj["sentence_index"])
-        if key in seen:
-            raise CorpusError(f"{where}: duplicate gold boundaries for case {key[0]!r} sentence {key[1]}")
-        seen.add(key)
-        out.append(GoldBoundary(*key, tuple(positions)))
-    return out
-
-
-GoldTable = dict[str, dict[int, tuple[int, ...]]]
-
-
-def gold_table(entries: list[GoldBoundary]) -> GoldTable:
-    """Gold positions by case id, then sentence index."""
-    table: GoldTable = {}
-    for e in entries:
-        table.setdefault(e.case_id, {})[e.sentence_index] = e.positions
-    return table
+        case_id = str(obj["id"])
+        sentences = gold.setdefault(case_id, {})
+        if si in sentences:
+            raise CorpusError(f"{where}: duplicate gold boundaries for case {case_id!r} sentence {si}")
+        sentences[si] = tuple(positions)
+    return gold
 
 
 @dataclass(frozen=True)
@@ -415,12 +397,25 @@ class GeneratedCorpus:
     """Synthetic cases plus their side-channel ground truth and lexicons."""
 
     cases: list[Case]
-    gold_boundaries: list[GoldBoundary]
+    gold: GoldTable
     hooks: LexiconHooks
     patterns: RulePatterns
 
-    def gold_by_case(self) -> GoldTable:
-        return gold_table(self.gold_boundaries)
+    def save(
+        self,
+        corpus_path: str,
+        gold_path: str | None = None,
+        hooks_path: str | None = None,
+        patterns_path: str | None = None,
+    ) -> None:
+        """Writes the cases, and each side file whose path is given."""
+        save_corpus(self.cases, corpus_path)
+        if gold_path:
+            save_gold_boundaries(self.gold, gold_path)
+        if hooks_path:
+            self.hooks.to_json(hooks_path)
+        if patterns_path:
+            self.patterns.to_json(patterns_path)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> GeneratedCorpus:
@@ -442,11 +437,11 @@ def generate_synthetic(spec: SyntheticSpec) -> GeneratedCorpus:
     weights = weights / weights.sum()
 
     cases: list[Case] = []
-    gold: list[GoldBoundary] = []
+    gold: GoldTable = {}
     for ci in range(spec.case_count):
         case_id = f"case-{ci:05d}"
+        case_gold = gold[case_id] = {}
         lines: list[str] = []
-        line_boundaries: list[tuple[int, ...]] = []
         segments: list[_Segment] = []
 
         for _ in range(spec.sentences_per_record):
@@ -472,9 +467,9 @@ def generate_synthetic(spec: SyntheticSpec) -> GeneratedCorpus:
                     seg.text = _render(seg_tokens)
                     tokens.extend(seg_tokens)
                     segments.append(seg)
-                gold.append(
-                    GoldBoundary(case_id, len(lines), tuple(positions))
-                )
+                # planted boundaries are internal and strictly increasing
+                assert all(a < b for a, b in zip(positions, positions[1:]))
+                case_gold[len(lines)] = tuple(positions)
                 lines.append(_render(tokens))
 
         chunks: list[str] = []
@@ -498,8 +493,4 @@ def generate_synthetic(spec: SyntheticSpec) -> GeneratedCorpus:
                     )
                 )
         cases.append(Case(case_id, tuple(lines), "\n".join(chunks)))
-
-    for entry in gold:
-        # Planted boundaries must be internal and strictly increasing.
-        assert all(a < b for a, b in zip(entry.positions, entry.positions[1:]))
     return GeneratedCorpus(cases, gold, vocab.hooks(), vocab.patterns())

@@ -197,36 +197,30 @@ def add_gru_params(store: ParameterStore, prefix: str, input_dim: int, hidden: i
 
 
 def gru_forward(x, store: ParameterStore, prefix: str, h0=None, lengths=None):
-    """GRU over one sequence x [T, I] (states [T, H]) or over S zero-padded
-    sequences x [T, S, I] with h0 [S, H] and lengths [S] (states
-    [T, S, H]; a sequence's state is carried unchanged through its padded
-    steps).  Returns the states and a cache."""
+    """GRU over S zero-padded sequences x [T, S, I] with h0 [S, H] and
+    lengths [S] (states [T, S, H]; a sequence's state is carried
+    unchanged through its padded steps).  Returns the states and a
+    cache."""
     p = store.params
     hidden = p[f"{prefix}.wh_n"].shape[0]
-    xs = x[:, None, :] if x.ndim == 2 else x
-    steps, seqs, in_dim = xs.shape
-    h0 = np.zeros((seqs, hidden)) if h0 is None else np.reshape(h0, (seqs, hidden))
-    rows = xs.reshape(steps * seqs, in_dim)
+    steps, seqs, in_dim = x.shape
+    h0 = np.zeros((seqs, hidden)) if h0 is None else h0
+    rows = x.reshape(steps * seqs, in_dim)
     xzr = (rows @ p[f"{prefix}.wx_zr"]).reshape(steps, seqs, 2 * hidden)
     xn = (rows @ p[f"{prefix}.wx_n"]).reshape(steps, seqs, hidden)
     hs, zs, rs, ns = kernels.gru_seq_forward(
         xzr, xn, p[f"{prefix}.wh_zr"][None], p[f"{prefix}.wh_n"][None],
         p[f"{prefix}.b_zr"][None], p[f"{prefix}.b_n"][None], h0, lengths,
     )
-    if x.ndim == 2:
-        hs, zs, rs, ns = hs[:, 0], zs[:, 0], rs[:, 0], ns[:, 0]
     return hs[1:], (x, hs, zs, rs, ns, prefix)
 
 
 def gru_backward(dh_out, cache, store: ParameterStore, dh_final=None):
-    """Backward for gru_forward; returns (dx, dh0) shaped like its x and h0."""
+    """Backward for gru_forward; returns (dx [T, S, I], dh0 [S, H])."""
     x, hs, zs, rs, ns, prefix = cache
     p = store.params
-    one = x.ndim == 2
-    if one:  # one sequence: add the batch axis
-        x, hs, zs, rs, ns, dh_out = (a[:, None] for a in (x, hs, zs, rs, ns, dh_out))
     steps, seqs, hidden = zs.shape
-    dh_final = np.zeros((seqs, hidden)) if dh_final is None else np.reshape(dh_final, (seqs, hidden))
+    dh_final = np.zeros((seqs, hidden)) if dh_final is None else dh_final
     dxzr, dxn, dwhzr, dwhn, dbzr, dbn, dh0 = kernels.gru_seq_backward(
         hs, zs, rs, ns, p[f"{prefix}.wh_zr"][None], p[f"{prefix}.wh_n"][None], dh_out, dh_final,
     )
@@ -240,7 +234,7 @@ def gru_backward(dh_out, cache, store: ParameterStore, dh_final=None):
     store.accumulate(f"{prefix}.wx_zr", rows.T @ dxzr)
     store.accumulate(f"{prefix}.wx_n", rows.T @ dxn)
     dx = (dxzr @ p[f"{prefix}.wx_zr"].T + dxn @ p[f"{prefix}.wx_n"].T).reshape(x.shape)
-    return (dx[:, 0], dh0[0]) if one else (dx, dh0)
+    return dx, dh0
 
 
 def add_bigru_params(store: ParameterStore, prefix: str, input_dim: int, hidden: int):
@@ -262,20 +256,19 @@ def _flip(steps: int, seqs: int, lengths):
 def bigru_forward(x, store: ParameterStore, prefix: str, lengths=None):
     """Bidirectional GRU; output is the fwd/bwd concatenation.
 
-    x is one sequence [T, I] (output [T, 2H]) or S zero-padded sequences
-    [T, S, I] with lengths [S] (output [T, S, 2H]; padded rows carry no
-    meaning).  Both directions of every sequence run as one kernel call
-    of 2S sequences, the backward direction on each sequence reversed
-    within its own length.  The four input projections are one matmul.
+    x is S zero-padded sequences [T, S, I] with lengths [S] (output
+    [T, S, 2H]; padded rows carry no meaning).  Both directions of every
+    sequence run as one kernel call of 2S sequences, the backward
+    direction on each sequence reversed within its own length.  The four
+    input projections are one matmul.
     """
     p = store.params
     names = (f"{prefix}.fwd", f"{prefix}.bwd")
-    xs = x[:, None, :] if x.ndim == 2 else x
-    steps, seqs, in_dim = xs.shape
+    steps, seqs, in_dim = x.shape
     hidden = p[f"{names[0]}.wh_n"].shape[0]
     flip = _flip(steps, seqs, lengths)
     w_in = np.concatenate([p[f"{q}.{w}"] for q in names for w in ("wx_zr", "wx_n")], axis=1)
-    proj = (xs.reshape(steps * seqs, in_dim) @ w_in).reshape(steps, seqs, 6 * hidden)
+    proj = (x.reshape(steps * seqs, in_dim) @ w_in).reshape(steps, seqs, 6 * hidden)
     proj = np.concatenate([proj[:, :, :3 * hidden], flip(proj[:, :, 3 * hidden:])], axis=1)
     whzr, whn, bzr, bn = (
         np.stack([p[f"{q}.{w}"] for q in names]) for w in ("wh_zr", "wh_n", "b_zr", "b_n")
@@ -286,24 +279,22 @@ def bigru_forward(x, store: ParameterStore, prefix: str, lengths=None):
     )
     hs = states[0][1:]
     out = np.concatenate([hs[:, :seqs], flip(hs[:, seqs:])], axis=2)
-    cache = (xs, w_in, flip, states, whzr, whn, names)
-    return (out[:, 0] if x.ndim == 2 else out), cache
+    return out, (x, w_in, flip, states, whzr, whn, names)
 
 
 def bigru_backward(dout, cache, store: ParameterStore):
     """Backward for bigru_forward; dx has the shape of its x."""
-    xs, w_in, flip, states, whzr, whn, names = cache
-    douts = dout[:, None, :] if dout.ndim == 2 else dout
-    steps, seqs, in_dim = xs.shape
+    x, w_in, flip, states, whzr, whn, names = cache
+    steps, seqs, in_dim = x.shape
     hidden = whn.shape[1]
-    dh_out = np.concatenate([douts[:, :, :hidden], flip(douts[:, :, hidden:])], axis=1)
+    dh_out = np.concatenate([dout[:, :, :hidden], flip(dout[:, :, hidden:])], axis=1)
     dxzr, dxn, dwhzr, dwhn, dbzr, dbn, _ = kernels.gru_seq_backward(
         *states, whzr, whn, dh_out, np.zeros((2 * seqs, hidden))
     )
     dproj = np.concatenate(
         [dxzr[:, :seqs], dxn[:, :seqs], flip(dxzr[:, seqs:]), flip(dxn[:, seqs:])], axis=2
     ).reshape(steps * seqs, 6 * hidden)
-    dw_in = xs.reshape(steps * seqs, in_dim).T @ dproj
+    dw_in = x.reshape(steps * seqs, in_dim).T @ dproj
     for g, q in enumerate(names):
         store.accumulate(f"{q}.wh_zr", dwhzr[g])
         store.accumulate(f"{q}.wh_n", dwhn[g])
@@ -312,8 +303,7 @@ def bigru_backward(dout, cache, store: ParameterStore):
         lo = 3 * hidden * g
         store.accumulate(f"{q}.wx_zr", dw_in[:, lo:lo + 2 * hidden])
         store.accumulate(f"{q}.wx_n", dw_in[:, lo + 2 * hidden:lo + 3 * hidden])
-    dx = (dproj @ w_in.T).reshape(steps, seqs, in_dim)
-    return dx[:, 0] if dout.ndim == 2 else dx
+    return (dproj @ w_in.T).reshape(steps, seqs, in_dim)
 
 
 # ----------------------------------------------------------------------

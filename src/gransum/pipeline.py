@@ -27,27 +27,22 @@ from .analysis import (
 from .corpus import (
     Case,
     CorpusError,
-    GeneratedCorpus,
     GoldTable,
     SyntheticSpec,
     config_kwargs,
     generate_synthetic,
-    gold_table,
     load_corpus,
     load_gold_boundaries,
-    save_corpus,
-    save_gold_boundaries,
 )
 from .nn.checkpoint import save_checkpoint
 from .oracle import make_oracle_labels
-from .rouge import RougeScore, rouge_l, rouge_n
+from .rouge import PRF, rouge_l, rouge_n
 from .spans import Unit, UnitKind, budget_length
 from .splitters import (
     BoundarySet,
     RuleConfig,
     RulePatterns,
     Sentence,
-    sentence_as_unit,
     split_clauses,
     split_clinical_rules,
     split_fullstop,
@@ -207,18 +202,18 @@ class BoundaryProvider:
             if pointer is None:
                 raise ValueError("pointer method needs a trained segmenter")
             split_many = lambda items: [
-                BoundarySet(si, positions)
-                for (_, si, _), positions in zip(items, pointer.predict([t for _, _, t in items]))
+                BoundarySet(positions)
+                for positions in pointer.predict([[t.surface for t in ts] for _, _, ts in items])
             ]
         elif method == "fullstop":
-            split = lambda cid, si, toks: split_fullstop(toks, si)
+            split = lambda cid, si, toks: split_fullstop(toks)
         elif method == "fullstop-verb":
-            split = lambda cid, si, toks: split_fullstop_verb(toks, hooks, si)
+            split = lambda cid, si, toks: split_fullstop_verb(toks, hooks)
         elif method == "clauses":
-            split = lambda cid, si, toks: split_clauses(toks, hooks, si)
+            split = lambda cid, si, toks: split_clauses(toks, hooks)
         elif method == "rules":
             config = RuleConfig(hooks=hooks, patterns=patterns or RulePatterns())
-            split = lambda cid, si, toks: split_clinical_rules(toks, config, si)
+            split = lambda cid, si, toks: split_clinical_rules(toks, config)
         elif method == "gold":
             if gold is None:
                 raise CorpusError("gold method needs gold boundaries")
@@ -245,7 +240,7 @@ def _gold_set(
     gold: GoldTable, case_id: str, si: int, tokens: list[Token]
 ) -> BoundarySet:
     try:
-        bset = BoundarySet(si, gold.get(case_id, {}).get(si, ()))
+        bset = BoundarySet(gold.get(case_id, {}).get(si, ()))
         bset.validate(len(tokens))
     except ValueError as exc:
         raise CorpusError(
@@ -265,7 +260,7 @@ def sentence_boundaries(
         for si, tokens in enumerate(view.tokens)
     ]
     if boundaries is None:
-        return [BoundarySet(si, ()) for _, si, _ in items]
+        return [BoundarySet(()) for _ in items]
     return boundaries.many(items)
 
 
@@ -317,16 +312,13 @@ def units_for_view(
 ) -> tuple[list[Unit], list[str]]:
     """Materialize units plus their texts for one case.
 
-    boundaries cuts sentences into kind units; SENTENCE units ignore it.
+    boundaries cuts sentences into kind units; None keeps them whole.
     """
     units: list[Unit] = []
     unit_texts: list[str] = []
-    for si, (sentence, tokens) in enumerate(zip(view.sentences, view.tokens)):
-        if kind is UnitKind.SENTENCE:
-            sent_units = [sentence_as_unit(sentence.text, tokens, si)]
-        else:
-            bset = boundaries(view.case.id, si, tokens)
-            sent_units = units_from_boundaries(sentence.text, tokens, bset, kind)
+    bsets = sentence_boundaries([view], boundaries)
+    for si, (sentence, tokens, bset) in enumerate(zip(view.sentences, view.tokens, bsets)):
+        sent_units = units_from_boundaries(sentence.text, tokens, bset, kind, si)
         units.extend(sent_units)
         unit_texts.extend(u.text(sentence.text) for u in sent_units)
     return units, unit_texts
@@ -380,7 +372,7 @@ def build_documents(
 
 def rouge_eval(
     candidate_sentences: list[list[str]], reference_sentences: list[list[str]]
-) -> dict[str, RougeScore]:
+) -> dict[str, PRF]:
     cand_flat = [t for sent in candidate_sentences for t in sent]
     ref_flat = [t for sent in reference_sentences for t in sent]
     return {
@@ -390,14 +382,14 @@ def rouge_eval(
     }
 
 
-def rouge_eval_texts(candidate_text: str, reference_text: str) -> dict[str, RougeScore]:
+def rouge_eval_texts(candidate_text: str, reference_text: str) -> dict[str, PRF]:
     return rouge_eval(
         surface_sentences(candidate_text), surface_sentences(reference_text)
     )
 
 
 def mean_rouge(
-    per_case: list[dict[str, RougeScore]], scale: float = 1.0
+    per_case: list[dict[str, PRF]], scale: float = 1.0
 ) -> dict[str, dict[str, float]]:
     """Mean precision, recall and F1 of each ROUGE variant, times scale;
     0.0 for no cases."""
@@ -436,17 +428,15 @@ def _resolve_corpus(config: PipelineConfig, out_dir: str):
         hooks, patterns = load_lexicons(config.hooks_path, config.patterns_path)
         gold = None
         if config.gold_boundaries_path:
-            gold = gold_table(load_gold_boundaries(config.gold_boundaries_path))
+            gold = load_gold_boundaries(config.gold_boundaries_path)
         return cases, hooks, patterns, gold
 
-    generated: GeneratedCorpus = generate_synthetic(config.synthetic)
-    save_corpus(generated.cases, os.path.join(out_dir, "corpus.jsonl"))
-    save_gold_boundaries(
-        generated.gold_boundaries, os.path.join(out_dir, "gold_boundaries.jsonl")
-    )
-    generated.hooks.to_json(os.path.join(out_dir, "hooks.json"))
-    generated.patterns.to_json(os.path.join(out_dir, "patterns.json"))
-    return generated.cases, generated.hooks, generated.patterns, generated.gold_by_case()
+    generated = generate_synthetic(config.synthetic)
+    generated.save(*(
+        os.path.join(out_dir, name)
+        for name in ("corpus.jsonl", "gold_boundaries.jsonl", "hooks.json", "patterns.json")
+    ))
+    return generated.cases, generated.hooks, generated.patterns, generated.gold
 
 
 def run_experiment(config: PipelineConfig, out_dir: str) -> dict:

@@ -20,16 +20,20 @@ from .kernels import lcs_ref_match_mask
 
 
 @dataclass(frozen=True)
-class RougeScore:
+class PRF:
+    """Precision, recall and F1, of ROUGE or of boundary detection."""
+
     precision: float
     recall: float
     f1: float
 
     @classmethod
-    def from_pr(cls, precision: float, recall: float) -> "RougeScore":
-        if precision + recall == 0.0:
-            return cls(precision, recall, 0.0)
-        return cls(precision, recall, 2.0 * precision * recall / (precision + recall))
+    def from_counts(cls, match: int, predicted: int, gold: int) -> "PRF":
+        """Scores match items of predicted against gold; a zero
+        denominator scores 0."""
+        p = match / predicted if predicted else 0.0
+        r = match / gold if gold else 0.0
+        return cls(p, r, 2.0 * p * r / (p + r) if p + r else 0.0)
 
 
 def ngram_counts(tokens: list[str], n: int) -> Counter:
@@ -39,16 +43,12 @@ def ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def rouge_n(candidate: list[str], reference: list[str], n: int) -> RougeScore:
+def rouge_n(candidate: list[str], reference: list[str], n: int) -> PRF:
     """Clipped n-gram overlap; zero denominators score 0."""
     cand = ngram_counts(candidate, n)
     ref = ngram_counts(reference, n)
     match = sum(min(count, ref[gram]) for gram, count in cand.items())
-    total_ref = sum(ref.values())
-    total_cand = sum(cand.values())
-    recall = match / total_ref if total_ref else 0.0
-    precision = match / total_cand if total_cand else 0.0
-    return RougeScore.from_pr(precision, recall)
+    return PRF.from_counts(match, sum(cand.values()), sum(ref.values()))
 
 
 def _intern_ids(reference: list[str], candidates: list[list[str]]):
@@ -81,11 +81,9 @@ def union_lcs(reference: list[str], candidates: list[list[str]]) -> tuple[int, f
     return count, count / len(reference)
 
 
-def rouge_l(candidates: list[list[str]], references: list[list[str]]) -> RougeScore:
+def rouge_l(candidates: list[list[str]], references: list[list[str]]) -> PRF:
     """Union-LCS ROUGE-L over candidate and reference sentence lists."""
     matched = sum(union_lcs(ref, candidates)[0] for ref in references)
-    total_ref = sum(len(ref) for ref in references)
-    total_cand = sum(len(c) for c in candidates)
-    recall = matched / total_ref if total_ref else 0.0
-    precision = matched / total_cand if total_cand else 0.0
-    return RougeScore.from_pr(precision, recall)
+    return PRF.from_counts(
+        matched, sum(len(c) for c in candidates), sum(len(ref) for ref in references)
+    )

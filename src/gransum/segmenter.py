@@ -173,8 +173,8 @@ class PointerSegmenter:
 
     # -- inference -----------------------------------------------------
 
-    def predict(self, sentences: list[list[Token]] | list[list[str]]) -> list[tuple[int, ...]]:
-        """Greedy monotone decode of each sentence (tokens or surfaces);
+    def predict(self, sentences: list[list[str]]) -> list[tuple[int, ...]]:
+        """Greedy monotone decode of each sentence (its token surfaces);
         returns each sentence's internal boundary positions, always a valid
         boundary set.
 
@@ -183,13 +183,12 @@ class PointerSegmenter:
         at once and points with one masked [k, T] attention.  A sentence
         finishes when it points at its last token.
         """
-        surfaces = [[t.surface if isinstance(t, Token) else t for t in s] for s in sentences]
-        if not all(surfaces):
+        if not all(sentences):
             raise ValueError("cannot segment an empty sentence")
         p = self.store.params
         out = []
-        for lo in range(0, len(surfaces), self.config.batch_sentences):
-            enc, lengths = self._encode(surfaces[lo:lo + self.config.batch_sentences])[:2]
+        for lo in range(0, len(sentences), self.config.batch_sentences):
+            enc, lengths = self._encode(sentences[lo:lo + self.config.batch_sentences])[:2]
             enc_proj = (enc @ p["attn.w_enc"] + p["attn.b"]).transpose(1, 0, 2)
             positions = [[] for _ in lengths]
             live = np.arange(len(lengths))

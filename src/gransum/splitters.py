@@ -42,7 +42,6 @@ class Sentence:
 class BoundarySet:
     """Internal split positions of one sentence (token indices)."""
 
-    sentence_index: int
     positions: tuple[int, ...]
 
     def __post_init__(self):
@@ -103,22 +102,20 @@ def _internal(positions, n_tokens: int):
     return tuple(p for p in positions if 0 <= p < n_tokens - 1)
 
 
-def split_fullstop(tokens: list[Token], sentence_index: int = 0) -> BoundarySet:
+def split_fullstop(tokens: list[Token]) -> BoundarySet:
     """Boundary after every full-stop token that is not sentence-final."""
     pos = [i for i, t in enumerate(tokens) if t.tag is Tag.FULLSTOP]
-    return BoundarySet(sentence_index, _internal(pos, len(tokens)))
+    return BoundarySet(_internal(pos, len(tokens)))
 
 
-def split_fullstop_verb(
-    tokens: list[Token], hooks: LexiconHooks, sentence_index: int = 0
-) -> BoundarySet:
+def split_fullstop_verb(tokens: list[Token], hooks: LexiconHooks) -> BoundarySet:
     """Full-stop boundaries plus verb-to-next-noun boundaries.
 
     For each verb token, a boundary is placed immediately before the next
     noun whose surface is not a non-independent noun; non-independent
     nouns are skipped, not boundary targets.
     """
-    pos = set(split_fullstop(tokens, sentence_index).positions)
+    pos = set(split_fullstop(tokens).positions)
     n = len(tokens)
     for i, tok in enumerate(tokens):
         if not hooks.is_verb(tok.surface):
@@ -128,12 +125,10 @@ def split_fullstop_verb(
             if hooks.is_noun(surface) and surface not in hooks.non_independent_list:
                 pos.add(j - 1)
                 break
-    return BoundarySet(sentence_index, _internal(pos, n))
+    return BoundarySet(_internal(pos, n))
 
 
-def split_clauses(
-    tokens: list[Token], hooks: LexiconHooks, sentence_index: int = 0
-) -> BoundarySet:
+def split_clauses(tokens: list[Token], hooks: LexiconHooks) -> BoundarySet:
     """Clause boundaries: commas, verbs, verbal nouns before case particles."""
     pos = set()
     n = len(tokens)
@@ -148,7 +143,7 @@ def split_clauses(
             and tokens[i + 1].surface in hooks.case_particle_list
         ):
             pos.add(i)
-    return BoundarySet(sentence_index, _internal(pos, n))
+    return BoundarySet(_internal(pos, n))
 
 
 DEFAULT_PATTERNS_VERSION = 1
@@ -266,9 +261,7 @@ def _content_size(tokens, start, end) -> int:
     )
 
 
-def split_clinical_rules(
-    tokens: list[Token], config: RuleConfig, sentence_index: int = 0
-) -> BoundarySet:
+def split_clinical_rules(tokens: list[Token], config: RuleConfig) -> BoundarySet:
     """Apply the clinical segmentation rule engine R1--R6."""
     n = len(tokens)
     rules = config.enabled_rules
@@ -346,8 +339,7 @@ def split_clinical_rules(
                 if chunk_has(start, end, pat.temporal_surfaces) and k < len(positions):
                     suppress.add(positions[k])
 
-    final = tuple(p for p in positions if p not in suppress)
-    return BoundarySet(sentence_index, final)
+    return BoundarySet(tuple(p for p in positions if p not in suppress))
 
 
 def units_from_boundaries(
@@ -355,8 +347,10 @@ def units_from_boundaries(
     tokens: list[Token],
     boundaries: BoundarySet,
     kind: UnitKind,
+    sentence_index: int = 0,
 ) -> list[Unit]:
-    """Materialize the tiling units a BoundarySet induces on a sentence.
+    """Materialize the tiling units a BoundarySet induces on sentence
+    sentence_index; the empty BoundarySet gives the whole sentence.
 
     Unit character spans snap to token edges, except that the first unit
     starts at 0 and every unit extends to the start of the next, so the
@@ -370,7 +364,7 @@ def units_from_boundaries(
     char_ends = char_starts[1:] + [len(sentence_text)]
     return [
         Unit(
-            sentence_index=boundaries.sentence_index,
+            sentence_index=sentence_index,
             unit_index=k,
             kind=kind,
             span=TextSpan(char_starts[k], char_ends[k]),
@@ -381,12 +375,3 @@ def units_from_boundaries(
         )
         for k, (start, end) in enumerate(ranges)
     ]
-
-
-def sentence_as_unit(
-    sentence_text: str, tokens: list[Token], sentence_index: int
-) -> Unit:
-    """The whole sentence as a single SENTENCE-kind unit."""
-    return units_from_boundaries(
-        sentence_text, tokens, BoundarySet(sentence_index, ()), UnitKind.SENTENCE
-    )[0]

@@ -122,14 +122,14 @@ def pointer_greedy_decode(model, surfaces) -> tuple[int, ...]:
     unit, pointing with one masked distribution per step."""
     p = model.store.params
     x = nn.embed_bag_forward([model.hasher.buckets(s) for s in surfaces], p["emb"])
-    enc, _ = nn.bigru_forward(x, model.store, "enc")
+    enc = nn.bigru_forward(x[:, None], model.store, "enc")[0][:, 0]
     enc_proj = enc @ p["attn.w_enc"] + p["attn.b"]
     t_count = len(surfaces)
     positions = []
     start = 0
     h = p["dec_h0"]
     while start < t_count:
-        h_seq, _ = nn.gru_forward(enc[start][None, :], model.store, "dec", h0=h)
+        h_seq = nn.gru_forward(enc[start][None, None], model.store, "dec", h0=h[None])[0][:, 0]
         h = h_seq[0]
         act = np.tanh(enc_proj[None, :, :] + (h_seq @ p["attn.w_dec"])[:, None, :])
         mask = np.arange(t_count)[None, :] >= start

@@ -36,7 +36,7 @@ from gransum.splitters import (
 from gransum.summarizer import DocumentExample, Summarizer, SummarizerConfig
 from gransum.tokenization import LexiconHooks, tokenize
 
-from unit_checks import check_tiling
+from unit_checks import check_tiling, finite_difference_check
 
 
 def report_line(criterion, detail):
@@ -223,7 +223,7 @@ def test_c4_gradient_checks():
         nn.linear_backward(2.0 * (y - target) / y.size, cache, store)
         return float(((y - target) ** 2).mean())
 
-    worst["linear"] = nn.finite_difference_check(linear_loss, store)
+    worst["linear"] = finite_difference_check(linear_loss, store)
 
     store = nn.ParameterStore(2)
     store.add("g", (6,), init="ones")
@@ -237,7 +237,7 @@ def test_c4_gradient_checks():
         nn.layer_norm_backward(2.0 * (y - target) / y.size, cache, store)
         return float(((y - target) ** 2).mean())
 
-    worst["layer_norm"] = nn.finite_difference_check(ln_loss, store)
+    worst["layer_norm"] = finite_difference_check(ln_loss, store)
 
     store = nn.ParameterStore(3)
     nn.add_transformer_params(store, "tf", 6, 10)
@@ -250,12 +250,12 @@ def test_c4_gradient_checks():
         nn.transformer_backward(2.0 * (y - target) / y.size, cache, store)
         return float(((y - target) ** 2).mean())
 
-    worst["transformer_block"] = nn.finite_difference_check(tf_loss, store)
+    worst["transformer_block"] = finite_difference_check(tf_loss, store)
 
     store = nn.ParameterStore(4)
     nn.add_bigru_params(store, "g", 3, 4)
-    x = rng.normal(size=(6, 3))
-    target = rng.normal(size=(6, 8))
+    x = rng.normal(size=(6, 1, 3))
+    target = rng.normal(size=(6, 1, 8))
 
     def bigru_loss():
         store.zero_grads()
@@ -263,7 +263,7 @@ def test_c4_gradient_checks():
         nn.bigru_backward(2.0 * (h - target) / h.size, cache, store)
         return float(((h - target) ** 2).mean())
 
-    worst["bigru"] = nn.finite_difference_check(bigru_loss, store)
+    worst["bigru"] = finite_difference_check(bigru_loss, store)
 
     store = nn.ParameterStore(5)
     store.add("logits", (8,))
@@ -275,7 +275,7 @@ def test_c4_gradient_checks():
         store.accumulate("logits", dlogits)
         return loss
 
-    worst["sigmoid_bce"] = nn.finite_difference_check(bce_loss, store)
+    worst["sigmoid_bce"] = finite_difference_check(bce_loss, store)
 
     seg_config = SegmenterConfig(
         embed_dim=5, hidden=4, dec_hidden=5, attn_dim=5, bucket_count=48,
@@ -288,7 +288,7 @@ def test_c4_gradient_checks():
         seg_model.store.zero_grads()
         return seg_model.loss_and_grads([six_tokens])
 
-    worst["pointer_segmenter"] = nn.finite_difference_check(pointer_loss, seg_model.store)
+    worst["pointer_segmenter"] = finite_difference_check(pointer_loss, seg_model.store)
 
     sum_config = SummarizerConfig(embed_dim=6, hidden=4, d_ff=8, bucket_count=48, seed=3)
     sum_model = Summarizer(sum_config, UnitKind.SEGMENT)
@@ -310,7 +310,7 @@ def test_c4_gradient_checks():
         sum_model.store.zero_grads()
         return sum_model.loss_and_grads([doc])
 
-    worst["summarizer"] = nn.finite_difference_check(summarizer_loss, sum_model.store)
+    worst["summarizer"] = finite_difference_check(summarizer_loss, sum_model.store)
 
     for name, err in worst.items():
         assert err < 1e-4, f"{name}: {err}"
@@ -332,7 +332,7 @@ def test_c5_segmenter_learnability_and_ordering():
         seed=418,
     )
     generated = generate_synthetic(spec)
-    gold = generated.gold_by_case()
+    gold = generated.gold
     examples = []
     for case in generated.cases:
         for si, sentence in enumerate(split_sentences(case.record_text)):
@@ -352,8 +352,8 @@ def test_c5_segmenter_learnability_and_ordering():
     predicted = model.predict([ex.surfaces for ex in held])
     for ex, positions in zip(held, predicted):
         tokens = tokenize(" ".join(ex.surfaces))  # surfaces reconstruct losslessly
-        gold_set = BoundarySet(0, ex.gold)
-        learned_pairs.append((BoundarySet(0, positions), gold_set))
+        gold_set = BoundarySet(ex.gold)
+        learned_pairs.append((BoundarySet(positions), gold_set))
         baseline_pairs.append((split_fullstop(tokens), gold_set))
     learned, _ = corpus_boundary_prf(learned_pairs)
     baseline, _ = corpus_boundary_prf(baseline_pairs)
@@ -445,8 +445,8 @@ def test_c7_structural_fuzz():
             units = units_from_boundaries(text, tokens, bset, UnitKind.SEGMENT)
             check_tiling(units, len(text))
         if k % 10 == 0:
-            [positions] = pointer.predict([tokens])
-            pred = BoundarySet(0, positions)
+            [positions] = pointer.predict([[t.surface for t in tokens]])
+            pred = BoundarySet(positions)
             assert all(a < b for a, b in zip(pred.positions, pred.positions[1:]))
             pred.validate(len(tokens))
         if k < 400:
@@ -511,7 +511,7 @@ def test_c8_run_experiment_determinism(tmp_path):
 def test_c9_table6_self_consistency():
     generated = generate_synthetic(SyntheticSpec(case_count=40, seed=31))
     views = build_views(generated.cases, generated.hooks)
-    gold = generated.gold_by_case()
+    gold = generated.gold
     sentences = []
     planted = []
     for view in views:
@@ -519,9 +519,9 @@ def test_c9_table6_self_consistency():
             sentences.append((s.text, toks))
             planted.append(gold[view.case.id].get(si, ()))
 
-    sentence_stats = granularity_stats(sentences, [BoundarySet(0, ()) for _ in sentences])
+    sentence_stats = granularity_stats(sentences, [BoundarySet(()) for _ in sentences])
     segment_stats = granularity_stats(
-        sentences, [BoundarySet(0, positions) for positions in planted]
+        sentences, [BoundarySet(positions) for positions in planted]
     )
     clause_stats = granularity_stats(
         sentences, [split_clauses(t, generated.hooks) for _, t in sentences]

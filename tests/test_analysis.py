@@ -15,19 +15,19 @@ from gransum.tokenization import LexiconHooks, tokenize
 
 class TestBoundaryPrf:
     def test_half_overlap(self):
-        s = boundary_prf(BoundarySet(0, (2, 5)), BoundarySet(0, (2, 7)))
+        s = boundary_prf(BoundarySet((2, 5)), BoundarySet((2, 7)))
         assert (s.precision, s.recall, s.f1) == (0.5, 0.5, 0.5)
 
     def test_exact_match(self):
-        s = boundary_prf(BoundarySet(0, (1, 4)), BoundarySet(0, (1, 4)))
+        s = boundary_prf(BoundarySet((1, 4)), BoundarySet((1, 4)))
         assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
 
     def test_predicted_empty_gold_nonempty(self):
-        s = boundary_prf(BoundarySet(0, ()), BoundarySet(0, (1,)))
+        s = boundary_prf(BoundarySet(()), BoundarySet((1,)))
         assert (s.precision, s.recall, s.f1) == (0.0, 0.0, 0.0)
 
     def test_both_empty_is_perfect(self):
-        s = boundary_prf(BoundarySet(0, ()), BoundarySet(0, ()))
+        s = boundary_prf(BoundarySet(()), BoundarySet(()))
         assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
 
     def test_matches_confusion_matrix_on_random_sets(self):
@@ -35,7 +35,7 @@ class TestBoundaryPrf:
         for _ in range(500):
             pred = tuple(sorted(set(rng.integers(0, 12, rng.integers(0, 6)))))
             gold = tuple(sorted(set(rng.integers(0, 12, rng.integers(0, 6)))))
-            s = boundary_prf(BoundarySet(0, pred), BoundarySet(0, gold))
+            s = boundary_prf(BoundarySet(pred), BoundarySet(gold))
             tp = len(set(pred) & set(gold))
             fp = len(set(pred) - set(gold))
             fn = len(set(gold) - set(pred))
@@ -49,8 +49,8 @@ class TestBoundaryPrf:
 
     def test_micro_macro(self):
         pairs = [
-            (BoundarySet(0, (1,)), BoundarySet(0, (1,))),
-            (BoundarySet(1, ()), BoundarySet(1, (2,))),
+            (BoundarySet((1,)), BoundarySet((1,))),
+            (BoundarySet(()), BoundarySet((2,))),
         ]
         micro, macro = corpus_boundary_prf(pairs)
         assert micro.precision == 1.0
@@ -112,7 +112,7 @@ class TestRelationCensus:
 
     def test_refinement_yields_included(self):
         sents = self._sentences(["aa bb vrun cc dd"])
-        coarse = [BoundarySet(0, ()) for toks in sents]
+        coarse = [BoundarySet(()) for toks in sents]
         fine = [split_clauses(toks, HOOKS) for toks in sents]
         census = relation_census(sents, coarse, fine)
         # segment = whole sentence strictly contains both clauses
@@ -132,8 +132,8 @@ class TestRelationCensus:
             cl_pos = tuple(p for p in cl_pos if p < n - 1)
             census = relation_census(
                 [tokens],
-                [BoundarySet(0, seg_pos)],
-                [BoundarySet(0, cl_pos)],
+                [BoundarySet(seg_pos)],
+                [BoundarySet(cl_pos)],
                 include_disjoint=True,
             )
             n_seg = len(seg_pos) + 1
@@ -145,12 +145,12 @@ class TestRelationCensus:
 class TestGranularityStats:
     def test_sentence_kind_is_one(self):
         sents = [("a b", tokenize("a b")), ("c d e", tokenize("c d e"))]
-        stats = granularity_stats(sents, [BoundarySet(0, ()) for _ in sents])
+        stats = granularity_stats(sents, [BoundarySet(()) for _ in sents])
         assert stats.units_per_sentence == 1.0
 
     def test_one_boundary_per_sentence(self):
         sents = [("a b c", tokenize("a b c")), ("d e f", tokenize("d e f"))]
-        stats = granularity_stats(sents, [BoundarySet(0, (0,)) for _ in sents])
+        stats = granularity_stats(sents, [BoundarySet((0,)) for _ in sents])
         assert stats.units_per_sentence == 2.0
 
     def test_units_equals_mean_boundaries_plus_one(self):
@@ -170,6 +170,6 @@ class TestGranularityStats:
             sents.append((text, toks))
         stats = granularity_stats(
             sents,
-            [BoundarySet(0, splits[" ".join(t.surface for t in toks)]) for _, toks in sents],
+            [BoundarySet(splits[" ".join(t.surface for t in toks)]) for _, toks in sents],
         )
         assert abs(stats.units_per_sentence - (np.mean(boundary_counts) + 1)) < 1e-12

@@ -466,13 +466,23 @@ def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
         assert main(["train-summarizer", *common, "--kind", "SEGMENT", "--epochs", "1",
                      "--labels", str(tmp_path / "labels.jsonl"),
                      "--out", str(tmp_path / "trained.ckpt")]) == 0
+        # boundary scores, ROUGE and corpus generation
+        assert main(["eval-segmenter", *common, "--gold", str(synth_dir / "gold.jsonl"),
+                     "--output", str(tmp_path / "eval.json")]) == 0
+        assert main(["eval-rouge", "--corpus", str(synth_dir / "corpus.jsonl"),
+                     "--candidates", str(tmp_path / "summaries.jsonl"),
+                     "--output", str(tmp_path / "rouge.json")]) == 0
+        assert main(["gen-synthetic", "--spec", _write_spec(tmp_path),
+                     "--corpus-out", str(tmp_path / "gen.jsonl"),
+                     "--gold-out", str(tmp_path / "gen_gold.jsonl")]) == 0
     finally:
         tracer.remove()
     counts = tracer.work_counts()
     for name in ("oracle.units_scored", "work.units.SEGMENT", "summarizer.summarize.calls",
                  "kernels.gru_forward.steps", "kernels.gru_backward.steps",
                  "segmenter.train.calls", "summarizer.train.calls",
-                 "segmenter.predict.calls", "kernels.gru_forward.t1_calls"):
+                 "segmenter.predict.calls", "kernels.gru_forward.t1_calls",
+                 "analysis.corpus_boundary_prf.calls", "rouge.rouge_l.calls"):
         assert counts[name] > 0, name
     # summarize ran on several documents at once
     assert len((tmp_path / "summaries.jsonl").read_text().splitlines()) >= 3

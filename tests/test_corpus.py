@@ -5,7 +5,6 @@ import pytest
 from gransum.corpus import (
     Case,
     CorpusError,
-    GoldBoundary,
     SyntheticSpec,
     dump_case,
     generate_synthetic,
@@ -106,7 +105,7 @@ class TestGenerator:
         save_corpus(a.cases, str(pa))
         save_corpus(b.cases, str(pb))
         assert pa.read_bytes() == pb.read_bytes()
-        assert a.gold_boundaries == b.gold_boundaries
+        assert a.gold == b.gold
 
     def test_copy_rate_one_every_chunk_verbatim(self):
         spec = SyntheticSpec(
@@ -150,7 +149,7 @@ class TestGenerator:
     def test_planted_boundaries_tile_sentences(self):
         spec = SyntheticSpec(case_count=6, sentences_per_record=4, seed=4)
         g = generate_synthetic(spec)
-        gold = g.gold_by_case()
+        gold = g.gold
         for case in g.cases:
             sentences = split_sentences(case.record_text)
             assert len(sentences) == len(case.record_sentences)
@@ -172,7 +171,7 @@ class TestGenerator:
             seed=6,
         )
         g = generate_synthetic(spec)
-        gold = g.gold_by_case()
+        gold = g.gold
         some_dropped = False
         some_injected = False
         for case in g.cases:
@@ -190,10 +189,25 @@ class TestGenerator:
 
 
 def test_gold_boundaries_roundtrip(tmp_path):
-    entries = [GoldBoundary("a", 0, (1, 3)), GoldBoundary("a", 1, ()), GoldBoundary("b", 0, (2,))]
+    gold = {"a": {0: (1, 3), 1: ()}, "b": {0: (2,)}}
     path = tmp_path / "g.jsonl"
-    save_gold_boundaries(entries, str(path))
-    assert load_gold_boundaries(str(path)) == entries
+    save_gold_boundaries(gold, str(path))
+    assert load_gold_boundaries(str(path)) == gold
+
+
+def test_generated_gold_file_roundtrips_byte_for_byte(tmp_path):
+    """Table equality ignores order, so the file's bytes are compared:
+    saving a loaded gold file writes the same lines in the same order."""
+    spec = SyntheticSpec(
+        case_count=6, sentences_per_record=4, drop_fullstop_prob=0.5,
+        inject_newline_prob=0.5, seed=6,
+    )
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    generate_synthetic(spec).save(str(tmp_path / "c.jsonl"), gold_path=str(first))
+    save_gold_boundaries(load_gold_boundaries(str(first)), str(second))
+    assert second.read_bytes() == first.read_bytes()
+    # injected newlines give records more lines than sentences_per_record
+    assert len(first.read_text().splitlines()) > 6 * 4
 
 
 def test_dump_case_stable_key_order():

@@ -7,6 +7,8 @@ import pytest
 from gransum import nn
 from gransum.nn.checkpoint import MAGIC, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 
+from unit_checks import finite_difference_check
+
 
 class _ToyLogistic:
     """Logistic regression on top of the shared training contract."""
@@ -107,7 +109,7 @@ class TestTransformerBlock:
             nn.transformer_backward(2.0 * (y - target) / y.size, cache, store)
             return loss
 
-        assert nn.finite_difference_check(loss_fn, store) < 1e-4
+        assert finite_difference_check(loss_fn, store) < 1e-4
 
     def test_shape_error(self):
         store, _, _ = self._setup()
@@ -120,8 +122,8 @@ class TestGru:
         store = nn.ParameterStore(4)
         nn.add_gru_params(store, "g", 3, 5)
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(6, 3))
-        target = rng.normal(size=(6, 5))
+        x = rng.normal(size=(6, 1, 3))
+        target = rng.normal(size=(6, 1, 5))
 
         def loss_fn():
             store.zero_grads()
@@ -130,14 +132,14 @@ class TestGru:
             nn.gru_backward(2.0 * (h - target) / h.size, cache, store)
             return loss
 
-        assert nn.finite_difference_check(loss_fn, store) < 1e-4
+        assert finite_difference_check(loss_fn, store) < 1e-4
 
     def test_gradcheck_bidirectional(self):
         store = nn.ParameterStore(6)
         nn.add_bigru_params(store, "g", 3, 4)
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(5, 3))
-        target = rng.normal(size=(5, 8))
+        x = rng.normal(size=(5, 1, 3))
+        target = rng.normal(size=(5, 1, 8))
 
         def loss_fn():
             store.zero_grads()
@@ -146,7 +148,7 @@ class TestGru:
             nn.bigru_backward(2.0 * (h - target) / h.size, cache, store)
             return loss
 
-        assert nn.finite_difference_check(loss_fn, store) < 1e-4
+        assert finite_difference_check(loss_fn, store) < 1e-4
 
     def test_ragged_batch_matches_separate_sequences(self):
         lengths = (6, 3, 1)
@@ -166,10 +168,10 @@ class TestGru:
 
         store.zero_grads()
         for s, n in enumerate(lengths):
-            out_s, cache_s = nn.bigru_forward(x[:n, s], store, "g")
-            dx_s = nn.bigru_backward(dout[:n, s], cache_s, store)
-            np.testing.assert_allclose(out[:n, s], out_s, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dx[:n, s], dx_s, rtol=0, atol=1e-12)
+            out_s, cache_s = nn.bigru_forward(x[:n, s:s + 1], store, "g")
+            dx_s = nn.bigru_backward(dout[:n, s:s + 1], cache_s, store)
+            np.testing.assert_allclose(out[:n, s], out_s[:, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dx[:n, s], dx_s[:, 0], rtol=0, atol=1e-12)
             assert not dx[n:, s].any()
         for name, grad in store.grads.items():
             np.testing.assert_allclose(batched[name], grad, rtol=0, atol=1e-12, err_msg=name)
@@ -194,12 +196,12 @@ class TestGru:
 
         store.zero_grads()
         for s, n in enumerate(lengths):
-            h_s, cache_s = nn.gru_forward(x[:n, s], store, "g", h0[s])
-            dx_s, dh0_s = nn.gru_backward(dh[:n, s], cache_s, store)
-            np.testing.assert_allclose(h[:n, s], h_s, rtol=0, atol=1e-12)
+            h_s, cache_s = nn.gru_forward(x[:n, s:s + 1], store, "g", h0[s:s + 1])
+            dx_s, dh0_s = nn.gru_backward(dh[:n, s:s + 1], cache_s, store)
+            np.testing.assert_allclose(h[:n, s], h_s[:, 0], rtol=0, atol=1e-12)
             assert (h[n:, s] == h[n - 1, s]).all()  # padded steps carry the state
-            np.testing.assert_allclose(dx[:n, s], dx_s, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dh0[s], dh0_s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dx[:n, s], dx_s[:, 0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dh0[s], dh0_s[0], rtol=0, atol=1e-12)
             assert not dx[n:, s].any()
         for name, grad in store.grads.items():
             np.testing.assert_allclose(batched[name], grad, rtol=0, atol=1e-12, err_msg=name)
@@ -223,7 +225,7 @@ class TestLayerNormAndLinear:
             nn.layer_norm_backward(2.0 * (y - target) / y.size, cache, store)
             return loss
 
-        assert nn.finite_difference_check(loss_fn, store) < 1e-4
+        assert finite_difference_check(loss_fn, store) < 1e-4
 
     def test_linear_gradcheck(self):
         store = nn.ParameterStore(10)
@@ -240,7 +242,7 @@ class TestLayerNormAndLinear:
             nn.linear_backward(2.0 * (y - target) / y.size, cache, store)
             return loss
 
-        assert nn.finite_difference_check(loss_fn, store) < 1e-4
+        assert finite_difference_check(loss_fn, store) < 1e-4
 
 
 class TestTraining:

@@ -17,6 +17,7 @@ from gransum.splitters import BoundarySet, split_sentences
 from gransum.tokenization import tokenize
 
 import reference_kernels
+from unit_checks import finite_difference_check
 
 SMALL = SegmenterConfig(
     embed_dim=8, hidden=6, dec_hidden=8, attn_dim=8, bucket_count=256, epochs=2, seed=0
@@ -32,7 +33,7 @@ def make_examples(case_count=30, seed=42):
         seed=seed,
     )
     g = generate_synthetic(spec)
-    gold = g.gold_by_case()
+    gold = g.gold
     examples = []
     for case in g.cases:
         for si, s in enumerate(split_sentences(case.record_text)):
@@ -58,7 +59,7 @@ class TestStructuralInvariants:
         ]
         for surfaces, positions in zip(sentences, model.predict(sentences)):
             assert all(a < b for a, b in zip(positions, positions[1:]))
-            BoundarySet(0, positions).validate(len(surfaces))
+            BoundarySet(positions).validate(len(surfaces))
 
     def test_greedy_decode_deterministic(self):
         model = PointerSegmenter(SMALL)
@@ -70,8 +71,8 @@ class TestStructuralInvariants:
         enc, lengths, _ = model._encode([["wa", "bo", ",", "ke", "lu"]])
         p = model.store.params
         enc_proj = (enc @ p["attn.w_enc"] + p["attn.b"]).transpose(1, 0, 2)
-        h, _ = nn.gru_forward(enc[2], model.store, "dec", h0=p["dec_h0"])
-        probs = model._point_distribution(enc_proj, h[None], np.array([[2]]), lengths)[0][0, 0]
+        h, _ = nn.gru_forward(enc[2][None], model.store, "dec", h0=p["dec_h0"][None])
+        probs = model._point_distribution(enc_proj, h, np.array([[2]]), lengths)[0][0, 0]
         assert (probs[:2] == 0.0).all()
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -99,7 +100,7 @@ class TestTraining:
         assert history.epoch_losses[-1] < history.epoch_losses[0]
         predicted = model.predict([ex.surfaces for ex in held])
         pairs = [
-            (BoundarySet(0, positions), BoundarySet(0, ex.gold))
+            (BoundarySet(positions), BoundarySet(ex.gold))
             for ex, positions in zip(held, predicted)
         ]
         micro, _ = corpus_boundary_prf(pairs)
@@ -155,7 +156,7 @@ def test_gradcheck_six_token_sentence():
         model.store.zero_grads()
         return model.loss_and_grads([ex])
 
-    assert nn.finite_difference_check(loss_fn, model.store) < 1e-4
+    assert finite_difference_check(loss_fn, model.store) < 1e-4
 
 
 def test_gradcheck_ragged_three_sentence_batch():
@@ -175,7 +176,7 @@ def test_gradcheck_ragged_three_sentence_batch():
         model.store.zero_grads()
         return model.loss_and_grads(batch)
 
-    assert nn.finite_difference_check(loss_fn, model.store) < 1e-4
+    assert finite_difference_check(loss_fn, model.store) < 1e-4
 
 
 def test_batched_predict_matches_one_sentence_reference():

@@ -166,25 +166,25 @@ class TestClinicalRules:
 
 class TestBoundarySet:
     def test_normalizes_sorted_unique(self):
-        b = BoundarySet(0, (3, 1, 3))
+        b = BoundarySet((3, 1, 3))
         assert b.positions == (1, 3)
         assert b.unit_count == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            BoundarySet(0, (-1,))
+            BoundarySet((-1,))
 
     def test_validate_internal(self):
         with pytest.raises(ValueError):
-            BoundarySet(0, (4,)).validate(5)
-        BoundarySet(0, (3,)).validate(5)
+            BoundarySet((4,)).validate(5)
+        BoundarySet((3,)).validate(5)
 
 
 class TestUnitsFromBoundaries:
     def test_tiling_exact(self):
         text = "aa bb, cc dd。"
         tokens = tokenize(text)
-        bset = BoundarySet(0, (2,))
+        bset = BoundarySet((2,))
         units = units_from_boundaries(text, tokens, bset, UnitKind.SEGMENT)
         check_tiling(units, len(text))
         assert units[0].text(text) == "aa bb, "

@@ -16,6 +16,8 @@ from gransum.summarizer import (
     summarizer_train,
 )
 
+from unit_checks import finite_difference_check
+
 SMALL = SummarizerConfig(
     embed_dim=8, hidden=6, d_ff=12, bucket_count=256, epochs=2, seed=0
 )
@@ -59,7 +61,7 @@ def synth_docs(kind, case_count=40, seed=77, marker_prob=0.12):
     views = build_views(g.cases, g.hooks)
     boundaries = {
         UnitKind.SENTENCE: None,
-        UnitKind.SEGMENT: BoundaryProvider("gold", g.hooks, gold=g.gold_by_case()),
+        UnitKind.SEGMENT: BoundaryProvider("gold", g.hooks, gold=g.gold),
         UnitKind.CLAUSE: BoundaryProvider("clauses", g.hooks),
     }[kind]
     budget = float(np.mean([budget_length(v.case.summary_text) for v in views]))
@@ -90,7 +92,7 @@ class TestEncodeDocument:
             else:
                 x[t] = p["emb"][model.hasher.buckets(surface)].mean(axis=0)
         x = x + SMALL.pe_scale * nn.sinusoidal_encoding(len(stream), SMALL.embed_dim)
-        enc, _ = nn.bigru_forward(x, model.store, "enc")
+        enc = nn.bigru_forward(x[:, None], model.store, "enc")[0][:, 0]
         for (a, b) in pools:
             manual = enc[a:b].mean(axis=0)
             np.testing.assert_allclose(manual, enc[a:b].sum(axis=0) / (b - a), atol=1e-12)
@@ -149,7 +151,7 @@ class TestGradients:
             model.store.zero_grads()
             return model.loss_and_grads([doc])
 
-        assert nn.finite_difference_check(loss_fn, model.store) < 1e-4
+        assert finite_difference_check(loss_fn, model.store) < 1e-4
 
 
 class TestSummarize:

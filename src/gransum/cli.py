@@ -26,7 +26,7 @@ from .nn.core import TrainingError
 from .oracle import dump_labels, load_labels, make_oracle_labels
 from .pipeline import (
     STATS_HEADER,
-    BoundaryProvider,
+    SPLIT_METHODS,
     PipelineConfig,
     boundary_scores,
     build_documents,
@@ -38,7 +38,7 @@ from .pipeline import (
     rouge_eval_texts,
     run_experiment,
     segmenter_examples,
-    sentence_boundaries,
+    split_views,
     stats_line,
     summary_json,
     view_census,
@@ -89,31 +89,33 @@ def _views(args):
     return build_views(cases, hooks), hooks, patterns
 
 
-def _gold_boundaries(path: str, hooks: LexiconHooks) -> BoundaryProvider:
-    return BoundaryProvider("gold", hooks, gold=load_gold_boundaries(path))
+def _gold_boundaries(path: str, views, hooks: LexiconHooks):
+    return split_views(views, "gold", hooks, gold=load_gold_boundaries(path))
 
 
-def _boundaries(args, hooks, patterns) -> BoundaryProvider:
-    """The provider --method names, fed by --checkpoint or --gold."""
+def _boundaries(args, views, hooks, patterns):
+    """Every sentence's boundaries under --method, fed by --checkpoint or
+    --gold; one list per view."""
     if args.method == "gold":
         if not args.gold:
             raise CorpusError("--method gold requires --gold boundaries file")
-        return _gold_boundaries(args.gold, hooks)
+        return _gold_boundaries(args.gold, views, hooks)
     pointer = None
     if args.method == "pointer":
         if not args.checkpoint:
             raise CorpusError("--method pointer requires --checkpoint")
         ckpt = load_checkpoint(args.checkpoint, expect_kind=PointerSegmenter.KIND)
         pointer = PointerSegmenter.from_checkpoint(ckpt)
-    return BoundaryProvider(args.method, hooks, patterns, pointer=pointer)
+    return split_views(views, args.method, hooks, patterns, pointer=pointer)
 
 
-def _unit_boundaries(args, hooks, patterns, kind: UnitKind) -> BoundaryProvider | None:
-    """What cuts sentences into kind units; --method applies to SEGMENT only."""
+def _unit_boundaries(args, views, hooks, patterns, kind: UnitKind):
+    """What cuts sentences into kind units (None keeps them whole);
+    --method applies to SEGMENT only."""
     if kind is UnitKind.SEGMENT:
-        return _boundaries(args, hooks, patterns)
+        return _boundaries(args, views, hooks, patterns)
     if kind is UnitKind.CLAUSE:
-        return BoundaryProvider("clauses", hooks)
+        return split_views(views, "clauses", hooks)
     return None
 
 
@@ -163,15 +165,14 @@ def cmd_split_sentences(args) -> int:
 
 def cmd_segment(args) -> int:
     views, hooks, patterns = _views(args)
-    boundaries = _boundaries(args, hooks, patterns)
-    keys = [(view.case.id, si) for view in views for si in range(len(view.tokens))]
     lines = [
         json.dumps(
-            {"id": case_id, "sentence_index": si, "boundaries": list(bset.positions)},
+            {"id": view.case.id, "sentence_index": si, "boundaries": list(bset.positions)},
             ensure_ascii=False,
             sort_keys=True,
         )
-        for (case_id, si), bset in zip(keys, sentence_boundaries(views, boundaries))
+        for view, bsets in zip(views, _boundaries(args, views, hooks, patterns))
+        for si, bset in enumerate(bsets)
     ]
     _write_lines(args.output, lines)
     return EXIT_OK
@@ -182,7 +183,7 @@ def cmd_train_segmenter(args) -> int:
         epochs=args.epochs, seed=args.seed if args.seed is not None else 0
     )
     views, hooks, _ = _views(args)
-    gold = _gold_boundaries(args.gold, hooks)
+    gold = _gold_boundaries(args.gold, views, hooks)
     model, history = segmenter_train(segmenter_examples(views, gold), config)
     save_checkpoint(model.to_checkpoint(), args.out)
     print(
@@ -194,9 +195,8 @@ def cmd_train_segmenter(args) -> int:
 
 def cmd_eval_segmenter(args) -> int:
     views, hooks, patterns = _views(args)
-    gold = _gold_boundaries(args.gold, hooks)
-    predicted = _boundaries(args, hooks, patterns)
-    scores = boundary_scores(views, predicted, gold)
+    gold = _gold_boundaries(args.gold, views, hooks)
+    scores = boundary_scores(_boundaries(args, views, hooks, patterns), gold)
     _write_lines(args.output, [json.dumps(scores, sort_keys=True, indent=2)])
     return EXIT_OK
 
@@ -204,9 +204,9 @@ def cmd_eval_segmenter(args) -> int:
 def cmd_make_oracle(args) -> int:
     views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
-    boundaries = _unit_boundaries(args, hooks, patterns, kind)
+    bsets = _unit_boundaries(args, views, hooks, patterns, kind)
     lines = []
-    for doc in build_documents(views, kind, boundaries, args.budget):
+    for doc in build_documents(views, kind, bsets):
         labels = make_oracle_labels(
             list(doc.units), doc.reference_tokens, args.budget, args.mode
         )
@@ -220,11 +220,10 @@ def cmd_train_summarizer(args) -> int:
     config = SummarizerConfig(epochs=args.epochs, seed=seed)
     views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
-    boundaries = _unit_boundaries(args, hooks, patterns, kind)
-    docs = list(build_documents(views, kind, boundaries, args.budget))
+    bsets = _unit_boundaries(args, views, hooks, patterns, kind)
     label_table = load_labels(args.labels)
     labeled_docs = []
-    for doc in docs:
+    for doc in build_documents(views, kind, bsets):
         case_labels = label_table.get(doc.case_id)
         if case_labels is None:
             raise CorpusError(f"labels file has no entries for case {doc.case_id}")
@@ -265,8 +264,8 @@ def cmd_summarize(args) -> int:
     ckpt = load_checkpoint(args.model, expect_kind=Summarizer.KIND)
     model = Summarizer.from_checkpoint(ckpt)
     kind = model.unit_kind
-    boundaries = _unit_boundaries(args, hooks, patterns, kind)
-    docs = list(build_documents(views, kind, boundaries, args.budget))
+    bsets = _unit_boundaries(args, views, hooks, patterns, kind)
+    docs = list(build_documents(views, kind, bsets))
     results = summarize(docs, model, budget_chars=args.budget, mode=args.mode)
     _write_lines(args.output, [summary_json(result) for result in results])
     return EXIT_OK
@@ -293,8 +292,8 @@ def cmd_eval_rouge(args) -> int:
 
 def cmd_analyze_relations(args) -> int:
     views, hooks, patterns = _views(args)
-    segments = _boundaries(args, hooks, patterns)
-    census = view_census(views, segments, BoundaryProvider("clauses", hooks))
+    segments = _boundaries(args, views, hooks, patterns)
+    census = view_census(views, segments, split_views(views, "clauses", hooks))
     _write_lines(args.output, census_lines(census_dict(census)))
     return EXIT_OK
 
@@ -302,7 +301,7 @@ def cmd_analyze_relations(args) -> int:
 def cmd_stats(args) -> int:
     views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
-    stats = view_stats(views, _unit_boundaries(args, hooks, patterns, kind))
+    stats = view_stats(views, _unit_boundaries(args, views, hooks, patterns, kind))
     line = stats_line(kind.value, dataclasses.asdict(stats))
     _write_lines(args.output, [STATS_HEADER, line])
     return EXIT_OK
@@ -327,11 +326,7 @@ def cmd_run_experiment(args) -> int:
 def _add_split_args(p, gold_required=False):
     p.add_argument("--hooks", help="lexicon hooks JSON")
     p.add_argument("--patterns", help="rule pattern JSON")
-    p.add_argument(
-        "--method",
-        default="rules",
-        choices=["fullstop", "fullstop-verb", "clauses", "rules", "pointer", "gold"],
-    )
+    p.add_argument("--method", default="rules", choices=SPLIT_METHODS)
     p.add_argument("--checkpoint", help="segmenter checkpoint (pointer method)")
     p.add_argument(
         "--gold",

@@ -119,11 +119,10 @@ def gru_seq_forward(xzr, xn, whzr, whn, bzr, bn, h0, lengths=None):
     return hs, zs, rs, ns
 
 
-def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out, dh_final):
+def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out):
     """Backward pass matching gru_seq_forward.
 
     dh_out: [T, B, H] gradient w.r.t. each emitted state hs[1..T].
-    dh_final: [B, H] extra gradient on the last state (from downstream use).
     Returns (dxzr, dxn, dwhzr, dwhn, dbzr, dbn, dh0); the weight and bias
     gradients are per weight set ([G, ...]), summed over its sequences.
     The gate factors that do not depend on the carried gradient are
@@ -150,7 +149,7 @@ def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out, dh_final):
     whn_t = whn.transpose(0, 2, 1).copy()
     dxzr = np.empty((T, B, 2 * H))
     dxn = np.empty((T, B, H))
-    carry = np.array(dh_final, dtype=np.float64).reshape(B, H)
+    carry = np.zeros((B, H))
     # step views come from iterating, last step first, over arrays made
     # once: [G, S, .] for the matmuls, [B, .] otherwise
     dxz = dxzr[:, :, :H]

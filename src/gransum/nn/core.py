@@ -215,14 +215,13 @@ def gru_forward(x, store: ParameterStore, prefix: str, h0=None, lengths=None):
     return hs[1:], (x, hs, zs, rs, ns, prefix)
 
 
-def gru_backward(dh_out, cache, store: ParameterStore, dh_final=None):
+def gru_backward(dh_out, cache, store: ParameterStore):
     """Backward for gru_forward; returns (dx [T, S, I], dh0 [S, H])."""
     x, hs, zs, rs, ns, prefix = cache
     p = store.params
     steps, seqs, hidden = zs.shape
-    dh_final = np.zeros((seqs, hidden)) if dh_final is None else dh_final
     dxzr, dxn, dwhzr, dwhn, dbzr, dbn, dh0 = kernels.gru_seq_backward(
-        hs, zs, rs, ns, p[f"{prefix}.wh_zr"][None], p[f"{prefix}.wh_n"][None], dh_out, dh_final,
+        hs, zs, rs, ns, p[f"{prefix}.wh_zr"][None], p[f"{prefix}.wh_n"][None], dh_out
     )
     dxzr = dxzr.reshape(steps * seqs, 2 * hidden)
     dxn = dxn.reshape(steps * seqs, hidden)
@@ -288,9 +287,7 @@ def bigru_backward(dout, cache, store: ParameterStore):
     steps, seqs, in_dim = x.shape
     hidden = whn.shape[1]
     dh_out = np.concatenate([dout[:, :, :hidden], flip(dout[:, :, hidden:])], axis=1)
-    dxzr, dxn, dwhzr, dwhn, dbzr, dbn, _ = kernels.gru_seq_backward(
-        *states, whzr, whn, dh_out, np.zeros((2 * seqs, hidden))
-    )
+    dxzr, dxn, dwhzr, dwhn, dbzr, dbn, _ = kernels.gru_seq_backward(*states, whzr, whn, dh_out)
     dproj = np.concatenate(
         [dxzr[:, :seqs], dxn[:, :seqs], flip(dxzr[:, seqs:]), flip(dxn[:, seqs:])], axis=2
     ).reshape(steps * seqs, 6 * hidden)

@@ -38,8 +38,6 @@ def make_oracle_labels(
     Returns one LabeledUnit per input unit, in input (document) order.
     Units shorter than two tokens carry no bigrams and score 0.
     """
-    if budget_chars < 0:
-        raise ValueError("budget_chars must be >= 0")
     scores = [rouge_n(list(u.tokens), reference_tokens, 2).f1 for u in units]
     chosen = set(budget_select(scores, units, budget_chars, mode))
     return [

@@ -11,6 +11,7 @@ produce byte-identical reports and bit-identical checkpoints.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 
@@ -68,6 +69,7 @@ from .tokenization import LexiconHooks, Token, tokenize
 
 REPORT_VERSION = 1
 
+SPLIT_METHODS = ("fullstop", "fullstop-verb", "clauses", "rules", "pointer", "gold")
 SEGMENT_METHODS = ("pointer", "rules", "gold")
 
 
@@ -97,6 +99,8 @@ class PipelineConfig:
             raise ValueError("config needs corpus_path or a synthetic spec")
         if not self.kinds:
             raise ValueError("config: 'kinds' must name at least one unit kind")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise ValueError("config: 'kinds' must not name a unit kind twice")
         if self.segment_method not in SEGMENT_METHODS:
             raise ValueError(f"segment_method must be one of {SEGMENT_METHODS}")
         if self.oracle_mode not in ("keep", "drop"):
@@ -105,8 +109,9 @@ class PipelineConfig:
             raise ValueError("split fractions must be in (0, 1)")
         if self.dev_fraction + self.test_fraction >= 1.0:
             raise ValueError("train split would be empty")
-        if isinstance(self.oracle_budget, str) and self.oracle_budget != "auto":
-            raise ValueError("oracle_budget must be a number or 'auto'")
+        budget = self.oracle_budget
+        if budget != "auto" and (isinstance(budget, str) or not 0 <= budget < math.inf):
+            raise ValueError(f"oracle_budget must be 'auto' or finite and >= 0, got {budget!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -172,68 +177,48 @@ def build_views(cases: list[Case], hooks: LexiconHooks) -> list[CaseView]:
 
 
 # ----------------------------------------------------------------------
-# Boundary provider
+# Boundaries
 # ----------------------------------------------------------------------
 
-class BoundaryProvider:
-    """Internal boundaries of one corpus's sentences under one split method.
+def split_views(
+    views: list[CaseView],
+    method: str,
+    hooks: LexiconHooks,
+    patterns: RulePatterns | None = None,
+    pointer: PointerSegmenter | None = None,
+    gold: GoldTable | None = None,
+) -> list[list[BoundarySet]]:
+    """The boundary set of every sentence under one of SPLIT_METHODS, one
+    list per view.
 
-    Methods: fullstop, fullstop-verb, clauses, rules, pointer (needs a
-    trained segmenter) and gold (needs a gold table; sentences it lacks
-    stay whole).  many() maps (case_id, sentence_index, tokens) items to
-    BoundarySets in one pass, so the pointer segmenter decodes them in
-    batches; a call is one item.  Results are memoized per (case_id,
-    sentence_index), so a provider serves one corpus.  A gold position
-    that is negative or at or beyond the sentence's last token is a
-    CorpusError.
+    pointer needs a trained segmenter, which decodes every sentence in one
+    predict call.  gold needs a gold table; sentences it lacks stay whole,
+    and a gold position that is negative or at or beyond the sentence's
+    last token is a CorpusError.
     """
-
-    def __init__(
-        self,
-        method: str,
-        hooks: LexiconHooks,
-        patterns: RulePatterns | None = None,
-        pointer: PointerSegmenter | None = None,
-        gold: GoldTable | None = None,
-    ):
-        # every method but pointer maps one item at a time with split
-        split_many = lambda items: [split(*item) for item in items]
-        if method == "pointer":
-            if pointer is None:
-                raise ValueError("pointer method needs a trained segmenter")
-            split_many = lambda items: [
-                BoundarySet(positions)
-                for positions in pointer.predict([[t.surface for t in ts] for _, _, ts in items])
-            ]
-        elif method == "fullstop":
-            split = lambda cid, si, toks: split_fullstop(toks)
-        elif method == "fullstop-verb":
-            split = lambda cid, si, toks: split_fullstop_verb(toks, hooks)
-        elif method == "clauses":
-            split = lambda cid, si, toks: split_clauses(toks, hooks)
-        elif method == "rules":
-            config = RuleConfig(hooks=hooks, patterns=patterns or RulePatterns())
-            split = lambda cid, si, toks: split_clinical_rules(toks, config)
-        elif method == "gold":
-            if gold is None:
-                raise CorpusError("gold method needs gold boundaries")
-            split = lambda cid, si, toks: _gold_set(gold, cid, si, toks)
-        else:
-            raise ValueError(f"unknown split method {method!r}")
-        self._split_many = split_many
-        self._memo: dict[tuple[str, int], BoundarySet] = {}
-
-    def many(self, items: list[tuple[str, int, list[Token]]]) -> list[BoundarySet]:
-        todo = [item for item in items if item[:2] not in self._memo]
-        if todo:
-            for item, bset in zip(todo, self._split_many(todo)):
-                self._memo[item[:2]] = bset
-        return [self._memo[item[:2]] for item in items]
-
-    def __call__(
-        self, case_id: str, sentence_index: int, tokens: list[Token]
-    ) -> BoundarySet:
-        return self.many([(case_id, sentence_index, tokens)])[0]
+    if method == "pointer":
+        if pointer is None:
+            raise ValueError("pointer method needs a trained segmenter")
+        flat = iter(pointer.predict(
+            [[t.surface for t in tokens] for view in views for tokens in view.tokens]
+        ))
+        return [[BoundarySet(next(flat)) for _ in view.tokens] for view in views]
+    if method == "fullstop":
+        split = lambda view, si, tokens: split_fullstop(tokens)
+    elif method == "fullstop-verb":
+        split = lambda view, si, tokens: split_fullstop_verb(tokens, hooks)
+    elif method == "clauses":
+        split = lambda view, si, tokens: split_clauses(tokens, hooks)
+    elif method == "rules":
+        config = RuleConfig(hooks=hooks, patterns=patterns or RulePatterns())
+        split = lambda view, si, tokens: split_clinical_rules(tokens, config)
+    elif method == "gold":
+        if gold is None:
+            raise CorpusError("gold method needs gold boundaries")
+        split = lambda view, si, tokens: _gold_set(gold, view.case.id, si, tokens)
+    else:
+        raise ValueError(f"unknown split method {method!r}")
+    return [[split(view, si, tokens) for si, tokens in enumerate(view.tokens)] for view in views]
 
 
 def _gold_set(
@@ -249,75 +234,70 @@ def _gold_set(
     return bset
 
 
-def sentence_boundaries(
-    views: list[CaseView], boundaries: BoundaryProvider | None
-) -> list[BoundarySet]:
-    """Every sentence's boundary set in corpus order, fetched in one pass;
-    None keeps sentences whole."""
-    items = [
-        (view.case.id, si, tokens)
-        for view in views
-        for si, tokens in enumerate(view.tokens)
-    ]
-    if boundaries is None:
-        return [BoundarySet(()) for _ in items]
-    return boundaries.many(items)
+def _whole(view: CaseView) -> list[BoundarySet]:
+    """Boundaries that keep every sentence of view whole."""
+    return [BoundarySet(())] * len(view.tokens)
 
 
 def segmenter_examples(
-    views: list[CaseView], gold: BoundaryProvider
+    views: list[CaseView], gold: list[list[BoundarySet]]
 ) -> list[SentenceExample]:
     """One pointer-segmenter training example per sentence."""
     return [
-        example_from_tokens(tokens, gold(view.case.id, si, tokens))
-        for view in views
-        for si, tokens in enumerate(view.tokens)
+        example_from_tokens(tokens, bset)
+        for view, bsets in zip(views, gold)
+        for tokens, bset in zip(view.tokens, bsets)
     ]
 
 
 def view_stats(
-    views: list[CaseView], boundaries: BoundaryProvider | None
+    views: list[CaseView], bsets: list[list[BoundarySet]] | None
 ) -> GranularityStats:
+    """Granularity statistics of the units bsets cut; None keeps sentences whole."""
+    if bsets is None:
+        bsets = [_whole(view) for view in views]
     rows = [
         (sentence.text, tokens)
         for view in views
         for sentence, tokens in zip(view.sentences, view.tokens)
     ]
-    return granularity_stats(rows, sentence_boundaries(views, boundaries))
+    return granularity_stats(rows, [b for per_view in bsets for b in per_view])
 
 
 def view_census(
-    views: list[CaseView], segments: BoundaryProvider, clauses: BoundaryProvider
+    views: list[CaseView],
+    segments: list[list[BoundarySet]],
+    clauses: list[list[BoundarySet]],
 ) -> RelationCensus:
     return relation_census(
         [tokens for view in views for tokens in view.tokens],
-        sentence_boundaries(views, segments),
-        sentence_boundaries(views, clauses),
+        [b for per_view in segments for b in per_view],
+        [b for per_view in clauses for b in per_view],
     )
 
 
 def boundary_scores(
-    views: list[CaseView], predicted: BoundaryProvider, gold: BoundaryProvider
+    predicted: list[list[BoundarySet]], gold: list[list[BoundarySet]]
 ) -> dict[str, dict[str, float]]:
     """Micro and macro boundary P/R/F1 of predicted against gold."""
-    pairs = zip(sentence_boundaries(views, predicted), sentence_boundaries(views, gold))
-    micro, macro = corpus_boundary_prf(list(pairs))
+    pairs = [pair for p, g in zip(predicted, gold) for pair in zip(p, g)]
+    micro, macro = corpus_boundary_prf(pairs)
     return {"micro": asdict(micro), "macro": asdict(macro)}
 
 
 def units_for_view(
     view: CaseView,
     kind: UnitKind,
-    boundaries: BoundaryProvider | None,
+    bsets: list[BoundarySet] | None,
 ) -> tuple[list[Unit], list[str]]:
     """Materialize units plus their texts for one case.
 
-    boundaries cuts sentences into kind units; None keeps them whole.
+    bsets cuts the view's sentences into kind units; None keeps them whole.
     """
     units: list[Unit] = []
     unit_texts: list[str] = []
-    bsets = sentence_boundaries([view], boundaries)
-    for si, (sentence, tokens, bset) in enumerate(zip(view.sentences, view.tokens, bsets)):
+    rows = zip(view.sentences, view.tokens, _whole(view) if bsets is None else bsets)
+    for si, (sentence, tokens, bset) in enumerate(rows):
         sent_units = units_from_boundaries(sentence.text, tokens, bset, kind, si)
         units.extend(sent_units)
         unit_texts.extend(u.text(sentence.text) for u in sent_units)
@@ -325,15 +305,11 @@ def units_for_view(
 
 
 def build_document(
-    view: CaseView,
-    kind: UnitKind,
-    boundaries: BoundaryProvider | None,
-    budget_chars: float,
-    oracle_mode: str = "keep",
-    with_labels: bool = True,
+    view: CaseView, kind: UnitKind, bsets: list[BoundarySet] | None
 ) -> DocumentExample:
-    units, unit_texts = units_for_view(view, kind, boundaries)
-    doc = DocumentExample(
+    """One case as an unlabeled document of kind units (see units_for_view)."""
+    units, unit_texts = units_for_view(view, kind, bsets)
+    return DocumentExample(
         case_id=view.case.id,
         kind=kind,
         sentences=tuple(tuple(t.surface for t in toks) for toks in view.tokens),
@@ -341,29 +317,24 @@ def build_document(
         unit_texts=tuple(unit_texts),
         reference_sentences=tuple(tuple(s) for s in view.reference_sentences),
     )
-    if with_labels:
-        labeled = make_oracle_labels(
-            units, doc.reference_tokens, budget_chars, oracle_mode
-        )
-        doc = replace(doc, labels=tuple(int(lu.gold) for lu in labeled))
-    return doc
 
 
 def build_documents(
-    views: list[CaseView],
-    kind: UnitKind,
-    boundaries: BoundaryProvider | None,
-    budget_chars: float,
-    oracle_mode: str = "keep",
-    labeled=(),
+    views: list[CaseView], kind: UnitKind, bsets: list[list[BoundarySet]] | None
 ):
-    """Yields build_document of each view, one at a time; the views whose
-    index is in labeled get oracle labels.  Every sentence's boundaries are
-    fetched first in one pass, so the pointer segmenter decodes them in
-    batches."""
-    sentence_boundaries(views, boundaries)
-    for i, view in enumerate(views):
-        yield build_document(view, kind, boundaries, budget_chars, oracle_mode, i in labeled)
+    """Yields build_document of each view with its boundary list, one at a
+    time, so a caller that streams them holds one document; None keeps
+    sentences whole."""
+    for view, per_view in zip(views, [None] * len(views) if bsets is None else bsets):
+        yield build_document(view, kind, per_view)
+
+
+def with_oracle_labels(
+    doc: DocumentExample, budget_chars: float, mode: str = "keep"
+) -> DocumentExample:
+    """doc with the greedy ROUGE-2 oracle labels of its units."""
+    labeled = make_oracle_labels(list(doc.units), doc.reference_tokens, budget_chars, mode)
+    return replace(doc, labels=tuple(int(lu.gold) for lu in labeled))
 
 
 # ----------------------------------------------------------------------
@@ -448,35 +419,43 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
         len(views), config.dev_fraction, config.test_fraction, config.seed
     )
 
-    providers = {
-        method: BoundaryProvider(method, hooks, patterns)
-        for method in ("fullstop", "fullstop-verb", "clauses", "rules")
-    }
-    if gold is not None:
-        providers["gold"] = BoundaryProvider("gold", hooks, gold=gold)
+    split = lambda method, vs, **kw: split_views(vs, method, hooks, patterns, gold=gold, **kw)
+    # every method splits each sentence once: the methods that cut units,
+    # and gold, over all views; the ones only scored, over the test views
+    bounds = {} if gold is None else {"gold": split("gold", views)}
     if UnitKind.SEGMENT in config.kinds and config.segment_method == "pointer":
         if gold is None:
             raise CorpusError(
                 "segment_method 'pointer' needs gold boundaries to train on"
             )
         pointer, _ = segmenter_train(
-            segmenter_examples([views[i] for i in train_idx], providers["gold"]),
+            segmenter_examples(
+                [views[i] for i in train_idx], [bounds["gold"][i] for i in train_idx]
+            ),
             config.segmenter,
         )
         save_checkpoint(
             pointer.to_checkpoint(), os.path.join(out_dir, "segmenter.ckpt")
         )
-        providers["pointer"] = BoundaryProvider("pointer", hooks, pointer=pointer)
-        # one batched pass over every sentence; the memo serves the rest
-        sentence_boundaries(views, providers["pointer"])
+        bounds["pointer"] = split("pointer", views, pointer=pointer)
+    cuts = {UnitKind.SENTENCE: None}
+    for kind, method in ((UnitKind.SEGMENT, config.segment_method), (UnitKind.CLAUSE, "clauses")):
+        if kind in config.kinds:
+            if method not in bounds:
+                bounds[method] = split(method, views)
+            cuts[kind] = bounds[method]
+
     segmentation_report = {}
     if gold:
         test_views = [views[i] for i in test_idx]
-        segmentation_report = {
-            method: boundary_scores(test_views, provider, providers["gold"])
-            for method, provider in providers.items()
-            if method != "gold"
-        }
+        on_test = lambda m: (
+            [bounds[m][i] for i in test_idx] if m in bounds else split(m, test_views)
+        )
+        test_gold = on_test("gold")
+        scored = ["fullstop", "fullstop-verb", "clauses", "rules"]
+        if "pointer" in bounds:
+            scored.append("pointer")
+        segmentation_report = {m: boundary_scores(on_test(m), test_gold) for m in scored}
 
     if config.oracle_budget == "auto":
         budget = float(
@@ -485,26 +464,13 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
     else:
         budget = float(config.oracle_budget)
 
-    segments = None
-    if UnitKind.SEGMENT in config.kinds:
-        if config.segment_method == "gold" and gold is None:
-            raise CorpusError("segment_method 'gold' needs side-channel boundaries")
-        segments = providers[config.segment_method]
-    unit_boundaries = {
-        UnitKind.SENTENCE: None,
-        UnitKind.SEGMENT: segments,
-        UnitKind.CLAUSE: providers["clauses"],
-    }
-
     kind_reports = {}
     per_kind_stats = {}
     for kind in config.kinds:
+        docs = list(build_documents(views, kind, cuts[kind]))
         # only the training documents need oracle labels
-        docs = list(build_documents(
-            views, kind, unit_boundaries[kind], budget, config.oracle_mode, set(train_idx)
-        ))
         model, history = summarizer_train(
-            [docs[i] for i in train_idx],
+            [with_oracle_labels(docs[i], budget, config.oracle_mode) for i in train_idx],
             [docs[i] for i in dev_idx],
             kind,
             replace(config.summarizer, seed=config.summarizer.seed + _kind_offset(kind)),
@@ -533,11 +499,11 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
             "best_epoch": history.best_epoch,
             "test_cases": len(test_idx),
         }
-        per_kind_stats[kind.value] = asdict(view_stats(views, unit_boundaries[kind]))
+        per_kind_stats[kind.value] = asdict(view_stats(views, cuts[kind]))
 
     relations = {}
-    if segments is not None and UnitKind.CLAUSE in config.kinds:
-        relations = census_dict(view_census(views, segments, providers["clauses"]))
+    if UnitKind.SEGMENT in cuts and UnitKind.CLAUSE in cuts:
+        relations = census_dict(view_census(views, cuts[UnitKind.SEGMENT], cuts[UnitKind.CLAUSE]))
 
     report = {
         "report_version": REPORT_VERSION,

@@ -11,6 +11,7 @@ character budget is crossed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -82,10 +83,13 @@ def budget_select(
     and are taken in rank order while summing char_length.  keep: the unit
     that first makes the running total exceed the budget is still
     selected, then selection stops.  drop: that unit is skipped and
-    selection stops.
+    selection stops.  A budget that is not finite and >= 0 is a
+    ValueError.
     """
     if mode not in ("keep", "drop"):
         raise ValueError(f"unknown budget mode {mode!r}")
+    if not 0 <= budget_chars < math.inf:
+        raise ValueError(f"budget must be finite and >= 0, got {budget_chars}")
     order = sorted(
         range(len(units)),
         key=lambda i: (-scores[i], units[i].sentence_index, units[i].unit_index),

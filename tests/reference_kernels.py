@@ -75,11 +75,10 @@ def gru_seq_forward(xzr, xn, whzr, whn, bzr, bn, h0):
     return hs, zs, rs, ns
 
 
-def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out, dh_final):
+def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out):
     """Backward pass matching gru_seq_forward.
 
     dh_out: [T, H] gradient w.r.t. each emitted state hs[1..T].
-    dh_final: [H] extra gradient on the last state (from downstream use).
     Returns (dxzr, dxn, dwhzr, dwhn, dbzr, dbn, dh0).  Weight gradients are
     assembled from the per-step gate gradients with two matmuls after the
     recurrence, keeping the loop itself to two small dots per step.
@@ -90,7 +89,7 @@ def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out, dh_final):
     whn_t = whn.T.copy()
     dxzr = np.empty((T, 2 * H))
     dxn = np.empty((T, H))
-    carry = dh_final.copy()
+    carry = np.zeros(H)
     da_zr = np.empty(2 * H)
     for t in range(T - 1, -1, -1):
         dhp = dh_out[t] + carry

@@ -409,6 +409,19 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys):
         (run, '{"summarizer": {"lr": Infinity}}', "'lr' must be finite and > 0"),
         (run, '{"segmenter": {"lr": 0}}', "'lr' must be finite and > 0"),
         (run, '{"kinds": []}', "'kinds' must name at least one unit kind"),
+        (run, '{"kinds": ["CLAUSE", "CLAUSE"]}', "'kinds' must not name a unit kind twice"),
+        # budgets that are not finite and >= 0, refused before any work
+        (run, '{"oracle_budget": NaN}', "oracle_budget must be 'auto' or finite and >= 0"),
+        (run, '{"oracle_budget": -5}', "oracle_budget must be 'auto' or finite and >= 0"),
+        (summarize + ["--budget", "nan", "--model"], _checkpoint_bytes(tmp_path, summarizer),
+         "budget must be finite and >= 0, got nan"),
+        (summarize + ["--budget", "inf", "--model"], _checkpoint_bytes(tmp_path, summarizer),
+         "budget must be finite and >= 0, got inf"),
+        (summarize + ["--budget=-5", "--model"], _checkpoint_bytes(tmp_path, summarizer),
+         "budget must be finite and >= 0, got -5.0"),
+        (["make-oracle", "--corpus", corpus, "--kind", "SENTENCE", "--budget", "nan",
+          "--output", str(tmp_path / "labels.jsonl"), "--hooks"], "{}",
+         "budget must be finite and >= 0, got nan"),
         # a model too large to allocate is refused before allocating
         (run, '{"synthetic": {"case_count": 10}, "segmenter": {"bucket_count": 1099511627776}}',
          "over the cap"),
@@ -442,6 +455,15 @@ def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
     ckpt = tmp_path / "sum.ckpt"
     model = Summarizer(SummarizerConfig(bucket_count=16), UnitKind.SEGMENT)
     save_checkpoint(model.to_checkpoint(), str(ckpt))
+    config = tmp_path / "config.json"
+    tiny = {"epochs": 1, "bucket_count": 64, "embed_dim": 4, "hidden": 4}
+    config.write_text(json.dumps({
+        "synthetic": None, "segment_method": "pointer",
+        "corpus_path": str(synth_dir / "corpus.jsonl"),
+        "gold_boundaries_path": str(synth_dir / "gold.jsonl"),
+        "hooks_path": str(synth_dir / "hooks.json"),
+        "segmenter": tiny, "summarizer": dict(tiny, d_ff=8),
+    }))
     common = [
         "--corpus", str(synth_dir / "corpus.jsonl"),
         "--hooks", str(synth_dir / "hooks.json"),
@@ -475,6 +497,9 @@ def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
         assert main(["gen-synthetic", "--spec", _write_spec(tmp_path),
                      "--corpus-out", str(tmp_path / "gen.jsonl"),
                      "--gold-out", str(tmp_path / "gen_gold.jsonl")]) == 0
+        # the experiment: pointer segments, units of every kind, documents
+        assert main(["run-experiment", "--config", str(config),
+                     "--out", str(tmp_path / "exp")]) == 0
     finally:
         tracer.remove()
     counts = tracer.work_counts()
@@ -482,7 +507,8 @@ def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
                  "kernels.gru_forward.steps", "kernels.gru_backward.steps",
                  "segmenter.train.calls", "summarizer.train.calls",
                  "segmenter.predict.calls", "kernels.gru_forward.t1_calls",
-                 "analysis.corpus_boundary_prf.calls", "rouge.rouge_l.calls"):
+                 "analysis.corpus_boundary_prf.calls", "rouge.rouge_l.calls",
+                 "pipeline.build_document.calls", "work.units.CLAUSE"):
         assert counts[name] > 0, name
     # summarize ran on several documents at once
     assert len((tmp_path / "summaries.jsonl").read_text().splitlines()) >= 3

@@ -63,12 +63,9 @@ def test_gru_matches_reference(lengths, weight_sets):
     hs, zs, rs, ns = kernels.gru_seq_forward(**args, lengths=np.array(lengths))
     rng = np.random.default_rng(batch)
     dh_out = rng.normal(size=zs.shape)
-    dh_final = rng.normal(size=(batch, zs.shape[2]))
     for b, n in enumerate(lengths):
         dh_out[n:, b] = 0.0
-    grads = kernels.gru_seq_backward(
-        hs, zs, rs, ns, args["whzr"], args["whn"], dh_out, dh_final
-    )
+    grads = kernels.gru_seq_backward(hs, zs, rs, ns, args["whzr"], args["whn"], dh_out)
     dxzr, dxn, dwhzr, dwhn, dbzr, dbn, dh0 = grads
     weight_grads = [np.zeros_like(g) for g in (dwhzr, dwhn, dbzr, dbn)]
     for b, n in enumerate(lengths):
@@ -81,7 +78,7 @@ def test_gru_matches_reference(lengths, weight_sets):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert (hs[n:, b] == hs[n, b]).all()
         ref = reference_kernels.gru_seq_backward(
-            *states, weights[0], weights[1], dh_out[:n, b], dh_final[b]
+            *states, weights[0], weights[1], dh_out[:n, b]
         )
         for want, got in zip(ref[:2] + ref[6:], (dxzr[:n, b], dxn[:n, b], dh0[b])):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -1,17 +1,21 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from gransum.cli import main as cli_main
-from gransum.corpus import SyntheticSpec
+from gransum.corpus import SyntheticSpec, load_corpus
 from gransum.pipeline import (
     REPORT_VERSION,
     PipelineConfig,
+    build_views,
+    load_lexicons,
     rouge_eval_texts,
     run_experiment,
     split_indices,
 )
-from gransum.segmenter import SegmenterConfig
+from gransum.segmenter import PointerSegmenter, SegmenterConfig
 from gransum.spans import UnitKind
 from gransum.summarizer import SummarizerConfig
 
@@ -59,6 +63,21 @@ class TestRunExperiment:
         report = run_experiment(config, str(tmp_path))
         assert list(report["summarization"]) == ["SENTENCE"]
         assert report["relations"] == {}
+
+    def test_pointer_decodes_each_sentence_once(self, tmp_path, monkeypatch):
+        decoded = []
+        predict = PointerSegmenter.predict
+
+        def counted(model, sentences):
+            decoded.extend(tuple(s) for s in sentences)
+            return predict(model, sentences)
+
+        monkeypatch.setattr(PointerSegmenter, "predict", counted)
+        run_experiment(replace(TINY, segment_method="pointer"), str(tmp_path))
+        hooks, _ = load_lexicons(str(tmp_path / "hooks.json"))
+        views = build_views(load_corpus(str(tmp_path / "corpus.jsonl")), hooks)
+        sentences = [tuple(t.surface for t in toks) for v in views for toks in v.tokens]
+        assert Counter(decoded) == Counter(sentences)
 
     def test_report_files_written(self, tiny_report):
         _, out = tiny_report

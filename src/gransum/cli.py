@@ -11,8 +11,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .corpus import (
     CorpusError,
     SyntheticSpec,
@@ -38,11 +36,14 @@ from .pipeline import (
     rouge_eval_texts,
     run_experiment,
     segmenter_examples,
+    split_indices,
     split_views,
     stats_line,
     summary_json,
+    unit_method,
     view_census,
     view_stats,
+    write_lines,
 )
 from .segmenter import (
     PointerSegmenter,
@@ -71,17 +72,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    if path is None:
-        for line in lines:
-            print(line)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
-
-
 def _views(args):
     """The corpus as views, with the hooks and patterns its arguments name."""
     cases = load_corpus(args.corpus)
@@ -93,30 +83,22 @@ def _gold_boundaries(path: str, views, hooks: LexiconHooks):
     return split_views(views, "gold", hooks, gold=load_gold_boundaries(path))
 
 
-def _boundaries(args, views, hooks, patterns):
-    """Every sentence's boundaries under --method, fed by --checkpoint or
-    --gold; one list per view."""
-    if args.method == "gold":
+def _boundaries(args, views, hooks, patterns, kind: UnitKind):
+    """Every sentence's boundaries for kind units under unit_method, one
+    list per view; --method names the segment splitter, fed by
+    --checkpoint or --gold."""
+    method = unit_method(kind, args.method)
+    if method == "gold":
         if not args.gold:
             raise CorpusError("--method gold requires --gold boundaries file")
         return _gold_boundaries(args.gold, views, hooks)
     pointer = None
-    if args.method == "pointer":
+    if method == "pointer":
         if not args.checkpoint:
             raise CorpusError("--method pointer requires --checkpoint")
         ckpt = load_checkpoint(args.checkpoint, expect_kind=PointerSegmenter.KIND)
         pointer = PointerSegmenter.from_checkpoint(ckpt)
-    return split_views(views, args.method, hooks, patterns, pointer=pointer)
-
-
-def _unit_boundaries(args, views, hooks, patterns, kind: UnitKind):
-    """What cuts sentences into kind units (None keeps them whole);
-    --method applies to SEGMENT only."""
-    if kind is UnitKind.SEGMENT:
-        return _boundaries(args, views, hooks, patterns)
-    if kind is UnitKind.CLAUSE:
-        return split_views(views, "clauses", hooks)
-    return None
+    return split_views(views, method, hooks, patterns, pointer=pointer)
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +141,7 @@ def cmd_split_sentences(args) -> int:
                 sort_keys=True,
             )
         )
-    _write_lines(args.output, lines)
+    write_lines(args.output, lines)
     return EXIT_OK
 
 
@@ -171,10 +153,10 @@ def cmd_segment(args) -> int:
             ensure_ascii=False,
             sort_keys=True,
         )
-        for view, bsets in zip(views, _boundaries(args, views, hooks, patterns))
+        for view, bsets in zip(views, _boundaries(args, views, hooks, patterns, UnitKind.SEGMENT))
         for si, bset in enumerate(bsets)
     ]
-    _write_lines(args.output, lines)
+    write_lines(args.output, lines)
     return EXIT_OK
 
 
@@ -196,22 +178,25 @@ def cmd_train_segmenter(args) -> int:
 def cmd_eval_segmenter(args) -> int:
     views, hooks, patterns = _views(args)
     gold = _gold_boundaries(args.gold, views, hooks)
-    scores = boundary_scores(_boundaries(args, views, hooks, patterns), gold)
-    _write_lines(args.output, [json.dumps(scores, sort_keys=True, indent=2)])
+    predicted = (
+        gold if args.method == "gold"
+        else _boundaries(args, views, hooks, patterns, UnitKind.SEGMENT)
+    )
+    scores = boundary_scores(predicted, gold)
+    write_lines(args.output, [json.dumps(scores, sort_keys=True, indent=2)])
     return EXIT_OK
 
 
 def cmd_make_oracle(args) -> int:
     views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
-    bsets = _unit_boundaries(args, views, hooks, patterns, kind)
     lines = []
-    for doc in build_documents(views, kind, bsets):
+    for doc in build_documents(views, kind, _boundaries(args, views, hooks, patterns, kind)):
         labels = make_oracle_labels(
             list(doc.units), doc.reference_tokens, args.budget, args.mode
         )
         lines.extend(dump_labels(doc.case_id, labels))
-    _write_lines(args.output, lines)
+    write_lines(args.output, lines)
     return EXIT_OK
 
 
@@ -220,10 +205,9 @@ def cmd_train_summarizer(args) -> int:
     config = SummarizerConfig(epochs=args.epochs, seed=seed)
     views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
-    bsets = _unit_boundaries(args, views, hooks, patterns, kind)
     label_table = load_labels(args.labels)
     labeled_docs = []
-    for doc in build_documents(views, kind, bsets):
+    for doc in build_documents(views, kind, _boundaries(args, views, hooks, patterns, kind)):
         case_labels = label_table.get(doc.case_id)
         if case_labels is None:
             raise CorpusError(f"labels file has no entries for case {doc.case_id}")
@@ -237,12 +221,7 @@ def cmd_train_summarizer(args) -> int:
                 )
             labels.append(int(case_labels[key]))
         labeled_docs.append(dataclasses.replace(doc, labels=tuple(labels)))
-    order = np.random.default_rng(seed).permutation(len(labeled_docs))
-    n_dev = max(1, int(round(len(labeled_docs) * args.dev_fraction)))
-    if n_dev >= len(labeled_docs):
-        raise CorpusError("corpus too small for the requested dev fraction")
-    dev_i = sorted(int(i) for i in order[:n_dev])
-    train_i = sorted(int(i) for i in order[n_dev:])
+    train_i, dev_i, _ = split_indices(len(labeled_docs), args.dev_fraction, 0.0, seed)
     model, history = summarizer_train(
         [labeled_docs[i] for i in train_i],
         [labeled_docs[i] for i in dev_i],
@@ -264,10 +243,9 @@ def cmd_summarize(args) -> int:
     ckpt = load_checkpoint(args.model, expect_kind=Summarizer.KIND)
     model = Summarizer.from_checkpoint(ckpt)
     kind = model.unit_kind
-    bsets = _unit_boundaries(args, views, hooks, patterns, kind)
-    docs = list(build_documents(views, kind, bsets))
+    docs = list(build_documents(views, kind, _boundaries(args, views, hooks, patterns, kind)))
     results = summarize(docs, model, budget_chars=args.budget, mode=args.mode)
-    _write_lines(args.output, [summary_json(result) for result in results])
+    write_lines(args.output, [summary_json(result) for result in results])
     return EXIT_OK
 
 
@@ -286,24 +264,27 @@ def cmd_eval_rouge(args) -> int:
         row = {key: dataclasses.asdict(score) for key, score in scores.items()}
         rows.append({"case_id": obj["case_id"], **row})
     out = {"cases": rows, "means": mean_rouge(per_case)}
-    _write_lines(args.output, [json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2)])
+    write_lines(args.output, [json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2)])
     return EXIT_OK
 
 
 def cmd_analyze_relations(args) -> int:
     views, hooks, patterns = _views(args)
-    segments = _boundaries(args, views, hooks, patterns)
-    census = view_census(views, segments, split_views(views, "clauses", hooks))
-    _write_lines(args.output, census_lines(census_dict(census)))
+    census = view_census(
+        views,
+        _boundaries(args, views, hooks, patterns, UnitKind.SEGMENT),
+        _boundaries(args, views, hooks, patterns, UnitKind.CLAUSE),
+    )
+    write_lines(args.output, census_lines(census_dict(census)))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     views, hooks, patterns = _views(args)
     kind = UnitKind(args.kind)
-    stats = view_stats(views, _unit_boundaries(args, views, hooks, patterns, kind))
+    stats = view_stats(views, _boundaries(args, views, hooks, patterns, kind))
     line = stats_line(kind.value, dataclasses.asdict(stats))
-    _write_lines(args.output, [STATS_HEADER, line])
+    write_lines(args.output, [STATS_HEADER, line])
     return EXIT_OK
 
 

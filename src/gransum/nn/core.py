@@ -10,7 +10,6 @@ the store's seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -438,45 +437,42 @@ def sigmoid_bce(logits: np.ndarray, labels: np.ndarray):
 # Optimizer and the generic training step
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+# Adam's moment decay rates and denominator guard; only the rate varies
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, store: ParameterStore, config: AdamConfig = AdamConfig()):
+    def __init__(self, store: ParameterStore, lr: float):
         self.store = store
-        self.config = config
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in store.params.items()}
         self.v = {k: np.zeros_like(v) for k, v in store.params.items()}
         self._scratch = {k: np.empty_like(v) for k, v in store.params.items()}
 
     def step(self) -> None:
-        c = self.config
         self.store.step += 1
         t = self.store.step
-        bc1 = 1.0 - c.beta1 ** t
-        bc2 = 1.0 - c.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for name, param in self.store.params.items():
             g = self.store.grads[name]
             m = self.m[name]
             v = self.v[name]
             s = self._scratch[name]
-            m *= c.beta1
-            np.multiply(g, 1.0 - c.beta1, out=s)
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
             m += s
-            v *= c.beta2
+            v *= ADAM_BETA2
             np.multiply(g, g, out=s)
-            s *= 1.0 - c.beta2
+            s *= 1.0 - ADAM_BETA2
             v += s
             np.multiply(v, 1.0 / bc2, out=s)
             np.sqrt(s, out=s)
-            s += c.eps
+            s += ADAM_EPS
             np.divide(m, s, out=s)
-            s *= c.lr / bc1
+            s *= self.lr / bc1
             param -= s
 
 

@@ -73,6 +73,16 @@ SPLIT_METHODS = ("fullstop", "fullstop-verb", "clauses", "rules", "pointer", "go
 SEGMENT_METHODS = ("pointer", "rules", "gold")
 
 
+def unit_method(kind: UnitKind, segment_method: str) -> str:
+    """The split method that cuts sentences into kind units: whole keeps
+    sentences whole, segment_method cuts segments, clauses cuts clauses."""
+    return {
+        UnitKind.SENTENCE: "whole",
+        UnitKind.SEGMENT: segment_method,
+        UnitKind.CLAUSE: "clauses",
+    }[kind]
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     corpus_path: str | None = None
@@ -188,8 +198,8 @@ def split_views(
     pointer: PointerSegmenter | None = None,
     gold: GoldTable | None = None,
 ) -> list[list[BoundarySet]]:
-    """The boundary set of every sentence under one of SPLIT_METHODS, one
-    list per view.
+    """The boundary set of every sentence under one of SPLIT_METHODS or
+    whole (no boundaries), one list per view.
 
     pointer needs a trained segmenter, which decodes every sentence in one
     predict call.  gold needs a gold table; sentences it lacks stay whole,
@@ -203,6 +213,8 @@ def split_views(
             [[t.surface for t in tokens] for view in views for tokens in view.tokens]
         ))
         return [[BoundarySet(next(flat)) for _ in view.tokens] for view in views]
+    if method == "whole":
+        return [[BoundarySet(())] * len(view.tokens) for view in views]
     if method == "fullstop":
         split = lambda view, si, tokens: split_fullstop(tokens)
     elif method == "fullstop-verb":
@@ -234,11 +246,6 @@ def _gold_set(
     return bset
 
 
-def _whole(view: CaseView) -> list[BoundarySet]:
-    """Boundaries that keep every sentence of view whole."""
-    return [BoundarySet(())] * len(view.tokens)
-
-
 def segmenter_examples(
     views: list[CaseView], gold: list[list[BoundarySet]]
 ) -> list[SentenceExample]:
@@ -250,12 +257,8 @@ def segmenter_examples(
     ]
 
 
-def view_stats(
-    views: list[CaseView], bsets: list[list[BoundarySet]] | None
-) -> GranularityStats:
-    """Granularity statistics of the units bsets cut; None keeps sentences whole."""
-    if bsets is None:
-        bsets = [_whole(view) for view in views]
+def view_stats(views: list[CaseView], bsets: list[list[BoundarySet]]) -> GranularityStats:
+    """Granularity statistics of the units bsets cut."""
     rows = [
         (sentence.text, tokens)
         for view in views
@@ -286,18 +289,13 @@ def boundary_scores(
 
 
 def units_for_view(
-    view: CaseView,
-    kind: UnitKind,
-    bsets: list[BoundarySet] | None,
+    view: CaseView, kind: UnitKind, bsets: list[BoundarySet]
 ) -> tuple[list[Unit], list[str]]:
-    """Materialize units plus their texts for one case.
-
-    bsets cuts the view's sentences into kind units; None keeps them whole.
-    """
+    """Materialize units plus their texts for one case; bsets cuts the
+    view's sentences into kind units."""
     units: list[Unit] = []
     unit_texts: list[str] = []
-    rows = zip(view.sentences, view.tokens, _whole(view) if bsets is None else bsets)
-    for si, (sentence, tokens, bset) in enumerate(rows):
+    for si, (sentence, tokens, bset) in enumerate(zip(view.sentences, view.tokens, bsets)):
         sent_units = units_from_boundaries(sentence.text, tokens, bset, kind, si)
         units.extend(sent_units)
         unit_texts.extend(u.text(sentence.text) for u in sent_units)
@@ -305,7 +303,7 @@ def units_for_view(
 
 
 def build_document(
-    view: CaseView, kind: UnitKind, bsets: list[BoundarySet] | None
+    view: CaseView, kind: UnitKind, bsets: list[BoundarySet]
 ) -> DocumentExample:
     """One case as an unlabeled document of kind units (see units_for_view)."""
     units, unit_texts = units_for_view(view, kind, bsets)
@@ -320,12 +318,11 @@ def build_document(
 
 
 def build_documents(
-    views: list[CaseView], kind: UnitKind, bsets: list[list[BoundarySet]] | None
+    views: list[CaseView], kind: UnitKind, bsets: list[list[BoundarySet]]
 ):
     """Yields build_document of each view with its boundary list, one at a
-    time, so a caller that streams them holds one document; None keeps
-    sentences whole."""
-    for view, per_view in zip(views, [None] * len(views) if bsets is None else bsets):
+    time, so a caller that streams them holds one document."""
+    for view, per_view in zip(views, bsets):
         yield build_document(view, kind, per_view)
 
 
@@ -376,10 +373,18 @@ def mean_rouge(
 
 
 def split_indices(n: int, dev_fraction: float, test_fraction: float, seed: int):
-    """Deterministic document-level train/dev/test split."""
+    """Deterministic document-level train/dev/test split.
+
+    dev_fraction must be in (0, 1) and test_fraction in [0, 1); a nonzero
+    fraction takes at least one document, and train must keep one.
+    """
+    if not 0.0 < dev_fraction < 1.0:
+        raise ValueError(f"dev fraction must be in (0, 1), got {dev_fraction}")
+    if not 0.0 <= test_fraction < 1.0:
+        raise ValueError(f"test fraction must be in [0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_test = max(1, int(round(n * test_fraction)))
+    n_test = max(1, int(round(n * test_fraction))) if test_fraction else 0
     n_dev = max(1, int(round(n * dev_fraction)))
     if n_test + n_dev >= n:
         raise ValueError(f"corpus of {n} cases too small for the requested split")
@@ -438,12 +443,12 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
             pointer.to_checkpoint(), os.path.join(out_dir, "segmenter.ckpt")
         )
         bounds["pointer"] = split("pointer", views, pointer=pointer)
-    cuts = {UnitKind.SENTENCE: None}
-    for kind, method in ((UnitKind.SEGMENT, config.segment_method), (UnitKind.CLAUSE, "clauses")):
-        if kind in config.kinds:
-            if method not in bounds:
-                bounds[method] = split(method, views)
-            cuts[kind] = bounds[method]
+    cuts = {}
+    for kind in config.kinds:
+        method = unit_method(kind, config.segment_method)
+        if method not in bounds:
+            bounds[method] = split(method, views)
+        cuts[kind] = bounds[method]
 
     segmentation_report = {}
     if gold:
@@ -487,12 +492,7 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
             cand_sentences = [list(u.tokens) for u in result.units]
             per_case.append(rouge_eval(cand_sentences, list(doc.reference_sentences)))
             summaries.append(summary_json(result))
-        with open(
-            os.path.join(out_dir, f"summaries_{kind.value.lower()}.jsonl"),
-            "w",
-            encoding="utf-8",
-        ) as fh:
-            fh.write("".join(line + "\n" for line in summaries))
+        write_lines(os.path.join(out_dir, f"summaries_{kind.value.lower()}.jsonl"), summaries)
         kind_reports[kind.value] = {
             "rouge": mean_rouge(per_case, scale=100.0),
             "dev_rouge1_trajectory": [100.0 * s for s in history.dev_rouge1],
@@ -606,6 +606,17 @@ def write_report(report: dict, out_dir: str) -> None:
             lines.append(
                 f"{name}\t{m['precision']:.3f}\t{m['recall']:.3f}\t{m['f1']:.3f}"
             )
-    with open(os.path.join(out_dir, "report.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    write_lines(os.path.join(out_dir, "report.tsv"), lines)
+
+
+def write_lines(path: str | None, lines: list[str]) -> None:
+    """Write each line and a newline to path, one at a time; to stdout
+    when path is None."""
+    if path is None:
+        for line in lines:
+            print(line)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")

@@ -234,7 +234,7 @@ def segmenter_train(
     if not examples:
         raise ValueError("empty training corpus")
     model = PointerSegmenter(config)
-    optimizer = nn.Adam(model.store, nn.AdamConfig(lr=config.lr))
+    optimizer = nn.Adam(model.store, config.lr)
     history = SegmenterHistory()
     for epoch in range(config.epochs):
         rng = np.random.default_rng((config.seed, epoch))

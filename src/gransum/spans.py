@@ -74,6 +74,12 @@ class Unit:
         return self.span.slice(sentence_text)
 
 
+def check_budget(budget_chars: float) -> None:
+    """A character budget that is not finite and >= 0 is a ValueError."""
+    if not 0 <= budget_chars < math.inf:
+        raise ValueError(f"budget must be finite and >= 0, got {budget_chars}")
+
+
 def budget_select(
     scores, units: list[Unit], budget_chars: float, mode: str = "keep"
 ) -> list[int]:
@@ -83,13 +89,11 @@ def budget_select(
     and are taken in rank order while summing char_length.  keep: the unit
     that first makes the running total exceed the budget is still
     selected, then selection stops.  drop: that unit is skipped and
-    selection stops.  A budget that is not finite and >= 0 is a
-    ValueError.
+    selection stops.  The budget must pass check_budget.
     """
     if mode not in ("keep", "drop"):
         raise ValueError(f"unknown budget mode {mode!r}")
-    if not 0 <= budget_chars < math.inf:
-        raise ValueError(f"budget must be finite and >= 0, got {budget_chars}")
+    check_budget(budget_chars)
     order = sorted(
         range(len(units)),
         key=lambda i: (-scores[i], units[i].sentence_index, units[i].unit_index),

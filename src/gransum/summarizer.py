@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from .nn.checkpoint import Checkpoint, model_checkpoint, restore_model
 from .rouge import rouge_n
-from .spans import Unit, UnitKind, budget_select
+from .spans import Unit, UnitKind, budget_select, check_budget
 from .tokenization import SubwordHasher
 
 
@@ -324,11 +324,12 @@ def summarizer_train(
     """Seeded BCE training; returns the best-dev-ROUGE model state."""
     if not train_docs:
         raise ValueError("empty training corpus")
+    check_budget(budget_chars)
     for doc in train_docs + dev_docs:
         if doc.kind is not kind:
             raise ValueError(f"{doc.case_id}: kind {doc.kind} != {kind}")
     model = Summarizer(config, kind)
-    optimizer = nn.Adam(model.store, nn.AdamConfig(lr=config.lr))
+    optimizer = nn.Adam(model.store, config.lr)
     history = SummarizerHistory()
     best_score = -1.0
     best_params = None

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from gransum import pipeline
+from gransum import nn, pipeline
 from gransum.cli import main
 from gransum.nn.checkpoint import save_checkpoint
+from gransum.nn.core import train_step
 from gransum.segmenter import PointerSegmenter, SegmenterConfig
 from gransum.spans import UnitKind
 from gransum.summarizer import Summarizer, SummarizerConfig
@@ -350,9 +351,34 @@ def _label_line(**fields):
     return json.dumps(row) + "\n"
 
 
-def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys):
+def test_eval_segmenter_gold_loads_gold_once(synth_dir, tmp_path, monkeypatch):
+    """--method gold scores the gold boundaries against themselves, read
+    and validated once."""
+    import gransum.cli as cli_mod
+
+    loaded = []
+    load = cli_mod.load_gold_boundaries
+    monkeypatch.setattr(
+        cli_mod, "load_gold_boundaries", lambda path: loaded.append(path) or load(path)
+    )
+    out = tmp_path / "eval.json"
+    rc = main(
+        [
+            "eval-segmenter",
+            "--corpus", str(synth_dir / "corpus.jsonl"),
+            "--hooks", str(synth_dir / "hooks.json"),
+            "--method", "gold",
+            "--gold", str(synth_dir / "gold.jsonl"),
+            "--output", str(out),
+        ]
+    )
+    assert rc == 0 and len(loaded) == 1
+    assert json.loads(out.read_text())["micro"]["f1"] == 1.0
+
+
+def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypatch):
     """Damaged checkpoints and every other malformed input file exit 2
-    with a one-line error naming the fault."""
+    with a one-line error naming the fault, before any training step."""
     corpus = str(synth_dir / "corpus.jsonl")
     segment = ["segment", "--corpus", corpus, "--method", "rules"]
     summarize = ["summarize", "--corpus", corpus, "--method", "fullstop"]
@@ -362,6 +388,12 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys):
     segmenter = PointerSegmenter(SegmenterConfig(bucket_count=16))
     summarizer = Summarizer(SummarizerConfig(bucket_count=16), UnitKind.SENTENCE)
     bad_index = "{path}:1: sentence_index and unit_index must be integers"
+    labels_path = tmp_path / "sentence_labels.jsonl"
+    assert main(["make-oracle", "--corpus", corpus, "--kind", "SENTENCE",
+                 "--output", str(labels_path)]) == 0
+    labels = labels_path.read_text()
+    budget = "budget must be finite and >= 0, got {}"
+    dev = "dev fraction must be in (0, 1), got {}"
     cases = [
         # (argv ending in the option that takes the file, file content, expected)
         (summarize + ["--model"], b"GRANSUMCKPT\n", "truncated header length"),
@@ -422,10 +454,21 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys):
         (["make-oracle", "--corpus", corpus, "--kind", "SENTENCE", "--budget", "nan",
           "--output", str(tmp_path / "labels.jsonl"), "--hooks"], "{}",
          "budget must be finite and >= 0, got nan"),
+        (train[:-1] + ["--budget", "nan", "--labels"], labels, budget.format("nan")),
+        (train[:-1] + ["--budget", "inf", "--labels"], labels, budget.format("inf")),
+        (train[:-1] + ["--budget=-5", "--labels"], labels, budget.format("-5.0")),
+        # dev fractions outside (0, 1), refused by the shared split
+        (train[:-1] + ["--dev-fraction", "inf", "--labels"], labels, dev.format("inf")),
+        (train[:-1] + ["--dev-fraction=-inf", "--labels"], labels, dev.format("-inf")),
+        (train[:-1] + ["--dev-fraction", "1e308", "--labels"], labels, dev.format("1e+308")),
+        (train[:-1] + ["--dev-fraction", "0", "--labels"], labels, dev.format("0.0")),
+        (train[:-1] + ["--dev-fraction=-3", "--labels"], labels, dev.format("-3.0")),
         # a model too large to allocate is refused before allocating
         (run, '{"synthetic": {"case_count": 10}, "segmenter": {"bucket_count": 1099511627776}}',
          "over the cap"),
     ]
+    steps = []
+    monkeypatch.setattr(nn, "train_step", lambda *args: steps.append(args) or train_step(*args))
     path = tmp_path / "input"
     for argv, content, expected in cases:
         if isinstance(content, bytes):
@@ -437,6 +480,7 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, label
         assert expected.format(path=path) in err, label
+        assert not steps, label
 
 
 def _benchmark_tracer():

@@ -249,7 +249,7 @@ class TestTraining:
     def test_lr_zero_keeps_parameters(self):
         model = _ToyLogistic(4, seed=0)
         before = {k: v.copy() for k, v in model.store.params.items()}
-        opt = nn.Adam(model.store, nn.AdamConfig(lr=0.0))
+        opt = nn.Adam(model.store, 0.0)
         nn.train_step(model, _toy_batch(), opt)
         for k, v in model.store.params.items():
             np.testing.assert_array_equal(v, before[k])
@@ -258,7 +258,7 @@ class TestTraining:
         runs = []
         for _ in range(2):
             model = _ToyLogistic(4, seed=3)
-            opt = nn.Adam(model.store, nn.AdamConfig())
+            opt = nn.Adam(model.store, 1e-3)
             batch = _toy_batch(seed=5)
             for _ in range(20):
                 nn.train_step(model, batch, opt)
@@ -268,7 +268,7 @@ class TestTraining:
 
     def test_loss_decreases_on_separable_toy(self):
         model = _ToyLogistic(4, seed=1)
-        opt = nn.Adam(model.store, nn.AdamConfig(lr=3e-2))
+        opt = nn.Adam(model.store, 3e-2)
         batch = _toy_batch(seed=2)
         losses = [nn.train_step(model, batch, opt) for _ in range(200)]
         smoothed = np.convolve(losses, np.ones(20) / 20, mode="valid")
@@ -278,7 +278,7 @@ class TestTraining:
     def test_non_finite_loss_raises(self):
         model = _ToyLogistic(2, seed=0)
         model.store.params["w"][...] = np.nan
-        opt = nn.Adam(model.store, nn.AdamConfig())
+        opt = nn.Adam(model.store, 1e-3)
         with pytest.raises(nn.TrainingError):
             nn.train_step(model, _toy_batch(n=4, dim=2), opt)
 

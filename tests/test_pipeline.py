@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gransum.cli import main as cli_main
@@ -116,14 +117,19 @@ class TestRunExperiment:
         loaded = json.loads((out / "report.json").read_text())
         assert loaded["report_version"] == report["report_version"] == REPORT_VERSION
 
-    def test_cli_tables_match_report(self, tiny_report, tmp_path):
-        _, out = tiny_report
+    @pytest.mark.parametrize("segment_method", ["gold", "rules"])
+    def test_cli_tables_match_report(self, segment_method, tiny_report, tmp_path):
+        if segment_method == TINY.segment_method:
+            _, out = tiny_report
+        else:
+            out = tmp_path / "exp"
+            run_experiment(replace(TINY, segment_method=segment_method), str(out))
         report_lines = set((out / "report.tsv").read_text().splitlines())
         common = [
             "--corpus", str(out / "corpus.jsonl"),
             "--hooks", str(out / "hooks.json"),
             "--patterns", str(out / "patterns.json"),
-            "--method", "gold",
+            "--method", segment_method,
             "--gold", str(out / "gold_boundaries.jsonl"),
         ]
         runs = [["stats", *common, "--kind", k.value] for k in TINY.kinds]
@@ -164,6 +170,21 @@ class TestSplitIndices:
     def test_too_small_corpus_rejected(self):
         with pytest.raises(ValueError):
             split_indices(2, 0.4, 0.4, seed=0)
+
+    @pytest.mark.parametrize(
+        "dev, test",
+        [(0.0, 0.1), (-3.0, 0.1), (1.0, 0.1), (float("inf"), 0.1), (float("nan"), 0.1),
+         (0.1, -0.1), (0.1, 1.0), (0.1, float("nan"))],
+    )
+    def test_fraction_out_of_range_rejected(self, dev, test):
+        with pytest.raises(ValueError, match="fraction must be in"):
+            split_indices(50, dev, test, seed=0)
+
+    def test_zero_test_fraction_draws_dev_first(self):
+        """With no test share, dev is the head of the seeded permutation."""
+        train, dev, test = split_indices(20, 0.1, 0.0, seed=4)
+        order = [int(i) for i in np.random.default_rng(4).permutation(20)]
+        assert test == [] and dev == sorted(order[:2]) and train == sorted(order[2:])
 
 
 def test_rouge_eval_texts_identity():

@@ -6,7 +6,13 @@ import pytest
 from gransum import nn
 from gransum.corpus import SyntheticSpec, generate_synthetic
 from gransum.nn.checkpoint import load_checkpoint, save_checkpoint
-from gransum.pipeline import build_documents, build_views, split_views, with_oracle_labels
+from gransum.pipeline import (
+    build_documents,
+    build_views,
+    split_views,
+    unit_method,
+    with_oracle_labels,
+)
 from gransum.spans import TextSpan, Unit, UnitKind, budget_length, budget_select
 from gransum.summarizer import (
     DocumentExample,
@@ -59,8 +65,7 @@ def synth_docs(kind, case_count=40, seed=77, marker_prob=0.12):
     )
     g = generate_synthetic(spec)
     views = build_views(g.cases, g.hooks)
-    method = {UnitKind.SENTENCE: None, UnitKind.SEGMENT: "gold", UnitKind.CLAUSE: "clauses"}[kind]
-    bsets = method and split_views(views, method, g.hooks, gold=g.gold)
+    bsets = split_views(views, unit_method(kind, "gold"), g.hooks, gold=g.gold)
     budget = float(np.mean([budget_length(v.case.summary_text) for v in views]))
     docs = [with_oracle_labels(d, budget) for d in build_documents(views, kind, bsets)]
     return docs, g, budget

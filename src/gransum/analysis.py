@@ -86,7 +86,6 @@ def classify_relation(
 @dataclass
 class RelationCensus:
     counts: dict[RelationType, int]
-    disjoint: int
 
     @property
     def total(self) -> int:
@@ -103,27 +102,22 @@ def relation_census(
     sentences: list[list[Token]],
     segments: list[BoundarySet],
     clauses: list[BoundarySet],
-    include_disjoint: bool = False,
 ) -> RelationCensus:
     """Classify all (segment, clause) pairs of every sentence.
 
     segments[i] and clauses[i] are the two boundary sets of sentences[i].
     Counts cover intersecting pairs and partition them exactly; disjoint
-    pairs are tallied separately when requested.
+    pairs are not counted.
     """
     counts = {r: 0 for r in RelationType}
-    disjoint = 0
     for tokens, seg_set, cl_set in zip(sentences, segments, clauses, strict=True):
         n = len(tokens)
         for seg in token_ranges(seg_set.positions, n):
             for cl in token_ranges(cl_set.positions, n):
                 rel = classify_relation(seg, cl)
-                if rel is None:
-                    if include_disjoint:
-                        disjoint += 1
-                else:
+                if rel is not None:
                     counts[rel] += 1
-    return RelationCensus(counts, disjoint)
+    return RelationCensus(counts)
 
 
 @dataclass(frozen=True)

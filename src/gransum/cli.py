@@ -50,6 +50,7 @@ from .segmenter import (
     SegmenterConfig,
     segmenter_train,
 )
+from .settings import load_settings
 from .spans import UnitKind
 from .splitters import split_sentences
 from .summarizer import (
@@ -107,8 +108,7 @@ def _boundaries(args, views, hooks, patterns, kind: UnitKind):
 
 def cmd_gen_synthetic(args) -> int:
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = SyntheticSpec.from_dict(json.load(fh))
+        spec = load_settings(SyntheticSpec, args.spec)
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
     else:
@@ -253,16 +253,21 @@ def cmd_eval_rouge(args) -> int:
     cases = {c.id: c for c in load_corpus(args.corpus)}
     rows = []
     per_case = []
+    seen = set()
     for where, obj in read_jsonl(args.candidates, ("case_id", "summary_text")):
         if not all(isinstance(obj[key], str) for key in ("case_id", "summary_text")):
             raise CorpusError(f"{where}: case_id and summary_text must be strings")
-        case = cases.get(obj["case_id"])
+        case_id = obj["case_id"]
+        if case_id in seen:
+            raise CorpusError(f"{where}: duplicate candidate for case {case_id!r}")
+        seen.add(case_id)
+        case = cases.get(case_id)
         if case is None:
-            raise CorpusError(f"{where}: candidate for unknown case {obj['case_id']!r}")
+            raise CorpusError(f"{where}: candidate for unknown case {case_id!r}")
         scores = rouge_eval_texts(obj["summary_text"], case.summary_text)
         per_case.append(scores)
         row = {key: dataclasses.asdict(score) for key, score in scores.items()}
-        rows.append({"case_id": obj["case_id"], **row})
+        rows.append({"case_id": case_id, **row})
     out = {"cases": rows, "means": mean_rouge(per_case)}
     write_lines(args.output, [json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2)])
     return EXIT_OK
@@ -289,7 +294,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_run_experiment(args) -> int:
-    config = PipelineConfig.from_json(args.config)
+    config = load_settings(PipelineConfig, args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     report = run_experiment(config, args.out)

@@ -17,61 +17,18 @@ segment boundaries are emitted as side-channel ground truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splitters import RulePatterns
+from .settings import save_settings
+from .splitters import DEFAULT_PATTERNS_VERSION, RulePatterns
 from .tokenization import LexiconHooks
 
 
 class CorpusError(ValueError):
     """Malformed corpus file or invalid case data."""
-
-
-def config_kwargs(cls, raw, what: str) -> dict:
-    """A copy of raw, a JSON object whose keys must all be fields of the
-    dataclass cls and whose values must fit the fields' annotations;
-    anything else is a ValueError naming what and the key."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    declared = {f.name: f.type for f in fields(cls)}
-    hints = get_type_hints(cls)
-    for key, value in raw.items():
-        if key not in declared:
-            raise ValueError(f"{what}: unknown key {key!r}")
-        if not _json_fits(value, hints[key]):
-            raise ValueError(
-                f"{what}: {key!r} must be {declared[key]}, got {type(value).__name__}"
-            )
-    return dict(raw)
-
-
-def _json_fits(value, hint) -> bool:
-    """Whether a JSON value can stand for a field annotated hint: a list
-    for a tuple, an object for a dict or a nested config, a string for a
-    str enum, and an integer for a float."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
-        return any(_json_fits(value, a) for a in args)
-    if origin is tuple:
-        if not isinstance(value, list):
-            return False
-        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
-        return len(items) == len(value) and all(map(_json_fits, value, items))
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            _json_fits(v, args[1]) for v in value.values()
-        )
-    if is_dataclass(hint):
-        return isinstance(value, dict)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, str if issubclass(hint, str) else hint)
 
 
 @dataclass(frozen=True)
@@ -118,6 +75,17 @@ def read_jsonl(path: str, fields: tuple[str, ...]):
             yield where, obj
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _case_id(where: str, value) -> str:
+    """A case id, which a file gives as a string or an integer."""
+    if not (isinstance(value, str) or _is_int(value)):
+        raise CorpusError(f"{where}: id must be a string or an integer")
+    return str(value)
+
+
 def load_corpus(path: str) -> list[Case]:
     """Read a JSONL corpus; offsets and text are preserved exactly."""
     cases: list[Case] = []
@@ -129,7 +97,7 @@ def load_corpus(path: str) -> list[Case]:
             raise CorpusError(f"{where}: records must be a list of strings")
         if not isinstance(obj["summary"], str):
             raise CorpusError(f"{where}: summary must be a string")
-        case_id = str(obj["id"])
+        case_id = _case_id(where, obj["id"])
         if case_id in seen:
             raise CorpusError(f"{where}: duplicate case id {case_id!r}")
         seen.add(case_id)
@@ -176,10 +144,6 @@ def save_gold_boundaries(gold: GoldTable, path: str) -> None:
                 fh.write("\n")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_gold_boundaries(path: str) -> GoldTable:
     """The gold table of a file; a second line for one (id,
     sentence_index) is a CorpusError."""
@@ -191,7 +155,7 @@ def load_gold_boundaries(path: str) -> GoldTable:
         positions = obj["boundaries"]
         if not isinstance(positions, list) or not all(_is_int(p) for p in positions):
             raise CorpusError(f"{where}: boundaries must be a list of integers")
-        case_id = str(obj["id"])
+        case_id = _case_id(where, obj["id"])
         sentences = gold.setdefault(case_id, {})
         if si in sentences:
             raise CorpusError(f"{where}: duplicate gold boundaries for case {case_id!r} sentence {si}")
@@ -235,24 +199,17 @@ class SyntheticSpec:
         for name in ("case_count", "sentences_per_record", "chunks_per_summary"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.segments_per_sentence:
-            raise ValueError("segments_per_sentence distribution is empty")
-        if any(k <= 0 or w < 0 for k, w in self.segments_per_sentence.items()):
-            raise ValueError("segments_per_sentence needs positive counts/weights")
+        # integer weights become floats, so a report writes 1.0 whether the
+        # spec came from a file or from code
+        weights = {k: float(w) for k, w in self.segments_per_sentence.items()}
+        object.__setattr__(self, "segments_per_sentence", weights)
+        if any(k <= 0 or not w >= 0 for k, w in weights.items()):
+            raise ValueError("segments_per_sentence needs positive counts and weights >= 0")
+        if not 0 < sum(weights.values()) < math.inf:
+            raise ValueError("segments_per_sentence weights must have a finite, positive sum")
         lo, hi = self.tokens_per_segment
         if not 1 <= lo <= hi:
             raise ValueError("tokens_per_segment must be a valid range")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SyntheticSpec":
-        kwargs = config_kwargs(cls, raw, "synthetic spec")
-        if "segments_per_sentence" in kwargs:
-            kwargs["segments_per_sentence"] = {
-                int(k): float(v) for k, v in kwargs["segments_per_sentence"].items()
-            }
-        if "tokens_per_segment" in kwargs:
-            kwargs["tokens_per_segment"] = tuple(kwargs["tokens_per_segment"])
-        return cls(**kwargs)
 
 
 _RECORD_SYLLABLES = [c + v for c in "bdgklmnprstvz" for v in "aeiou"]
@@ -300,6 +257,7 @@ class SyntheticVocab:
 
     def patterns(self) -> RulePatterns:
         return RulePatterns(
+            version=DEFAULT_PATTERNS_VERSION,
             case_particles=frozenset(_PARTICLES),
             denial_surfaces=frozenset(self.denial),
             plan_surfaces=frozenset(self.plan),
@@ -413,9 +371,9 @@ class GeneratedCorpus:
         if gold_path:
             save_gold_boundaries(self.gold, gold_path)
         if hooks_path:
-            self.hooks.to_json(hooks_path)
+            save_settings(self.hooks, hooks_path)
         if patterns_path:
-            self.patterns.to_json(patterns_path)
+            save_settings(self.patterns, patterns_path)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> GeneratedCorpus:

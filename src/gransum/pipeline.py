@@ -30,7 +30,6 @@ from .corpus import (
     CorpusError,
     GoldTable,
     SyntheticSpec,
-    config_kwargs,
     generate_synthetic,
     load_corpus,
     load_gold_boundaries,
@@ -38,8 +37,10 @@ from .corpus import (
 from .nn.checkpoint import save_checkpoint
 from .oracle import make_oracle_labels
 from .rouge import PRF, rouge_l, rouge_n
+from .settings import load_settings
 from .spans import Unit, UnitKind, budget_length
 from .splitters import (
+    DEFAULT_PATTERNS_VERSION,
     BoundarySet,
     RuleConfig,
     RulePatterns,
@@ -123,27 +124,6 @@ class PipelineConfig:
         if budget != "auto" and (isinstance(budget, str) or not 0 <= budget < math.inf):
             raise ValueError(f"oracle_budget must be 'auto' or finite and >= 0, got {budget!r}")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        kwargs = config_kwargs(cls, raw, "config")
-        if kwargs.get("synthetic") is not None:
-            kwargs["synthetic"] = SyntheticSpec.from_dict(kwargs["synthetic"])
-        if "kinds" in kwargs:
-            kwargs["kinds"] = tuple(UnitKind(k) for k in kwargs["kinds"])
-        for name, section in (
-            ("segmenter", SegmenterConfig),
-            ("summarizer", SummarizerConfig),
-        ):
-            if name in kwargs:
-                what = f"config section {name!r}"
-                kwargs[name] = section(**config_kwargs(section, kwargs[name], what))
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, path: str) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["kinds"] = [k.value for k in self.kinds]
@@ -163,9 +143,13 @@ class CaseView:
 def load_lexicons(
     hooks_path: str | None, patterns_path: str | None = None
 ) -> tuple[LexiconHooks, RulePatterns]:
-    """Lexicon hooks and rule patterns from JSON; defaults for a missing path."""
-    hooks = LexiconHooks.from_json(hooks_path) if hooks_path else LexiconHooks()
-    patterns = RulePatterns.from_json(patterns_path) if patterns_path else RulePatterns()
+    """Lexicon hooks and rule patterns from settings files; defaults for a
+    missing path."""
+    hooks = load_settings(LexiconHooks, hooks_path) if hooks_path else LexiconHooks()
+    patterns = (
+        load_settings(RulePatterns, patterns_path) if patterns_path
+        else RulePatterns(DEFAULT_PATTERNS_VERSION)
+    )
     return hooks, patterns
 
 
@@ -194,7 +178,7 @@ def split_views(
     views: list[CaseView],
     method: str,
     hooks: LexiconHooks,
-    patterns: RulePatterns | None = None,
+    patterns: RulePatterns = RulePatterns(DEFAULT_PATTERNS_VERSION),
     pointer: PointerSegmenter | None = None,
     gold: GoldTable | None = None,
 ) -> list[list[BoundarySet]]:
@@ -222,7 +206,7 @@ def split_views(
     elif method == "clauses":
         split = lambda view, si, tokens: split_clauses(tokens, hooks)
     elif method == "rules":
-        config = RuleConfig(hooks=hooks, patterns=patterns or RulePatterns())
+        config = RuleConfig(hooks=hooks, patterns=patterns)
         split = lambda view, si, tokens: split_clinical_rules(tokens, config)
     elif method == "gold":
         if gold is None:

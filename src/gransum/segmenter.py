@@ -41,6 +41,7 @@ class SegmenterConfig:
             "embed_dim": 1, "hidden": 1, "dec_hidden": 1, "attn_dim": 1, "n_min": 1,
             "bucket_count": 1, "epochs": 1, "batch_sentences": 1,
         })
+        self.hasher()  # refuses n_max < n_min
 
     def hasher(self) -> SubwordHasher:
         return SubwordHasher(self.n_min, self.n_max, self.bucket_count, self.hash_seed)

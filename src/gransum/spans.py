@@ -36,9 +36,6 @@ class TextSpan:
     def slice(self, text: str) -> str:
         return text[self.start:self.end]
 
-    def __len__(self) -> int:
-        return self.end - self.start
-
 
 def budget_length(text: str) -> int:
     """Length of text in characters, whitespace excluded.

@@ -16,17 +16,10 @@ or meaning-free content.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .spans import TextSpan, Unit, UnitKind, budget_length
-from .tokenization import (
-    FULLSTOP_CHARS,
-    LexiconHooks,
-    Tag,
-    Token,
-    read_lexicon_json,
-)
+from .tokenization import FULLSTOP_CHARS, LexiconHooks, Tag, Token
 
 
 @dataclass(frozen=True)
@@ -151,48 +144,19 @@ DEFAULT_PATTERNS_VERSION = 1
 
 @dataclass(frozen=True)
 class RulePatterns:
-    """Versioned pattern file backing rules R3--R6."""
+    """Versioned pattern file backing rules R3--R6; a file must name its
+    version."""
 
-    version: int = DEFAULT_PATTERNS_VERSION
+    version: int
     case_particles: frozenset[str] = frozenset()
     denial_surfaces: frozenset[str] = frozenset()
     plan_surfaces: frozenset[str] = frozenset()
     temporal_surfaces: frozenset[str] = frozenset()
     max_enum_chunk_tokens: int = 3
 
-    @classmethod
-    def from_json(cls, path: str) -> "RulePatterns":
-        raw = read_lexicon_json(
-            path,
-            ("case_particles", "denial_surfaces", "plan_surfaces", "temporal_surfaces"),
-        )
-        version = raw.get("version")
-        if version != DEFAULT_PATTERNS_VERSION:
-            raise ValueError(f"unsupported rule pattern file version: {version!r}")
-        max_chunk = raw.get("max_enum_chunk_tokens", 3)
-        if not isinstance(max_chunk, int) or isinstance(max_chunk, bool):
-            raise ValueError(f"{path}: max_enum_chunk_tokens must be an integer")
-        return cls(
-            version=version,
-            case_particles=frozenset(raw["case_particles"]),
-            denial_surfaces=frozenset(raw["denial_surfaces"]),
-            plan_surfaces=frozenset(raw["plan_surfaces"]),
-            temporal_surfaces=frozenset(raw["temporal_surfaces"]),
-            max_enum_chunk_tokens=max_chunk,
-        )
-
-    def to_json(self, path: str) -> None:
-        payload = {
-            "version": self.version,
-            "case_particles": sorted(self.case_particles),
-            "denial_surfaces": sorted(self.denial_surfaces),
-            "plan_surfaces": sorted(self.plan_surfaces),
-            "temporal_surfaces": sorted(self.temporal_surfaces),
-            "max_enum_chunk_tokens": self.max_enum_chunk_tokens,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+    def __post_init__(self):
+        if self.version != DEFAULT_PATTERNS_VERSION:
+            raise ValueError(f"unsupported rule pattern file version: {self.version!r}")
 
 
 ALL_RULES = frozenset({"R1", "R2", "R3", "R4", "R5", "R6"})
@@ -201,7 +165,7 @@ ALL_RULES = frozenset({"R1", "R2", "R3", "R4", "R5", "R6"})
 @dataclass(frozen=True)
 class RuleConfig:
     hooks: LexiconHooks
-    patterns: RulePatterns = field(default_factory=RulePatterns)
+    patterns: RulePatterns = RulePatterns(DEFAULT_PATTERNS_VERSION)
     enabled_rules: frozenset[str] = ALL_RULES
 
     def __post_init__(self):

@@ -47,6 +47,7 @@ class SummarizerConfig:
             "embed_dim": 1, "hidden": 1, "d_ff": 1, "max_window": 3, "n_min": 1,
             "bucket_count": 1, "epochs": 1,
         })
+        self.hasher()  # refuses n_max < n_min
 
     def hasher(self) -> SubwordHasher:
         return SubwordHasher(self.n_min, self.n_max, self.bucket_count, self.hash_seed)

@@ -13,9 +13,8 @@ pretrained resources.
 
 from __future__ import annotations
 
-import json
 import unicodedata
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -36,7 +35,6 @@ class Tag(str, Enum):
     COMMA = "COMMA"
     PAREN_OPEN = "PAREN_OPEN"
     PAREN_CLOSE = "PAREN_CLOSE"
-    NEWLINE = "NEWLINE"
     MARKER = "MARKER"
 
 
@@ -50,24 +48,7 @@ class Token:
     marker: str | None = None  # "disease" | "exam" | "verbal_noun" when tag is MARKER
 
 
-def read_lexicon_json(path: str, list_fields: tuple[str, ...]) -> dict:
-    """The JSON object in path, with each of list_fields a list of strings
-    ([] when absent).  Anything else is a ValueError naming path."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    for key in list_fields:
-        value = raw.setdefault(key, [])
-        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-            raise ValueError(f"{path}: {key} must be a list of strings")
-    return raw
-
-
-@dataclass
+@dataclass(frozen=True)
 class LexiconHooks:
     """Named surface lists that drive tagging and the rule splitters.
 
@@ -83,33 +64,6 @@ class LexiconHooks:
     disease_list: frozenset[str] = frozenset()
     exam_pattern_list: tuple[str, ...] = ()
     case_particle_list: frozenset[str] = frozenset()
-
-    @classmethod
-    def from_json(cls, path: str) -> "LexiconHooks":
-        raw = read_lexicon_json(path, tuple(f.name for f in fields(cls)))
-        return cls(
-            verb_list=frozenset(raw["verb_list"]),
-            noun_list=frozenset(raw["noun_list"]),
-            non_independent_list=frozenset(raw["non_independent_list"]),
-            verbal_noun_list=frozenset(raw["verbal_noun_list"]),
-            disease_list=frozenset(raw["disease_list"]),
-            exam_pattern_list=tuple(raw["exam_pattern_list"]),
-            case_particle_list=frozenset(raw["case_particle_list"]),
-        )
-
-    def to_json(self, path: str) -> None:
-        payload = {
-            "verb_list": sorted(self.verb_list),
-            "noun_list": sorted(self.noun_list),
-            "non_independent_list": sorted(self.non_independent_list),
-            "verbal_noun_list": sorted(self.verbal_noun_list),
-            "disease_list": sorted(self.disease_list),
-            "exam_pattern_list": list(self.exam_pattern_list),
-            "case_particle_list": sorted(self.case_particle_list),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
 
     def matches_exam(self, surface: str) -> bool:
         for pat in self.exam_pattern_list:
@@ -129,7 +83,7 @@ class LexiconHooks:
 
 def _char_class(c: str) -> str:
     if c.isspace():
-        return "newline" if c == "\n" else "space"
+        return "space"
     if c in FULLSTOP_CHARS:
         return "fullstop"
     if c in COMMA_CHARS:
@@ -154,11 +108,10 @@ _CLASS_TAG = {
     "paren_open": Tag.PAREN_OPEN,
     "paren_close": Tag.PAREN_CLOSE,
     "punct": Tag.PUNCT,
-    "newline": Tag.NEWLINE,
 }
 
 # Character classes that always form single-character tokens.
-_SINGLETON = {"fullstop", "comma", "paren_open", "paren_close", "punct", "newline"}
+_SINGLETON = {"fullstop", "comma", "paren_open", "paren_close", "punct"}
 
 
 def _marker_kind(surface: str, hooks: LexiconHooks) -> str | None:

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from gransum import nn
-from gransum.analysis import corpus_boundary_prf, relation_census, granularity_stats
+from gransum.analysis import (
+    classify_relation,
+    corpus_boundary_prf,
+    granularity_stats,
+    relation_census,
+)
 from gransum.corpus import SyntheticSpec, generate_synthetic
 from gransum.oracle import make_oracle_labels
 from gransum.pipeline import PipelineConfig, build_views, run_experiment
@@ -31,6 +36,7 @@ from gransum.splitters import (
     split_fullstop,
     split_fullstop_verb,
     split_sentences,
+    token_ranges,
     units_from_boundaries,
 )
 from gransum.summarizer import DocumentExample, Summarizer, SummarizerConfig
@@ -459,14 +465,19 @@ def test_c7_structural_fuzz():
         census_sentences,
         [split_clinical_rules(t, rule_config) for t in census_sentences],
         [split_clauses(t, hooks) for t in census_sentences],
-        include_disjoint=True,
     )
     total_pairs = 0
+    disjoint = 0
     for tokens in census_sentences:
         seg = split_clinical_rules(tokens, rule_config)
         cl = split_clauses(tokens, hooks)
         total_pairs += (len(seg.positions) + 1) * (len(cl.positions) + 1)
-    assert census.total + census.disjoint == total_pairs
+        disjoint += sum(
+            classify_relation(s, c) is None
+            for s in token_ranges(seg.positions, len(tokens))
+            for c in token_ranges(cl.positions, len(tokens))
+        )
+    assert census.total + disjoint == total_pairs
 
     stats = granularity_stats(stats_rows, [split_clauses(t, hooks) for _, t in stats_rows])
     expected = float(np.mean(boundary_counts)) + 1.0

@@ -394,6 +394,9 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
     labels = labels_path.read_text()
     budget = "budget must be finite and >= 0, got {}"
     dev = "dev fraction must be in (0, 1), got {}"
+    gen = ["gen-synthetic", "--corpus-out", str(tmp_path / "c.jsonl"), "--spec"]
+    weights = "segments_per_sentence weights must have a finite, positive sum"
+    bad_id = "{path}:1: id must be a string or an integer"
     cases = [
         # (argv ending in the option that takes the file, file content, expected)
         (summarize + ["--model"], b"GRANSUMCKPT\n", "truncated header length"),
@@ -403,14 +406,20 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         (summarize + ["--model"],
          _checkpoint_bytes(tmp_path, summarizer, unit_kind="WORD"),
          "checkpoint hyperparameters rejected: 'WORD'"),
-        (segment + ["--hooks"], "[1, 2]", "expected a JSON object"),
+        (segment + ["--hooks"], "[1, 2]", "{path}: expected a JSON object"),
         (segment + ["--hooks"], '{"verb_list": 5}',
-         "verb_list must be a list of strings"),
-        (segment + ["--patterns"], "[1]", "expected a JSON object"),
+         "{path}: 'verb_list' must be frozenset[str], got int"),
+        (segment + ["--hooks"], '{"verb_list": [], "bogus": []}', "{path}: unknown key 'bogus'"),
+        (segment + ["--hooks"], '{"verb_list": [', "{path}: malformed JSON"),
+        (segment + ["--hooks"], b"\xff{}", "{path}: malformed JSON"),
+        (segment + ["--patterns"], "[1]", "{path}: expected a JSON object"),
         (segment + ["--patterns"], '{"version": 1, "plan_surfaces": [1]}',
-         "plan_surfaces must be a list of strings"),
+         "{path}: 'plan_surfaces'[0] must be str, got int"),
         (segment + ["--patterns"], '{"version": 1, "max_enum_chunk_tokens": "3"}',
-         "max_enum_chunk_tokens must be an integer"),
+         "{path}: 'max_enum_chunk_tokens' must be int, got str"),
+        (segment + ["--patterns"], '{"version": 1, "bogus": 3}', "{path}: unknown key 'bogus'"),
+        (segment + ["--patterns"], '{"plan_surfaces": []}', "{path}: missing key 'version'"),
+        (segment + ["--patterns"], '{"version": 2}', "unsupported rule pattern file version: 2"),
         (run, '{"bogus": 1}', "unknown key 'bogus'"),
         (run, '{"synthetic": {"bogus": 1}}', "unknown key 'bogus'"),
         (run, '{"segmenter": {"bogus": 1}}', "unknown key 'bogus'"),
@@ -418,8 +427,13 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         (run, '{"synthetic": {"case_count": "x"}}', "'case_count' must be int, got str"),
         (run, '{"kinds": 5}', "'kinds' must be tuple[UnitKind, ...], got int"),
         (run, '{"segmenter": {"hidden": "x"}}', "'hidden' must be int, got str"),
-        (["gen-synthetic", "--corpus-out", str(tmp_path / "c.jsonl"), "--spec"],
-         '{"bogus": 1}', "unknown key 'bogus'"),
+        (run, '{"kinds": ["WORD"]}', "'kinds'[0] must be one of"),
+        (gen, '{"bogus": 1}', "unknown key 'bogus'"),
+        # segment-count weights that make no distribution
+        (gen, '{"segments_per_sentence": {"5": 0}}', weights),
+        (gen, '{"segments_per_sentence": {"5": Infinity}}', weights),
+        (gen, '{"segments_per_sentence": {"5": NaN}}', "weights >= 0"),
+        (gen, '{"segments_per_sentence": {"x": 1}}', "key 'x' must be int"),
         (train, _label_line(sentence_index="0"), bad_index),
         (train, _label_line(unit_index=0.5), bad_index),
         (train, _label_line(case_id=3), "{path}:1: case_id"),
@@ -430,12 +444,26 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         (["segment", "--corpus", corpus, "--method", "gold", "--gold"],
          '{"id": "case-00000", "sentence_index": 0, "boundaries": []}\n' * 2,
          "{path}:2: duplicate gold boundaries for case 'case-00000' sentence 0"),
+        (["eval-rouge", "--corpus", corpus, "--candidates"],
+         '{"case_id": "case-00000", "summary_text": "x"}\n' * 2,
+         "{path}:2: duplicate candidate for case 'case-00000'"),
+        # ids that are neither strings nor integers
+        (["segment", "--method", "fullstop", "--corpus"],
+         '{"id": null, "records": ["a ."], "summary": "b"}', bad_id),
+        (["segment", "--method", "fullstop", "--corpus"],
+         '{"id": [1], "records": ["a ."], "summary": "b"}', bad_id),
+        (["segment", "--corpus", corpus, "--method", "gold", "--gold"],
+         '{"id": null, "sentence_index": 0, "boundaries": []}', bad_id),
+        (["segment", "--corpus", corpus, "--method", "gold", "--gold"],
+         '{"id": [1], "sentence_index": 0, "boundaries": []}', bad_id),
         # out-of-range hyperparameters, refused before any training
         (["train-segmenter", "--corpus", corpus, "--epochs", "0",
           "--out", str(tmp_path / "seg.ckpt"), "--gold"], "", "'epochs' must be >= 1"),
         (train[:-1] + ["--epochs", "0", "--labels"], _label_line(), "'epochs' must be >= 1"),
         (run, '{"segmenter": {"hidden": 0}}', "'hidden' must be >= 1"),
         (run, '{"segmenter": {"batch_sentences": 0}}', "'batch_sentences' must be >= 1"),
+        (run, '{"segmenter": {"n_max": 1}}', "require 1 <= n_min <= n_max"),
+        (run, '{"summarizer": {"n_max": 1}}', "require 1 <= n_min <= n_max"),
         (run, '{"summarizer": {"epochs": 0}}', "'epochs' must be >= 1"),
         (run, '{"summarizer": {"max_window": 2}}', "'max_window' must be >= 3"),
         (run, '{"summarizer": {"lr": Infinity}}', "'lr' must be finite and > 0"),

@@ -14,6 +14,7 @@ from gransum.corpus import (
     save_gold_boundaries,
 )
 from gransum.rouge import rouge_n
+from gransum.settings import load_settings
 from gransum.splitters import split_sentences
 from gransum.tokenization import tokenize
 
@@ -89,11 +90,12 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(case_count=0)
 
-    def test_from_dict_coerces_keys(self):
-        spec = SyntheticSpec.from_dict(
-            {"case_count": 3, "segments_per_sentence": {"2": 1.0}}
-        )
+    def test_spec_file_coerces_keys(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"case_count": 3, "segments_per_sentence": {"2": 1}}')
+        spec = load_settings(SyntheticSpec, str(path))
         assert spec.segments_per_sentence == {2: 1.0}
+        assert type(spec.segments_per_sentence[2]) is float
 
 
 class TestGenerator:

@@ -17,6 +17,7 @@ from gransum.pipeline import (
     split_indices,
 )
 from gransum.segmenter import PointerSegmenter, SegmenterConfig
+from gransum.settings import load_settings
 from gransum.spans import UnitKind
 from gransum.summarizer import SummarizerConfig
 
@@ -157,7 +158,7 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(TINY.to_dict()))
-        loaded = PipelineConfig.from_json(str(path))
+        loaded = load_settings(PipelineConfig, str(path))
         assert loaded == TINY
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from gransum.spans import UnitKind
 from gransum.splitters import (
+    DEFAULT_PATTERNS_VERSION,
     BoundarySet,
     RuleConfig,
     RulePatterns,
@@ -28,6 +29,7 @@ HOOKS = LexiconHooks(
 )
 
 PATTERNS = RulePatterns(
+    version=DEFAULT_PATTERNS_VERSION,
     case_particles=frozenset({"wo", "de", "ni"}),
     denial_surfaces=frozenset({"denied"}),
     plan_surfaces=frozenset({"planned"}),

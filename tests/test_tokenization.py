@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gransum.settings import load_settings, save_settings
 from gransum.tokenization import (
     LexiconHooks,
     SubwordHasher,
@@ -139,5 +140,5 @@ def test_hooks_json_roundtrip(tmp_path):
         case_particle_list=frozenset({"wo"}),
     )
     path = tmp_path / "hooks.json"
-    hooks.to_json(str(path))
-    assert LexiconHooks.from_json(str(path)) == hooks
+    save_settings(hooks, str(path))
+    assert load_settings(LexiconHooks, str(path)) == hooks

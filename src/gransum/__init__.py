@@ -9,7 +9,6 @@ wins under ROUGE on synthetic desk-scale corpora.
 from .analysis import (
     GranularityStats,
     RelationType,
-    boundary_prf,
     classify_relation,
     corpus_boundary_prf,
     granularity_stats,
@@ -90,7 +89,6 @@ __all__ = [
     "Token",
     "Unit",
     "UnitKind",
-    "boundary_prf",
     "classify_relation",
     "corpus_boundary_prf",
     "generate_synthetic",

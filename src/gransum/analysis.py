@@ -40,11 +40,6 @@ def _boundary_score(match: int, predicted: int, gold: int) -> PRF:
     return PRF.from_counts(match, predicted, gold)
 
 
-def boundary_prf(predicted: BoundarySet, gold: BoundarySet) -> PRF:
-    """P/R/F1 over internal boundary positions of one sentence."""
-    return _boundary_score(*_boundary_counts(predicted, gold))
-
-
 def corpus_boundary_prf(
     pairs: list[tuple[BoundarySet, BoundarySet]]
 ) -> tuple[PRF, PRF]:

@@ -232,7 +232,7 @@ def cmd_train_summarizer(args) -> int:
     save_checkpoint(model.to_checkpoint(), args.out)
     print(
         f"trained summarizer[{kind.value}]: best epoch {history.best_epoch}, "
-        f"dev ROUGE-1 {history.dev_rouge1[history.best_epoch] * 100:.2f}, "
+        f"dev ROUGE-1 {history.dev_scores[history.best_epoch] * 100:.2f}, "
         f"saved to {args.out}"
     )
     return EXIT_OK
@@ -431,8 +431,7 @@ def main(argv=None) -> int:
     except (
         CorpusError,
         CheckpointError,
-        FileNotFoundError,
-        json.JSONDecodeError,
+        OSError,
         ValueError,
         KeyError,
     ) as exc:

@@ -10,6 +10,7 @@ the store's seed.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -495,3 +496,57 @@ def train_step(model, batch, optimizer: Adam) -> float:
         )
     optimizer.step()
     return loss
+
+
+@dataclass
+class History:
+    """One training run: each epoch's mean batch loss, each epoch's dev
+    score (0.0 without a dev score) and the epoch whose state the model
+    holds at the end."""
+
+    epoch_losses: list[float] = field(default_factory=list)
+    dev_scores: list[float] = field(default_factory=list)
+    best_epoch: int = -1
+
+
+def fit(
+    model, items, batch_size: int, epochs: int, seed: int, lr: float, dev_score=None
+) -> History:
+    """The epoch loop of every trainable model: Adam over shuffled batches
+    of items, one train_step per batch.
+
+    Each epoch's shuffle is drawn from (seed, epoch), so training is
+    deterministic in the arguments.  With dev_score (model -> float) the
+    model is scored after each epoch, and the parameters and step count
+    of the first epoch to reach the highest score are restored at the
+    end; without it the last epoch's model is kept.
+    """
+    if not items:
+        raise ValueError("empty training corpus")
+    optimizer = Adam(model.store, lr)
+    history = History()
+    best_score = -1.0
+    best_state = None
+    for epoch in range(epochs):
+        order = np.random.default_rng((seed, epoch)).permutation(len(items))
+        starts = range(0, len(items), batch_size)
+        epoch_loss = 0.0
+        for lo in starts:
+            batch = [items[i] for i in order[lo:lo + batch_size]]
+            epoch_loss += train_step(model, batch, optimizer)
+        history.epoch_losses.append(epoch_loss / len(starts))
+        if dev_score is None:
+            history.dev_scores.append(0.0)
+            history.best_epoch = epoch
+            continue
+        score = dev_score(model)
+        history.dev_scores.append(score)
+        if score > best_score:
+            best_score = score
+            best_state = ({k: v.copy() for k, v in model.store.params.items()}, model.store.step)
+            history.best_epoch = epoch
+    if best_state is not None:
+        params, model.store.step = best_state
+        for k, v in params.items():
+            model.store.params[k][...] = v
+    return history

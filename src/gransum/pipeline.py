@@ -479,7 +479,7 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
         write_lines(os.path.join(out_dir, f"summaries_{kind.value.lower()}.jsonl"), summaries)
         kind_reports[kind.value] = {
             "rouge": mean_rouge(per_case, scale=100.0),
-            "dev_rouge1_trajectory": [100.0 * s for s in history.dev_rouge1],
+            "dev_rouge1_trajectory": [100.0 * s for s in history.dev_scores],
             "best_epoch": history.best_epoch,
             "test_cases": len(test_idx),
         }

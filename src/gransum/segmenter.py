@@ -11,7 +11,7 @@ internal boundary.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -219,32 +219,12 @@ class PointerSegmenter:
         return restore_model(ckpt, cls.KIND, lambda hyper: cls(SegmenterConfig(**hyper)))
 
 
-@dataclass
-class SegmenterHistory:
-    epoch_losses: list[float] = field(default_factory=list)
-
-
 def segmenter_train(
     examples: list[SentenceExample], config: SegmenterConfig = SegmenterConfig()
-) -> tuple[PointerSegmenter, SegmenterHistory]:
-    """Train the pointer segmenter on (sentence, BoundarySet) pairs.
-
-    Every epoch's shuffle is drawn from (seed, epoch), so training is
-    deterministic in the config.
-    """
-    if not examples:
-        raise ValueError("empty training corpus")
+) -> tuple[PointerSegmenter, nn.History]:
+    """Train the pointer segmenter on (sentence, BoundarySet) pairs,
+    batch_sentences at a time; the last epoch's model is returned."""
     model = PointerSegmenter(config)
-    optimizer = nn.Adam(model.store, config.lr)
-    history = SegmenterHistory()
-    for epoch in range(config.epochs):
-        rng = np.random.default_rng((config.seed, epoch))
-        order = rng.permutation(len(examples))
-        epoch_loss = 0.0
-        n_batches = 0
-        for lo in range(0, len(order), config.batch_sentences):
-            batch = [examples[i] for i in order[lo:lo + config.batch_sentences]]
-            epoch_loss += nn.train_step(model, batch, optimizer)
-            n_batches += 1
-        history.epoch_losses.append(epoch_loss / n_batches)
-    return model, history
+    return model, nn.fit(
+        model, examples, config.batch_sentences, config.epochs, config.seed, config.lr
+    )

@@ -15,7 +15,7 @@ rule, scoring each unit by its probability.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -300,13 +300,6 @@ def summarize(
     return results
 
 
-@dataclass
-class SummarizerHistory:
-    epoch_losses: list[float] = field(default_factory=list)
-    dev_rouge1: list[float] = field(default_factory=list)
-    best_epoch: int = -1
-
-
 def dev_rouge1_f1(model: Summarizer, docs: list[DocumentExample], budget: float) -> float:
     scores = [
         rouge_n([t for unit in result.units for t in unit.tokens], doc.reference_tokens, 1).f1
@@ -321,41 +314,15 @@ def summarizer_train(
     kind: UnitKind,
     config: SummarizerConfig = SummarizerConfig(),
     budget_chars: float = 1200,
-) -> tuple[Summarizer, SummarizerHistory]:
-    """Seeded BCE training; returns the best-dev-ROUGE model state."""
-    if not train_docs:
-        raise ValueError("empty training corpus")
+) -> tuple[Summarizer, nn.History]:
+    """Seeded BCE training, one document per step; returns the model state
+    of the best dev ROUGE-1 epoch, or of the last epoch without dev docs."""
     check_budget(budget_chars)
     for doc in train_docs + dev_docs:
         if doc.kind is not kind:
             raise ValueError(f"{doc.case_id}: kind {doc.kind} != {kind}")
     model = Summarizer(config, kind)
-    optimizer = nn.Adam(model.store, config.lr)
-    history = SummarizerHistory()
-    best_score = -1.0
-    best_params = None
-    best_step = model.store.step
-    for epoch in range(config.epochs):
-        rng = np.random.default_rng((config.seed, epoch))
-        order = rng.permutation(len(train_docs))
-        epoch_loss = 0.0
-        for i in order:
-            epoch_loss += nn.train_step(model, [train_docs[i]], optimizer)
-        history.epoch_losses.append(epoch_loss / len(order))
-        if dev_docs:
-            score = dev_rouge1_f1(model, dev_docs, budget_chars)
-            history.dev_rouge1.append(score)
-            if score > best_score:
-                best_score = score
-                best_params = {k: v.copy() for k, v in model.store.params.items()}
-                best_step = model.store.step
-                history.best_epoch = epoch
-        else:
-            # without a dev set, the final epoch is the returned model
-            history.dev_rouge1.append(0.0)
-            history.best_epoch = epoch
-    if best_params is not None:
-        for k, v in best_params.items():
-            model.store.params[k][...] = v
-        model.store.step = best_step
-    return model, history
+    return model, nn.fit(
+        model, train_docs, 1, config.epochs, config.seed, config.lr,
+        dev_score=(lambda m: dev_rouge1_f1(m, dev_docs, budget_chars)) if dev_docs else None,
+    )

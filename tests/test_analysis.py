@@ -3,7 +3,6 @@ import pytest
 
 from gransum.analysis import (
     RelationType,
-    boundary_prf,
     classify_relation,
     corpus_boundary_prf,
     granularity_stats,
@@ -13,21 +12,29 @@ from gransum.splitters import BoundarySet, split_clauses, token_ranges
 from gransum.tokenization import LexiconHooks, tokenize
 
 
+def sentence_prf(predicted: BoundarySet, gold: BoundarySet):
+    """One sentence's score: the micro and macro scores of a one-pair
+    corpus, which must agree."""
+    micro, macro = corpus_boundary_prf([(predicted, gold)])
+    assert micro == macro
+    return micro
+
+
 class TestBoundaryPrf:
     def test_half_overlap(self):
-        s = boundary_prf(BoundarySet((2, 5)), BoundarySet((2, 7)))
+        s = sentence_prf(BoundarySet((2, 5)), BoundarySet((2, 7)))
         assert (s.precision, s.recall, s.f1) == (0.5, 0.5, 0.5)
 
     def test_exact_match(self):
-        s = boundary_prf(BoundarySet((1, 4)), BoundarySet((1, 4)))
+        s = sentence_prf(BoundarySet((1, 4)), BoundarySet((1, 4)))
         assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
 
     def test_predicted_empty_gold_nonempty(self):
-        s = boundary_prf(BoundarySet(()), BoundarySet((1,)))
+        s = sentence_prf(BoundarySet(()), BoundarySet((1,)))
         assert (s.precision, s.recall, s.f1) == (0.0, 0.0, 0.0)
 
     def test_both_empty_is_perfect(self):
-        s = boundary_prf(BoundarySet(()), BoundarySet(()))
+        s = sentence_prf(BoundarySet(()), BoundarySet(()))
         assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
 
     def test_matches_confusion_matrix_on_random_sets(self):
@@ -35,7 +42,7 @@ class TestBoundaryPrf:
         for _ in range(500):
             pred = tuple(sorted(set(rng.integers(0, 12, rng.integers(0, 6)))))
             gold = tuple(sorted(set(rng.integers(0, 12, rng.integers(0, 6)))))
-            s = boundary_prf(BoundarySet(pred), BoundarySet(gold))
+            s = sentence_prf(BoundarySet(pred), BoundarySet(gold))
             tp = len(set(pred) & set(gold))
             fp = len(set(pred) - set(gold))
             fn = len(set(gold) - set(pred))

@@ -494,21 +494,33 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         # a model too large to allocate is refused before allocating
         (run, '{"synthetic": {"case_count": 10}, "segmenter": {"bucket_count": 1099511627776}}',
          "over the cap"),
+        # a directory where a file is read or written
+        (segment + ["--hooks"], None, "Is a directory: '{path}'"),
+        (["segment", "--method", "fullstop", "--corpus"], None, "Is a directory: '{path}'"),
+        (segment + ["--output"], None, "Is a directory: '{path}'"),
     ]
+    # the binding nn.fit calls
     steps = []
-    monkeypatch.setattr(nn, "train_step", lambda *args: steps.append(args) or train_step(*args))
-    path = tmp_path / "input"
+    monkeypatch.setattr(nn.core, "train_step", lambda *args: steps.append(args) or train_step(*args))
+    file_path = tmp_path / "input"
+    folder = tmp_path / "folder"
+    folder.mkdir()
     for argv, content, expected in cases:
+        # content None: the option names a directory
+        path = folder if content is None else file_path
         if isinstance(content, bytes):
             path.write_bytes(content)
-        else:
+        elif content is not None:
             path.write_text(content)
-        label = f"{argv[0]} {argv[-1]} {content[:40]!r}"
+        label = f"{argv[0]} {argv[-1]} {content!r:.40}"
         assert main(argv + [str(path)]) == 2, label
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err, label
         assert expected.format(path=path) in err, label
         assert not steps, label
+    # the counter sees the steps of a valid run
+    assert main(train + [str(labels_path)]) == 0
+    assert steps
 
 
 def _benchmark_tracer():

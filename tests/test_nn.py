@@ -295,6 +295,44 @@ class TestTraining:
             store.add("one_more", (1,))
 
 
+class _ToyExamples(_ToyLogistic):
+    """The toy model on a list of (x, y) examples, the batch form fit uses."""
+
+    def loss_and_grads(self, batch):
+        return super().loss_and_grads(tuple(np.array(column) for column in zip(*batch)))
+
+
+class TestFit:
+    EXAMPLES = list(zip(*_toy_batch(seed=4, n=24)))  # 5 batches of at most 5
+
+    def _fit(self, epochs, dev_score=None):
+        model = _ToyExamples(4, seed=2)
+        history = nn.fit(model, self.EXAMPLES, 5, epochs, 7, 3e-2, dev_score)
+        return model, history
+
+    def test_restores_the_best_dev_epoch(self):
+        scores = iter([0.2, 0.5, 0.3])
+        model, history = self._fit(3, lambda m: next(scores))
+        assert history.best_epoch == 1 and history.dev_scores == [0.2, 0.5, 0.3]
+        assert len(history.epoch_losses) == 3
+        stopped, _ = self._fit(2)
+        assert model.store.step == stopped.store.step == 10
+        for k, v in model.store.params.items():
+            np.testing.assert_array_equal(v, stopped.store.params[k])
+
+    def test_a_tie_keeps_the_earlier_epoch(self):
+        scores = iter([0.5, 0.5])
+        model, history = self._fit(2, lambda m: next(scores))
+        assert history.best_epoch == 0 and model.store.step == 5
+
+    def test_without_dev_score_keeps_the_last_epoch(self):
+        model, history = self._fit(3)
+        assert history.best_epoch == 2 and history.dev_scores == [0.0] * 3
+        stopped, _ = self._fit(2)
+        assert model.store.step == 15
+        assert not np.array_equal(model.store.params["w"], stopped.store.params["w"])
+
+
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(13)

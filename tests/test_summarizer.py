@@ -232,7 +232,7 @@ class TestTraining:
         trajectories = []
         for _ in range(2):
             _, hist = summarizer_train(train, dev, UnitKind.SEGMENT, SMALL, budget)
-            trajectories.append(hist.dev_rouge1)
+            trajectories.append(hist.dev_scores)
         assert trajectories[0] == trajectories[1]
 
     def test_planted_marker_cue_classification(self):

@@ -244,7 +244,7 @@ def cmd_summarize(args) -> int:
     model = Summarizer.from_checkpoint(ckpt)
     kind = model.unit_kind
     docs = list(build_documents(views, kind, _boundaries(args, views, hooks, patterns, kind)))
-    results = summarize(docs, model, budget_chars=args.budget, mode=args.mode)
+    [results] = summarize([docs], [model], budget_chars=args.budget, mode=args.mode)
     write_lines(args.output, [summary_json(result) for result in results])
     return EXIT_OK
 

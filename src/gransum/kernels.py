@@ -73,23 +73,22 @@ def gru_seq_forward(xzr, xn, whzr, whn, bzr, bn, h0, lengths=None):
     H = H2 // 2
     G = whzr.shape[0]
     S = B // G
-    # Biases are folded into the projections once.  One exp serves both
-    # gates: the buffer holds +a_z and -a_r, so 1 / (1 + exp(.)) gives
-    # 1 - z and r, and h' = h + (1 - z) * (n - h).
-    pre = xzr.reshape(T, G, S, H2) + bzr[:, None]
-    pre[..., H:] *= -1.0
-    pre = pre.reshape(T, B, H2)
+    # Biases are folded into the projections once, in the buffers that
+    # each step then overwrites with its gates and candidate.  One exp
+    # serves both gates: the buffer holds +a_z and -a_r, so
+    # 1 / (1 + exp(.)) gives 1 - z and r, and h' = h + (1 - z) * (n - h).
+    gates = xzr.reshape(T, G, S, H2) + bzr[:, None]
+    gates[..., H:] *= -1.0
+    gates = gates.reshape(T, B, H2)
     if lengths is not None:
-        pre[:, :, :H][np.arange(T)[:, None] >= np.asarray(lengths)] = np.inf
+        gates[:, :, :H][np.arange(T)[:, None] >= np.asarray(lengths)] = np.inf
     w_rec = whzr.copy()
     w_rec[..., :H] *= -1.0
-    xn_b = (xn.reshape(T, G, S, H) + bn[:, None]).reshape(T, B, H)
+    ns = (xn.reshape(T, G, S, H) + bn[:, None]).reshape(T, B, H)
     hs = np.empty((T + 1, B, H))
     hs[0] = h0
-    gates = np.empty((T, B, H2))
     omz = gates[:, :, :H]
     rs = gates[:, :, H:]
-    ns = np.empty((T, B, H))
     # step views come from iterating over arrays made once: [G, S, .] for
     # the matmuls, [B, .] otherwise
     hs_g = hs.reshape(T + 1, G, S, H)
@@ -101,16 +100,16 @@ def gru_seq_forward(xzr, xn, whzr, whn, bzr, bn, h0, lengths=None):
     rh_b = rh.reshape(B, H)
     matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
     exp, divide, tanh = np.exp, np.divide, np.tanh
-    steps = zip(hs[:T], hs[1:], hs_g, gates, omz, rs, ns, pre, xn_b)
-    for h, h_next, h_g, g, omz_t, r, n, pre_t, xn_t in steps:
+    steps = zip(hs[:T], hs[1:], hs_g, gates, omz, rs, ns)
+    for h, h_next, h_g, g, omz_t, r, n in steps:
         matmul(h_g, w_rec, out=rec_zr)
-        subtract(pre_t, rec_zr_b, out=g)
+        subtract(g, rec_zr_b, out=g)
         exp(g, out=g)
         g += 1.0
         divide(1.0, g, out=g)
         multiply(r, h, out=rh_b)
         matmul(rh, whn, out=rec_n)
-        add(xn_t, rec_n_b, out=n)
+        add(n, rec_n_b, out=n)
         tanh(n, out=n)
         subtract(n, h, out=rh_b)
         rh_b *= omz_t
@@ -119,41 +118,46 @@ def gru_seq_forward(xzr, xn, whzr, whn, bzr, bn, h0, lengths=None):
     return hs, zs, rs, ns
 
 
-def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out):
+def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out, set_steps=None):
     """Backward pass matching gru_seq_forward.
 
     dh_out: [T, B, H] gradient w.r.t. each emitted state hs[1..T].
     Returns (dxzr, dxn, dwhzr, dwhn, dbzr, dbn, dh0); the weight and bias
     gradients are per weight set ([G, ...]), summed over its sequences.
+    set_steps: [G] steps of each set's own rows (None: all T).  A set's
+    weight gradients sum its sequences' first set_steps[g] steps only:
+    the later steps are padding with zero gradient, but a longer matmul
+    inner dimension can regroup the BLAS sums, so sets padded to a common
+    T keep the bits of a call of their own T.
     The gate factors that do not depend on the carried gradient are
-    computed for all steps before the recurrence and the weight gradients
-    with batched matmuls after it, so each step is two small matmuls and
-    a few elementwise products.
+    computed for all steps before the recurrence, in the buffers of the
+    gradients that each step multiplies them into, and the weight
+    gradients with one matmul per set after it, so each step is two small
+    matmuls and a few elementwise products.
     """
     T, B, H = zs.shape
     G = whzr.shape[0]
     S = B // G
     h_prev = hs[:T]
-    one_z = np.subtract(1.0, zs)
-    f_z = np.subtract(h_prev, ns)
-    f_z *= zs
-    f_z *= one_z
-    f_n = np.multiply(ns, ns)
-    np.subtract(1.0, f_n, out=f_n)
-    f_n *= one_z
-    f_r = np.subtract(1.0, rs)
-    f_r *= rs
-    f_r *= h_prev
-    del one_z
-    whzr_t = whzr.transpose(0, 2, 1).copy()
-    whn_t = whn.transpose(0, 2, 1).copy()
     dxzr = np.empty((T, B, 2 * H))
     dxn = np.empty((T, B, H))
+    dxz = dxzr[:, :, :H]
+    dxr = dxzr[:, :, H:]
+    one_z = np.subtract(1.0, zs, out=dxr)  # until dxr takes its own factor
+    np.subtract(h_prev, ns, out=dxz)
+    dxz *= zs
+    dxz *= one_z
+    np.multiply(ns, ns, out=dxn)
+    np.subtract(1.0, dxn, out=dxn)
+    dxn *= one_z
+    np.subtract(1.0, rs, out=dxr)
+    dxr *= rs
+    dxr *= h_prev
+    whzr_t = whzr.transpose(0, 2, 1).copy()
+    whn_t = whn.transpose(0, 2, 1).copy()
     carry = np.zeros((B, H))
     # step views come from iterating, last step first, over arrays made
     # once: [G, S, .] for the matmuls, [B, .] otherwise
-    dxz = dxzr[:, :, :H]
-    dxr = dxzr[:, :, H:]
     dxzr_g = dxzr.reshape(T, G, S, 2 * H)
     dxn_g = dxn.reshape(T, G, S, H)
     dhp = np.empty((B, H))
@@ -164,30 +168,34 @@ def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out):
     tmp = np.empty((B, H))
     matmul, multiply, add = np.matmul, np.multiply, np.add
     back = slice(None, None, -1)
-    steps = zip(*(a[back] for a in (dh_out, f_z, f_n, f_r, zs, rs, dxz, dxr, dxn, dxn_g, dxzr_g)))
-    for dh, fz, fn, fr, z, r, dxz_t, dxr_t, dxn_t, dxn_gt, dxzr_gt in steps:
+    steps = zip(*(a[back] for a in (dh_out, zs, rs, dxz, dxr, dxn, dxn_g, dxzr_g)))
+    for dh, z, r, dxz_t, dxr_t, dxn_t, dxn_gt, dxzr_gt in steps:
+        # dxz_t, dxn_t and dxr_t hold the step's gate factors until here
         add(dh, carry, out=dhp)
-        multiply(dhp, fz, out=dxz_t)
-        multiply(dhp, fn, out=dxn_t)
+        multiply(dhp, dxz_t, out=dxz_t)
+        multiply(dhp, dxn_t, out=dxn_t)
         matmul(dxn_gt, whn_t, out=drh)
-        multiply(drh_b, fr, out=dxr_t)
+        multiply(drh_b, dxr_t, out=dxr_t)
         multiply(dhp, z, out=carry)
         multiply(drh_b, r, out=tmp)
         carry += tmp
         matmul(dxzr_gt, whzr_t, out=rec)
         carry += rec_b
 
-    def per_set(a):
-        # [T, B, k] -> [G, T*S, k]: the rows of each weight set's sequences
-        return a.reshape(T, G, S, a.shape[2]).transpose(1, 0, 2, 3).reshape(G, T * S, -1)
-
-    del f_z, f_n
-    dxzr_rows = per_set(dxzr)
-    dxn_rows = per_set(dxn)
-    dwhzr = np.matmul(per_set(h_prev).transpose(0, 2, 1), dxzr_rows)
-    dwhn = np.matmul(per_set(np.multiply(rs, h_prev, out=f_r)).transpose(0, 2, 1), dxn_rows)
-    dbzr = dxzr_rows.sum(axis=1)
-    dbn = dxn_rows.sum(axis=1)
+    dwhzr = np.empty((G, H, 2 * H))
+    dwhn = np.empty((G, H, H))
+    dbzr = np.empty((G, 2 * H))
+    dbn = np.empty((G, H))
+    for g, t in enumerate([T] * G if set_steps is None else set_steps):
+        # the rows of set g's sequences, their first t steps
+        seqs = slice(g * S, (g + 1) * S)
+        h_rows = h_prev[:t, seqs].reshape(t * S, H)
+        rows = dxzr[:t, seqs].reshape(t * S, 2 * H)
+        dwhzr[g] = h_rows.T @ rows
+        dbzr[g] = rows.sum(axis=0)
+        rows = dxn[:t, seqs].reshape(t * S, H)
+        dwhn[g] = (rs[:t, seqs].reshape(t * S, H) * h_rows).T @ rows
+        dbn[g] = rows.sum(axis=0)
     return dxzr, dxn, dwhzr, dwhn, dbzr, dbn, carry
 
 

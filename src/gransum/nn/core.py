@@ -43,8 +43,23 @@ def check_hyperparameters(config, minimums: dict[str, int]) -> None:
         raise ValueError(f"{what}: 'lr' must be finite and > 0, got {config.lr!r}")
 
 
+class _Gradients(dict):
+    """Gradient buffers by parameter name, each allocated as zeros when
+    it is first read, so a step holds only the buffers its backward pass
+    has reached so far."""
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        super().__init__()
+        self._params = params
+
+    def __missing__(self, name: str) -> np.ndarray:
+        buf = self[name] = np.zeros_like(self._params[name])
+        return buf
+
+
 class ParameterStore:
-    """Named parameters with matching gradient buffers.
+    """Named parameters with matching gradient buffers, each allocated
+    zeroed when first read and dropped by zero_grads.
 
     Initialization is deterministic in the seed and in the order add() is
     called, so two models built by the same code path are bit-identical.
@@ -57,7 +72,7 @@ class ParameterStore:
         self.step = 0
         self.size = 0
         self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+        self.grads = _Gradients(self.params)
         self._rng = np.random.default_rng(seed)
 
     def add(self, name: str, shape: tuple[int, ...], init: str = "glorot") -> np.ndarray:
@@ -84,12 +99,12 @@ class ParameterStore:
         else:
             raise ValueError(f"unknown init {init!r}")
         self.params[name] = np.asarray(value, dtype=np.float64)
-        self.grads[name] = np.zeros(shape, dtype=np.float64)
         return self.params[name]
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
+        """Drops every gradient buffer; the next read of one allocates it
+        zeroed."""
+        self.grads.clear()
 
     def accumulate(self, name: str, grad: np.ndarray) -> None:
         buf = self.grads[name]
@@ -252,55 +267,103 @@ def _flip(steps: int, seqs: int, lengths):
     return lambda a: a[rows, cols]
 
 
-def bigru_forward(x, store: ParameterStore, prefix: str, lengths=None):
-    """Bidirectional GRU; output is the fwd/bwd concatenation.
+def _direction_sets(m: int, seqs: int) -> tuple[slice, slice]:
+    """The kernel columns of model m's forward and backward sequences:
+    each model has two weight sets of seqs sequences, forward first."""
+    return slice(2 * m * seqs, (2 * m + 1) * seqs), slice((2 * m + 1) * seqs, (2 * m + 2) * seqs)
 
-    x is S zero-padded sequences [T, S, I] with lengths [S] (output
-    [T, S, 2H]; padded rows carry no meaning).  Both directions of every
-    sequence run as one kernel call of 2S sequences, the backward
-    direction on each sequence reversed within its own length.  The four
-    input projections are one matmul.
+
+def bigru_forward(xs, stores: list[ParameterStore], prefix: str, lengths=None):
+    """Bidirectional GRUs of M models run together; each output is the
+    fwd/bwd concatenation.
+
+    xs[m] is model m's S zero-padded sequences [T_m, S, I] with lengths
+    lengths[m] [S] (None, or a None entry: all T_m), and its output is
+    [T_m, S, 2H] (padded rows carry no meaning); S, I and H are shared.
+    Both directions of every model's sequences run as one kernel call of
+    2M weight sets, padded to the longest T_m, the backward direction on
+    each sequence reversed within its own length.  Each model's four input
+    projections are one matmul on its own rows, so a model's arithmetic
+    is that of a call of its own.  One model is the M = 1 case.
     """
-    p = store.params
     names = (f"{prefix}.fwd", f"{prefix}.bwd")
-    steps, seqs, in_dim = x.shape
-    hidden = p[f"{names[0]}.wh_n"].shape[0]
-    flip = _flip(steps, seqs, lengths)
-    w_in = np.concatenate([p[f"{q}.{w}"] for q in names for w in ("wx_zr", "wx_n")], axis=1)
-    proj = (x.reshape(steps * seqs, in_dim) @ w_in).reshape(steps, seqs, 6 * hidden)
-    proj = np.concatenate([proj[:, :, :3 * hidden], flip(proj[:, :, 3 * hidden:])], axis=1)
+    lengths = [None] * len(xs) if lengths is None else lengths
+    seqs = xs[0].shape[1]
+    hidden = stores[0].params[f"{names[0]}.wh_n"].shape[0]
+    steps = max(x.shape[0] for x in xs)
+    proj = np.zeros((steps, 2 * len(xs) * seqs, 3 * hidden))
+    w_ins, flips = [], []
+    for m, (x, store, n) in enumerate(zip(xs, stores, lengths)):
+        p = store.params
+        t_m, _, in_dim = x.shape
+        flip = _flip(t_m, seqs, n)
+        w_in = np.concatenate([p[f"{q}.{w}"] for q in names for w in ("wx_zr", "wx_n")], axis=1)
+        proj_m = (x.reshape(t_m * seqs, in_dim) @ w_in).reshape(t_m, seqs, 6 * hidden)
+        fwd, bwd = _direction_sets(m, seqs)
+        proj[:t_m, fwd] = proj_m[:, :, :3 * hidden]
+        proj[:t_m, bwd] = flip(proj_m[:, :, 3 * hidden:])
+        w_ins.append(w_in)
+        flips.append(flip)
     whzr, whn, bzr, bn = (
-        np.stack([p[f"{q}.{w}"] for q in names]) for w in ("wh_zr", "wh_n", "b_zr", "b_n")
+        np.stack([s.params[f"{q}.{w}"] for s in stores for q in names])
+        for w in ("wh_zr", "wh_n", "b_zr", "b_n")
     )
+    all_lengths = np.concatenate([
+        np.tile(np.full(seqs, x.shape[0]) if n is None else n, 2) for x, n in zip(xs, lengths)
+    ])
     states = kernels.gru_seq_forward(
         proj[:, :, :2 * hidden], proj[:, :, 2 * hidden:], whzr, whn, bzr, bn,
-        np.zeros((2 * seqs, hidden)), None if lengths is None else np.tile(lengths, 2),
+        np.zeros((2 * len(xs) * seqs, hidden)), all_lengths,
     )
     hs = states[0][1:]
-    out = np.concatenate([hs[:, :seqs], flip(hs[:, seqs:])], axis=2)
-    return out, (x, w_in, flip, states, whzr, whn, names)
+    outs = []
+    for m, (x, flip) in enumerate(zip(xs, flips)):
+        fwd, bwd = _direction_sets(m, seqs)
+        t_m = x.shape[0]
+        outs.append(np.concatenate([hs[:t_m, fwd], flip(hs[:t_m, bwd])], axis=2))
+    return outs, [xs, w_ins, flips, states, whzr, whn, names]
 
 
-def bigru_backward(dout, cache, store: ParameterStore):
-    """Backward for bigru_forward; dx has the shape of its x."""
-    x, w_in, flip, states, whzr, whn, names = cache
-    steps, seqs, in_dim = x.shape
-    hidden = whn.shape[1]
-    dh_out = np.concatenate([dout[:, :, :hidden], flip(dout[:, :, hidden:])], axis=1)
-    dxzr, dxn, dwhzr, dwhn, dbzr, dbn, _ = kernels.gru_seq_backward(*states, whzr, whn, dh_out)
-    dproj = np.concatenate(
-        [dxzr[:, :seqs], dxn[:, :seqs], flip(dxzr[:, seqs:]), flip(dxn[:, seqs:])], axis=2
-    ).reshape(steps * seqs, 6 * hidden)
-    dw_in = x.reshape(steps * seqs, in_dim).T @ dproj
-    for g, q in enumerate(names):
-        store.accumulate(f"{q}.wh_zr", dwhzr[g])
-        store.accumulate(f"{q}.wh_n", dwhn[g])
-        store.accumulate(f"{q}.b_zr", dbzr[g])
-        store.accumulate(f"{q}.b_n", dbn[g])
-        lo = 3 * hidden * g
-        store.accumulate(f"{q}.wx_zr", dw_in[:, lo:lo + 2 * hidden])
-        store.accumulate(f"{q}.wx_n", dw_in[:, lo + 2 * hidden:lo + 3 * hidden])
-    return (dproj @ w_in.T).reshape(steps, seqs, in_dim)
+def bigru_backward(douts, cache, stores: list[ParameterStore]):
+    """Backward for bigru_forward, one dout per model; returns each
+    model's dx, of the shape of its x.  Each set's recurrent weight
+    gradients sum its own model's steps only (see
+    kernels.gru_seq_backward).  The cache is consumed: it is emptied, so
+    the encoder states are freed as soon as their gradients are taken."""
+    xs, w_ins, flips, states, whzr, whn, names = cache
+    cache.clear()
+    steps, batch, hidden = states[1].shape
+    seqs = batch // (2 * len(xs))
+    dh_out = np.zeros((steps, batch, hidden))
+    for m, (dout, flip) in enumerate(zip(douts, flips)):
+        fwd, bwd = _direction_sets(m, seqs)
+        t_m = dout.shape[0]
+        dh_out[:t_m, fwd] = dout[:, :, :hidden]
+        dh_out[:t_m, bwd] = flip(dout[:, :, hidden:])
+    dxzr, dxn, dwhzr, dwhn, dbzr, dbn, _ = kernels.gru_seq_backward(
+        *states, whzr, whn, dh_out, set_steps=np.repeat([x.shape[0] for x in xs], 2)
+    )
+    del states, dh_out
+    dxs = []
+    for m, (x, w_in, flip, store) in enumerate(zip(xs, w_ins, flips, stores)):
+        t_m, _, in_dim = x.shape
+        fwd, bwd = _direction_sets(m, seqs)
+        dproj = np.concatenate(
+            [dxzr[:t_m, fwd], dxn[:t_m, fwd], flip(dxzr[:t_m, bwd]), flip(dxn[:t_m, bwd])],
+            axis=2,
+        ).reshape(t_m * seqs, 6 * hidden)
+        dw_in = x.reshape(t_m * seqs, in_dim).T @ dproj
+        for d, q in enumerate(names):
+            g = 2 * m + d
+            store.accumulate(f"{q}.wh_zr", dwhzr[g])
+            store.accumulate(f"{q}.wh_n", dwhn[g])
+            store.accumulate(f"{q}.b_zr", dbzr[g])
+            store.accumulate(f"{q}.b_n", dbn[g])
+            col = 3 * hidden * d
+            store.accumulate(f"{q}.wx_zr", dw_in[:, col:col + 2 * hidden])
+            store.accumulate(f"{q}.wx_n", dw_in[:, col + 2 * hidden:col + 3 * hidden])
+        dxs.append((dproj @ w_in.T).reshape(t_m, seqs, in_dim))
+    return dxs
 
 
 # ----------------------------------------------------------------------
@@ -448,20 +511,25 @@ class Adam:
     def __init__(self, store: ParameterStore, lr: float):
         self.store = store
         self.lr = lr
-        self.m = {k: np.zeros_like(v) for k, v in store.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in store.params.items()}
-        self._scratch = {k: np.empty_like(v) for k, v in store.params.items()}
+        # each moment is one buffer, viewed per parameter: two allocations
+        # for the optimizer's life rather than two per parameter
+        self.m = _views(store.params)
+        self.v = _views(store.params)
+        self._largest = max(v.size for v in store.params.values())
 
     def step(self) -> None:
         self.store.step += 1
         t = self.store.step
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
+        # one scratch for every parameter, alive during the step only, so
+        # optimizers that step one after another hold one between them
+        scratch = np.empty(self._largest)
         for name, param in self.store.params.items():
             g = self.store.grads[name]
             m = self.m[name]
             v = self.v[name]
-            s = self._scratch[name]
+            s = scratch[:param.size].reshape(param.shape)
             m *= ADAM_BETA1
             np.multiply(g, 1.0 - ADAM_BETA1, out=s)
             m += s
@@ -477,25 +545,52 @@ class Adam:
             param -= s
 
 
-def train_step(model, batch, optimizer: Adam) -> float:
-    """One deterministic gradient step on one batch.
+def _views(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Zeroed arrays shaped like params, views into one buffer."""
+    buf = np.zeros(sum(v.size for v in params.values()))
+    out = {}
+    lo = 0
+    for name, v in params.items():
+        out[name] = buf[lo:lo + v.size].reshape(v.shape)
+        lo += v.size
+    return out
 
-    The model must expose store (a ParameterStore) and
-    loss_and_grads(batch) accumulating into store.grads.  A non-finite
-    loss is a TrainingError naming the step, the seed and the first
-    parameter whose gradient is non-finite.
+
+def train_step(models, batches, optimizers: list[Adam]) -> list[float]:
+    """One deterministic gradient step of each model on its own batch;
+    returns the losses.
+
+    A model exposes store (a ParameterStore) and loss_and_grads(batch)
+    accumulating into store.grads.  Models of a class that has
+    losses_and_grads(models, batches) run together through it: it yields
+    each model's loss as soon as that model's gradients are complete, and
+    may share work between the models (the summarizers share one BiGRU
+    call) while keeping each model's arithmetic that of its step alone.
+    Each model's Adam step runs, and its gradient buffers are released,
+    as soon as its loss is in, before the next model's gradients are
+    made.  A non-finite loss is a TrainingError naming the step, the seed
+    and the first parameter whose gradient is non-finite.
     """
-    store = model.store
-    store.zero_grads()
-    loss = model.loss_and_grads(batch)
-    if not np.isfinite(loss):
-        bad = next((n for n, g in store.grads.items() if not np.isfinite(g).all()), None)
-        raise TrainingError(
-            f"non-finite loss {loss!r} at step {store.step} (seed {store.seed}); "
-            + ("all gradients finite" if bad is None else f"first non-finite gradient {bad!r}")
-        )
-    optimizer.step()
-    return loss
+    for model in models:
+        model.store.zero_grads()
+    together = getattr(type(models[0]), "losses_and_grads", None)
+    if together is None:
+        losses = (model.loss_and_grads(batch) for model, batch in zip(models, batches))
+    else:
+        losses = together(models, batches)
+    out = []
+    for model, optimizer, loss in zip(models, optimizers, losses):
+        store = model.store
+        if not np.isfinite(loss):
+            bad = next((n for n in store.params if not np.isfinite(store.grads[n]).all()), None)
+            raise TrainingError(
+                f"non-finite loss {loss!r} at step {store.step} (seed {store.seed}); "
+                + ("all gradients finite" if bad is None else f"first non-finite gradient {bad!r}")
+            )
+        optimizer.step()
+        store.zero_grads()
+        out.append(loss)
+    return out
 
 
 @dataclass
@@ -509,44 +604,73 @@ class History:
     best_epoch: int = -1
 
 
-def fit(
-    model, items, batch_size: int, epochs: int, seed: int, lr: float, dev_score=None
-) -> History:
-    """The epoch loop of every trainable model: Adam over shuffled batches
-    of items, one train_step per batch.
+@dataclass(frozen=True)
+class Job:
+    """One model's part of a fit: its training items, batch size,
+    shuffle seed and learning rate."""
 
-    Each epoch's shuffle is drawn from (seed, epoch), so training is
-    deterministic in the arguments.  With dev_score (model -> float) the
-    model is scored after each epoch, and the parameters and step count
-    of the first epoch to reach the highest score are restored at the
-    end; without it the last epoch's model is kept.
+    model: object
+    items: list
+    batch_size: int
+    seed: int
+    lr: float
+
+
+def fit(jobs: list[Job], epochs: int, dev_score=None) -> list[History]:
+    """The epoch loop of every trainable model: Adam over shuffled batches
+    of each job's items, the jobs in lockstep; returns one History per job.
+
+    Step k of an epoch is one train_step over the k-th batch of every
+    job; a job with fewer batches sits out the remaining steps.  Each
+    job's epoch shuffle is drawn from (its seed, epoch) and it has its
+    own Adam, so it trains exactly as it would alone.  With dev_score
+    (models -> one score per model) the models are scored together after
+    each epoch, and each model gets back the parameters and step count
+    of the first epoch to reach its highest score; without it the last
+    epoch's model is kept.
     """
-    if not items:
+    if not jobs or not all(job.items for job in jobs):
         raise ValueError("empty training corpus")
-    optimizer = Adam(model.store, lr)
-    history = History()
-    best_score = -1.0
-    best_state = None
+    models = [job.model for job in jobs]
+    optimizers = [Adam(model.store, job.lr) for model, job in zip(models, jobs)]
+    histories = [History() for _ in jobs]
+    best_scores = [-1.0] * len(jobs)
+    best_states = [None] * len(jobs)
     for epoch in range(epochs):
-        order = np.random.default_rng((seed, epoch)).permutation(len(items))
-        starts = range(0, len(items), batch_size)
-        epoch_loss = 0.0
-        for lo in starts:
-            batch = [items[i] for i in order[lo:lo + batch_size]]
-            epoch_loss += train_step(model, batch, optimizer)
-        history.epoch_losses.append(epoch_loss / len(starts))
-        if dev_score is None:
-            history.dev_scores.append(0.0)
-            history.best_epoch = epoch
-            continue
-        score = dev_score(model)
-        history.dev_scores.append(score)
-        if score > best_score:
-            best_score = score
-            best_state = ({k: v.copy() for k, v in model.store.params.items()}, model.store.step)
-            history.best_epoch = epoch
-    if best_state is not None:
-        params, model.store.step = best_state
-        for k, v in params.items():
-            model.store.params[k][...] = v
-    return history
+        batches = []
+        for job in jobs:
+            order = np.random.default_rng((job.seed, epoch)).permutation(len(job.items))
+            batches.append([
+                [job.items[i] for i in order[lo:lo + job.batch_size]]
+                for lo in range(0, len(job.items), job.batch_size)
+            ])
+        losses = [0.0] * len(jobs)
+        for step in range(max(len(b) for b in batches)):
+            live = [j for j, b in enumerate(batches) if step < len(b)]
+            step_losses = train_step(
+                [models[j] for j in live], [batches[j][step] for j in live],
+                [optimizers[j] for j in live],
+            )
+            for j, loss in zip(live, step_losses):
+                losses[j] += loss
+        scores = None if dev_score is None else dev_score(models)
+        for j, (model, history) in enumerate(zip(models, histories)):
+            history.epoch_losses.append(losses[j] / len(batches[j]))
+            if scores is None:
+                history.dev_scores.append(0.0)
+                history.best_epoch = epoch
+                continue
+            history.dev_scores.append(scores[j])
+            if scores[j] > best_scores[j]:
+                best_scores[j] = scores[j]
+                history.best_epoch = epoch
+                # the last epoch's state is the one the model keeps anyway
+                best_states[j] = None if epoch == epochs - 1 else (
+                    {k: v.copy() for k, v in model.store.params.items()}, model.store.step
+                )
+    for model, state in zip(models, best_states):
+        if state is not None:
+            params, model.store.step = state
+            for k, v in params.items():
+                model.store.params[k][...] = v
+    return histories

@@ -5,7 +5,8 @@ granularity and writes one report (JSON plus table-style TSV sections) with
 ROUGE-1/2/L per granularity, segmentation quality against planted
 boundaries, granularity statistics, and the segment/clause relation
 census.  Every stage is seeded from the config, so identical configs
-produce byte-identical reports and bit-identical checkpoints.
+produce byte-identical reports and bit-identical checkpoints at a fixed
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .corpus import (
     load_corpus,
     load_gold_boundaries,
 )
+from .nn import History
 from .nn.checkpoint import save_checkpoint
 from .oracle import make_oracle_labels
 from .rouge import PRF, rouge_l, rouge_n
@@ -64,7 +66,7 @@ from .summarizer import (
     SummarizerConfig,
     SummaryResult,
     summarize,
-    summarizer_train,
+    train_summarizers,
 )
 from .tokenization import LexiconHooks, Token, tokenize
 
@@ -427,6 +429,7 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
             pointer.to_checkpoint(), os.path.join(out_dir, "segmenter.ckpt")
         )
         bounds["pointer"] = split("pointer", views, pointer=pointer)
+        del pointer  # nothing reads the segmenter after the split
     cuts = {}
     for kind in config.kinds:
         method = unit_method(kind, config.segment_method)
@@ -453,37 +456,10 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
     else:
         budget = float(config.oracle_budget)
 
-    kind_reports = {}
-    per_kind_stats = {}
-    for kind in config.kinds:
-        docs = list(build_documents(views, kind, cuts[kind]))
-        # only the training documents need oracle labels
-        model, history = summarizer_train(
-            [with_oracle_labels(docs[i], budget, config.oracle_mode) for i in train_idx],
-            [docs[i] for i in dev_idx],
-            kind,
-            replace(config.summarizer, seed=config.summarizer.seed + _kind_offset(kind)),
-            budget_chars=budget,
-        )
-        save_checkpoint(
-            model.to_checkpoint(),
-            os.path.join(out_dir, f"summarizer_{kind.value.lower()}.ckpt"),
-        )
-        per_case = []
-        summaries = []
-        test_docs = [docs[i] for i in test_idx]
-        for doc, result in zip(test_docs, summarize(test_docs, model, budget_chars=budget)):
-            cand_sentences = [list(u.tokens) for u in result.units]
-            per_case.append(rouge_eval(cand_sentences, list(doc.reference_sentences)))
-            summaries.append(summary_json(result))
-        write_lines(os.path.join(out_dir, f"summaries_{kind.value.lower()}.jsonl"), summaries)
-        kind_reports[kind.value] = {
-            "rouge": mean_rouge(per_case, scale=100.0),
-            "dev_rouge1_trajectory": [100.0 * s for s in history.dev_scores],
-            "best_epoch": history.best_epoch,
-            "test_cases": len(test_idx),
-        }
-        per_kind_stats[kind.value] = asdict(view_stats(views, cuts[kind]))
+    kind_reports = train_and_summarize(
+        config, views, cuts, (train_idx, dev_idx, test_idx), budget, out_dir
+    )
+    per_kind_stats = {kind.value: asdict(view_stats(views, cuts[kind])) for kind in config.kinds}
 
     relations = {}
     if UnitKind.SEGMENT in cuts and UnitKind.CLAUSE in cuts:
@@ -508,8 +484,74 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
     return report
 
 
-def _kind_offset(kind: UnitKind) -> int:
-    return {"SENTENCE": 101, "SEGMENT": 211, "CLAUSE": 307}[kind.value]
+def train_and_summarize(
+    config: PipelineConfig,
+    views: list[CaseView],
+    cuts: dict[UnitKind, list[list[BoundarySet]]],
+    indices: tuple[list[int], list[int], list[int]],
+    budget: float,
+    out_dir: str,
+) -> dict:
+    """The summarizer stage of run_experiment: builds every kind's
+    documents from its cuts, trains the kinds' summarizers in lockstep on
+    the train cases (oracle-labeled) with the dev cases, saves their
+    checkpoints, summarizes the test cases with all of them together and
+    writes each kind's summaries.  indices are the train, dev and test
+    case indices.  Returns each kind's report entry (see kind_report)."""
+    train_idx, dev_idx, test_idx = indices
+    kinds = list(config.kinds)
+    docs = [list(build_documents(views, kind, cuts[kind])) for kind in kinds]
+    # only the training documents need oracle labels
+    trained = train_summarizers(
+        [[with_oracle_labels(d[i], budget, config.oracle_mode) for i in train_idx] for d in docs],
+        [[d[i] for i in dev_idx] for d in docs],
+        kinds,
+        [summarizer_config(config, kind) for kind in kinds],
+        budget_chars=budget,
+    )
+    for kind, (model, _) in zip(kinds, trained):
+        save_checkpoint(
+            model.to_checkpoint(),
+            os.path.join(out_dir, f"summarizer_{kind.value.lower()}.ckpt"),
+        )
+    test_docs = [[d[i] for i in test_idx] for d in docs]
+    results = summarize(test_docs, [model for model, _ in trained], budget_chars=budget)
+    return {
+        kind.value: kind_report(out_dir, kind, history, kind_docs, kind_results)
+        for kind, (_, history), kind_docs, kind_results in zip(kinds, trained, test_docs, results)
+    }
+
+
+def summarizer_config(config: PipelineConfig, kind: UnitKind) -> SummarizerConfig:
+    """The summarizer config of kind: the pipeline's, seeded per kind."""
+    offset = {"SENTENCE": 101, "SEGMENT": 211, "CLAUSE": 307}[kind.value]
+    return replace(config.summarizer, seed=config.summarizer.seed + offset)
+
+
+def kind_report(
+    out_dir: str,
+    kind: UnitKind,
+    history: History,
+    test_docs: list[DocumentExample],
+    results: list[SummaryResult],
+) -> dict:
+    """Writes kind's test summaries; returns its report entry: the test
+    ROUGE in percent, the dev ROUGE-1 trajectory, the best epoch and the
+    test case count."""
+    per_case = [
+        rouge_eval([list(u.tokens) for u in result.units], list(doc.reference_sentences))
+        for doc, result in zip(test_docs, results)
+    ]
+    write_lines(
+        os.path.join(out_dir, f"summaries_{kind.value.lower()}.jsonl"),
+        [summary_json(result) for result in results],
+    )
+    return {
+        "rouge": mean_rouge(per_case, scale=100.0),
+        "dev_rouge1_trajectory": [100.0 * s for s in history.dev_scores],
+        "best_epoch": history.best_epoch,
+        "test_cases": len(test_docs),
+    }
 
 
 def summary_json(result: SummaryResult) -> str:

@@ -97,7 +97,7 @@ class PointerSegmenter:
         cols = np.repeat(np.arange(len(sentences)), lengths)
         x = np.zeros((lengths.max(), len(sentences), self.config.embed_dim))
         x[rows, cols] = nn.embed_bag_forward(bucket_lists, self.store.params["emb"])
-        enc, enc_cache = nn.bigru_forward(x, self.store, "enc", lengths)
+        [enc], enc_cache = nn.bigru_forward([x], [self.store], "enc", [lengths])
         return enc, lengths, (rows, cols, bucket_lists, enc_cache)
 
     def _point_distribution(self, enc_proj, dec_states, starts, lengths):
@@ -167,7 +167,7 @@ class PointerSegmenter:
         store.accumulate("attn.b", denc_proj.sum(axis=(0, 1)))
         denc = denc_proj @ p["attn.w_enc"].T
         denc[first, sent] += dx_dec[step, sent]
-        dx = nn.bigru_backward(denc, enc_cache, store)[rows, cols]
+        dx = nn.bigru_backward([denc], enc_cache, [store])[0][rows, cols]
         del enc, enc_cache, denc  # frees the batch's encoder state before the bag backward
         nn.embed_bag_backward(dx, bucket_lists, store.grads["emb"])
         return loss
@@ -225,6 +225,5 @@ def segmenter_train(
     """Train the pointer segmenter on (sentence, BoundarySet) pairs,
     batch_sentences at a time; the last epoch's model is returned."""
     model = PointerSegmenter(config)
-    return model, nn.fit(
-        model, examples, config.batch_sentences, config.epochs, config.seed, config.lr
-    )
+    job = nn.Job(model, examples, config.batch_sentences, config.seed, config.lr)
+    return model, nn.fit([job], config.epochs)[0]

@@ -2,15 +2,22 @@
 are checked against.
 
 These are the one-sequence GRU recurrence and the table-filling LCS
-backtrace as they stood before the GRU kernel was batched, and the
-pointer segmenter's one-sentence greedy decode as it stood before
-decoding was batched.  Nothing in ``src/`` calls them; the tests run
-both forms on the same seeded inputs and require them to agree.
+backtrace as they stood before the GRU kernel was batched, the pointer
+segmenter's one-sentence greedy decode as it stood before decoding was
+batched, and run_experiment's summarizer stage as it stood before the
+kinds were trained and summarized in lockstep.  Nothing in ``src/``
+calls them; the tests run both forms on the same seeded inputs and
+require them to agree.
 """
+
+import os
 
 import numpy as np
 
 from gransum import nn
+from gransum.nn.checkpoint import save_checkpoint
+from gransum.pipeline import build_documents, kind_report, summarizer_config, with_oracle_labels
+from gransum.summarizer import summarize, summarizer_train
 
 
 def lcs_mask_greedy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,7 +128,7 @@ def pointer_greedy_decode(model, surfaces) -> tuple[int, ...]:
     unit, pointing with one masked distribution per step."""
     p = model.store.params
     x = nn.embed_bag_forward([model.hasher.buckets(s) for s in surfaces], p["emb"])
-    enc = nn.bigru_forward(x[:, None], model.store, "enc")[0][:, 0]
+    enc = nn.bigru_forward([x[:, None]], [model.store], "enc")[0][0][:, 0]
     enc_proj = enc @ p["attn.w_enc"] + p["attn.b"]
     t_count = len(surfaces)
     positions = []
@@ -139,3 +146,28 @@ def pointer_greedy_decode(model, surfaces) -> tuple[int, ...]:
         positions.append(end)
         start = end + 1
     return tuple(positions)
+
+
+def train_and_summarize(config, views, cuts, indices, budget, out_dir) -> dict:
+    """pipeline.train_and_summarize one kind after another: each kind's
+    summarizer is trained alone, saved, and summarizes the test cases
+    alone before the next kind starts."""
+    train_idx, dev_idx, test_idx = indices
+    kind_reports = {}
+    for kind in config.kinds:
+        docs = list(build_documents(views, kind, cuts[kind]))
+        model, history = summarizer_train(
+            [with_oracle_labels(docs[i], budget, config.oracle_mode) for i in train_idx],
+            [docs[i] for i in dev_idx],
+            kind,
+            summarizer_config(config, kind),
+            budget_chars=budget,
+        )
+        save_checkpoint(
+            model.to_checkpoint(),
+            os.path.join(out_dir, f"summarizer_{kind.value.lower()}.ckpt"),
+        )
+        test_docs = [docs[i] for i in test_idx]
+        [results] = summarize([test_docs], [model], budget_chars=budget)
+        kind_reports[kind.value] = kind_report(out_dir, kind, history, test_docs, results)
+    return kind_reports

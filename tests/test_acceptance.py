@@ -265,8 +265,8 @@ def test_c4_gradient_checks():
 
     def bigru_loss():
         store.zero_grads()
-        h, cache = nn.bigru_forward(x, store, "g")
-        nn.bigru_backward(2.0 * (h - target) / h.size, cache, store)
+        [h], cache = nn.bigru_forward([x], [store], "g")
+        nn.bigru_backward([2.0 * (h - target) / h.size], cache, [store])
         return float(((h - target) ** 2).mean())
 
     worst["bigru"] = finite_difference_check(bigru_loss, store)
@@ -314,7 +314,8 @@ def test_c4_gradient_checks():
 
     def summarizer_loss():
         sum_model.store.zero_grads()
-        return sum_model.loss_and_grads([doc])
+        [loss] = Summarizer.losses_and_grads([sum_model], [[doc]])
+        return loss
 
     worst["summarizer"] = finite_difference_check(summarizer_loss, sum_model.store)
 

@@ -89,6 +89,48 @@ def test_gru_matches_reference(lengths, weight_sets):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def test_padded_weight_sets_match_their_own_calls():
+    """Three BiGRU-like weight-set pairs of different lengths padded into
+    one G=6 call give the bits of three G=2 calls of their own T, the
+    weight gradients included: T=300 and T=520 lie on either side of an
+    OpenBLAS K-block split, where a padded inner dimension regroups the
+    sums unless each set sums its own rows."""
+    hidden = 32
+    own_steps = (300, 417, 520)
+    calls = [_gru_batch(t, [t, t], 2, hidden) for t in own_steps]
+    steps = max(own_steps)
+    rng = np.random.default_rng(3)
+    dh_outs = [rng.normal(size=(t, 2, hidden)) for t in own_steps]
+
+    def padded(arrays):
+        out = np.zeros((steps, 2 * len(arrays)) + arrays[0].shape[2:])
+        for m, a in enumerate(arrays):
+            out[:a.shape[0], 2 * m:2 * m + 2] = a
+        return out
+
+    stacked = {k: np.concatenate([c[k] for c in calls]) for k in ("whzr", "whn", "bzr", "bn", "h0")}
+    states = kernels.gru_seq_forward(
+        padded([c["xzr"] for c in calls]), padded([c["xn"] for c in calls]),
+        stacked["whzr"], stacked["whn"], stacked["bzr"], stacked["bn"], stacked["h0"],
+        np.repeat(own_steps, 2),
+    )
+    grads = kernels.gru_seq_backward(
+        *states, stacked["whzr"], stacked["whn"], padded(dh_outs),
+        set_steps=np.repeat(own_steps, 2),
+    )
+    for m, (t, call, dh_out) in enumerate(zip(own_steps, calls, dh_outs)):
+        sets = slice(2 * m, 2 * m + 2)
+        own = kernels.gru_seq_forward(**call, lengths=None)
+        for want, got in zip(own, states):
+            assert np.array_equal(got[:want.shape[0], sets], want)
+        own_grads = kernels.gru_seq_backward(*own, call["whzr"], call["whn"], dh_out)
+        for want, got in zip(own_grads[:2], grads[:2]):  # dxzr, dxn
+            assert np.array_equal(got[:t, sets], want)
+        for want, got in zip(own_grads[2:6], grads[2:6]):  # dwhzr, dwhn, dbzr, dbn
+            assert np.array_equal(got[sets], want)
+        assert np.array_equal(grads[6][sets], own_grads[6])
+
+
 def _lcs_pairs():
     rng = np.random.default_rng(11)
     for alphabet in (1, 2, 3, 5):

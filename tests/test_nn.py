@@ -143,9 +143,9 @@ class TestGru:
 
         def loss_fn():
             store.zero_grads()
-            h, cache = nn.bigru_forward(x, store, "g")
+            [h], cache = nn.bigru_forward([x], [store], "g")
             loss = float(((h - target) ** 2).mean())
-            nn.bigru_backward(2.0 * (h - target) / h.size, cache, store)
+            nn.bigru_backward([2.0 * (h - target) / h.size], cache, [store])
             return loss
 
         assert finite_difference_check(loss_fn, store) < 1e-4
@@ -162,14 +162,14 @@ class TestGru:
             dout[:n, s] = rng.normal(size=(n, 8))
 
         store.zero_grads()
-        out, cache = nn.bigru_forward(x, store, "g", np.array(lengths))
-        dx = nn.bigru_backward(dout, cache, store)
+        [out], cache = nn.bigru_forward([x], [store], "g", [np.array(lengths)])
+        [dx] = nn.bigru_backward([dout], cache, [store])
         batched = {k: v.copy() for k, v in store.grads.items()}
 
         store.zero_grads()
         for s, n in enumerate(lengths):
-            out_s, cache_s = nn.bigru_forward(x[:n, s:s + 1], store, "g")
-            dx_s = nn.bigru_backward(dout[:n, s:s + 1], cache_s, store)
+            [out_s], cache_s = nn.bigru_forward([x[:n, s:s + 1]], [store], "g")
+            [dx_s] = nn.bigru_backward([dout[:n, s:s + 1]], cache_s, [store])
             np.testing.assert_allclose(out[:n, s], out_s[:, 0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(dx[:n, s], dx_s[:, 0], rtol=0, atol=1e-12)
             assert not dx[n:, s].any()
@@ -250,7 +250,7 @@ class TestTraining:
         model = _ToyLogistic(4, seed=0)
         before = {k: v.copy() for k, v in model.store.params.items()}
         opt = nn.Adam(model.store, 0.0)
-        nn.train_step(model, _toy_batch(), opt)
+        nn.train_step([model], [_toy_batch()], [opt])
         for k, v in model.store.params.items():
             np.testing.assert_array_equal(v, before[k])
 
@@ -261,7 +261,7 @@ class TestTraining:
             opt = nn.Adam(model.store, 1e-3)
             batch = _toy_batch(seed=5)
             for _ in range(20):
-                nn.train_step(model, batch, opt)
+                nn.train_step([model], [batch], [opt])
             runs.append({k: v.copy() for k, v in model.store.params.items()})
         for k in runs[0]:
             np.testing.assert_array_equal(runs[0][k], runs[1][k])
@@ -270,7 +270,7 @@ class TestTraining:
         model = _ToyLogistic(4, seed=1)
         opt = nn.Adam(model.store, 3e-2)
         batch = _toy_batch(seed=2)
-        losses = [nn.train_step(model, batch, opt) for _ in range(200)]
+        losses = [nn.train_step([model], [batch], [opt])[0] for _ in range(200)]
         smoothed = np.convolve(losses, np.ones(20) / 20, mode="valid")
         assert all(a >= b for a, b in zip(smoothed, smoothed[1:]))
         assert losses[-1] < losses[0] / 4
@@ -280,7 +280,7 @@ class TestTraining:
         model.store.params["w"][...] = np.nan
         opt = nn.Adam(model.store, 1e-3)
         with pytest.raises(nn.TrainingError):
-            nn.train_step(model, _toy_batch(n=4, dim=2), opt)
+            nn.train_step([model], [_toy_batch(n=4, dim=2)], [opt])
 
     def test_parameter_cap_refuses_before_allocating(self):
         store = nn.ParameterStore(0)
@@ -307,7 +307,8 @@ class TestFit:
 
     def _fit(self, epochs, dev_score=None):
         model = _ToyExamples(4, seed=2)
-        history = nn.fit(model, self.EXAMPLES, 5, epochs, 7, 3e-2, dev_score)
+        score = None if dev_score is None else (lambda models: [dev_score(models[0])])
+        [history] = nn.fit([nn.Job(model, self.EXAMPLES, 5, 7, 3e-2)], epochs, score)
         return model, history
 
     def test_restores_the_best_dev_epoch(self):
@@ -331,6 +332,48 @@ class TestFit:
         stopped, _ = self._fit(2)
         assert model.store.step == 15
         assert not np.array_equal(model.store.params["w"], stopped.store.params["w"])
+
+    def test_a_best_last_epoch_keeps_the_last_epoch(self):
+        scores = iter([0.2, 0.5])
+        model, history = self._fit(2, lambda m: next(scores))
+        assert history.best_epoch == 1
+        plain, _ = self._fit(2)
+        assert model.store.step == plain.store.step == 10
+        for k, v in model.store.params.items():
+            np.testing.assert_array_equal(v, plain.store.params[k])
+
+    def test_lockstep_jobs_train_as_they_would_alone(self):
+        """Jobs with different seeds, item counts and batch counts in one
+        fit: each ends bit-identical to its own one-job fit, in
+        parameters, step count and history, dev-score restore included."""
+        items = [self.EXAMPLES, self.EXAMPLES[:13], self.EXAMPLES[5:21]]
+        seeds = [7, 8, 9]
+        scripted = [[0.4, 0.6, 0.5], [0.3, 0.2, 0.1], [0.1, 0.2, 0.3]]
+
+        def jobs(picked):
+            return [
+                nn.Job(_ToyExamples(4, seed=j), items[j], 4, seeds[j], 3e-2) for j in picked
+            ]
+
+        def scores(picked):
+            epochs = iter(range(3))
+
+            def score(models):
+                epoch = next(epochs)
+                return [scripted[j][epoch] for j in picked]
+
+            return score
+
+        together = jobs([0, 1, 2])
+        histories = nn.fit(together, 3, scores([0, 1, 2]))
+        for j, (job, history) in enumerate(zip(together, histories)):
+            [alone] = jobs([j])
+            [want] = nn.fit([alone], 3, scores([j]))
+            assert history == want
+            assert job.model.store.step == alone.model.store.step
+            for k, v in job.model.store.params.items():
+                assert np.array_equal(v, alone.model.store.params[k]), (j, k)
+        assert [h.best_epoch for h in histories] == [1, 0, 2]
 
 
 class TestCheckpoint:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gransum import pipeline
 from gransum.cli import main as cli_main
 from gransum.corpus import SyntheticSpec, load_corpus
 from gransum.pipeline import (
@@ -20,6 +21,8 @@ from gransum.segmenter import PointerSegmenter, SegmenterConfig
 from gransum.settings import load_settings
 from gransum.spans import UnitKind
 from gransum.summarizer import SummarizerConfig
+
+import reference_kernels
 
 TINY = PipelineConfig(
     synthetic=SyntheticSpec(
@@ -140,6 +143,30 @@ class TestRunExperiment:
             assert cli_main(argv + ["--output", str(path)]) == 0
             lines = path.read_text().splitlines()
             assert lines and all(line in report_lines for line in lines), argv
+
+
+def test_lockstep_kinds_match_one_kind_at_a_time(tmp_path, monkeypatch):
+    """run_experiment trains and summarizes the three kinds together; a
+    small pointer run (two summarizer epochs, dev cases) writes every
+    artifact byte for byte as the reference stage that runs one kind
+    after another."""
+    config = replace(
+        TINY,
+        segment_method="pointer",
+        summarizer=replace(TINY.summarizer, embed_dim=32, hidden=32, d_ff=96, epochs=2),
+    )
+    lockstep, sequential = tmp_path / "lockstep", tmp_path / "sequential"
+    run_experiment(config, str(lockstep))
+    monkeypatch.setattr(pipeline, "train_and_summarize", reference_kernels.train_and_summarize)
+    run_experiment(config, str(sequential))
+    names = sorted(p.name for p in lockstep.iterdir())
+    assert names == sorted(p.name for p in sequential.iterdir())
+    assert {"segmenter.ckpt", "summarizer_clause.ckpt", "summaries_clause.jsonl"} <= set(names)
+    for name in names:
+        assert (lockstep / name).read_bytes() == (sequential / name).read_bytes(), name
+    report = json.loads((lockstep / "report.json").read_text())
+    assert report["corpus"]["dev"] > 0
+    assert all(len(k["dev_rouge1_trajectory"]) == 2 for k in report["summarization"].values())
 
 
 class TestConfig:

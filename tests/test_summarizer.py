@@ -18,6 +18,7 @@ from gransum.summarizer import (
     DocumentExample,
     Summarizer,
     SummarizerConfig,
+    predict_probs,
     summarize,
     summarizer_train,
 )
@@ -94,7 +95,7 @@ class TestEncodeDocument:
             else:
                 x[t] = p["emb"][model.hasher.buckets(surface)].mean(axis=0)
         x = x + SMALL.pe_scale * nn.sinusoidal_encoding(len(stream), SMALL.embed_dim)
-        enc = nn.bigru_forward(x[:, None], model.store, "enc")[0][:, 0]
+        enc = nn.bigru_forward([x[:, None]], [model.store], "enc")[0][0][:, 0]
         for (a, b) in pools:
             manual = enc[a:b].mean(axis=0)
             np.testing.assert_allclose(manual, enc[a:b].sum(axis=0) / (b - a), atol=1e-12)
@@ -117,7 +118,7 @@ class TestEncodeDocument:
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         model.store.params["head_w"][...] = 0.0
         model.store.params["head_b"][...] = 0.0
-        [(probs, _)] = model.predict_probs([toy_doc()])
+        [(probs, _)] = predict_probs([model], [[toy_doc()]])[0]
         np.testing.assert_allclose(probs, 0.5, atol=1e-15)
 
     def test_window_truncation_drops_trailing_sentences(self):
@@ -125,13 +126,13 @@ class TestEncodeDocument:
         model = Summarizer(config, UnitKind.SEGMENT)
         # first sentence costs 6 (4 tokens + cls + sep); second would overflow
         doc = toy_doc()
-        _, [unit_idx], _ = model._forward([doc], [model._layout(doc)])
+        _, _, unit_idx = model._layout(doc)
         assert unit_idx == [0, 1]
 
     def test_kind_mismatch_rejected(self):
         model = Summarizer(SMALL, UnitKind.CLAUSE)
         with pytest.raises(ValueError, match="kind"):
-            model.loss_and_grads([toy_doc()])
+            list(Summarizer.losses_and_grads([model], [[toy_doc()]]))
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
@@ -151,7 +152,8 @@ class TestGradients:
 
         def loss_fn():
             model.store.zero_grads()
-            return model.loss_and_grads([doc])
+            [loss] = Summarizer.losses_and_grads([model], [[doc]])
+            return loss
 
         assert finite_difference_check(loss_fn, model.store) < 1e-4
 
@@ -159,7 +161,7 @@ class TestGradients:
 class TestSummarize:
     def test_budget_zero_selects_single_top_unit(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        [result] = summarize([toy_doc()], model, budget_chars=0)
+        [result] = summarize([[toy_doc()]], [model], budget_chars=0)[0]
         assert len(result.units) == 1
 
     def test_equal_probabilities_document_order_prefix(self):
@@ -167,7 +169,7 @@ class TestSummarize:
         model.store.params["head_w"][...] = 0.0
         model.store.params["head_b"][...] = 0.0
         doc = toy_doc()
-        [result] = summarize([doc], model, budget_chars=6)
+        [result] = summarize([[doc]], [model], budget_chars=6)[0]
         # char lengths 5, 2, 5: prefix crosses budget at the second unit...
         # 5 + 2 = 7 > 6, so exactly the first two units in document order
         assert result.units == doc.units[:2]
@@ -175,24 +177,24 @@ class TestSummarize:
     def test_ranking_invariant_under_monotone_logit_transform(self):
         docs, _, budget = synth_docs(UnitKind.SEGMENT, case_count=4)
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        base = [r.units for r in summarize(docs, model, budget_chars=budget)]
+        base = [r.units for r in summarize([docs], [model], budget_chars=budget)[0]]
         # scale the head: logits -> 3 * logits + 1 is strictly monotone
         model.store.params["head_w"][...] *= 3.0
         model.store.params["head_b"][...] = model.store.params["head_b"] * 3.0 + 1.0
-        after = [r.units for r in summarize(docs, model, budget_chars=budget)]
+        after = [r.units for r in summarize([docs], [model], budget_chars=budget)[0]]
         assert base == after
 
     def test_output_length_exceeds_budget_by_at_most_one_unit(self):
         docs, _, budget = synth_docs(UnitKind.SEGMENT, case_count=6)
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        for doc, result in zip(docs, summarize(docs, model, budget_chars=budget)):
+        for doc, result in zip(docs, summarize([docs], [model], budget_chars=budget)[0]):
             total = sum(u.char_length for u in result.units)
             max_unit = max(u.char_length for u in doc.units)
             assert total <= budget + max_unit
 
     def test_summary_joined_by_single_space(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        [result] = summarize([toy_doc()], model, budget_chars=10 ** 6)
+        [result] = summarize([[toy_doc()]], [model], budget_chars=10 ** 6)[0]
         assert result.summary_text == "wa bo, ke lu mi。"
 
 
@@ -223,7 +225,7 @@ class TestTraining:
         ]
         config = dataclasses.replace(SMALL, epochs=4)
         model, _ = summarizer_train(zeroed, [], UnitKind.SEGMENT, config, budget)
-        probs = [q for p, _ in model.predict_probs(zeroed) for q in p.tolist()]
+        probs = [q for p, _ in predict_probs([model], [zeroed])[0] for q in p.tolist()]
         assert np.mean(probs) < 0.1
 
     def test_same_seed_identical_dev_trajectories(self):
@@ -248,7 +250,7 @@ class TestTraining:
         config = SummarizerConfig(bucket_count=2 ** 14, epochs=6, seed=1)
         model, _ = summarizer_train(train, dev, UnitKind.SEGMENT, config, 100)
         tp = fp = fn = 0
-        for doc, (probs, idx) in zip(test, model.predict_probs(test)):
+        for doc, (probs, idx) in zip(test, predict_probs([model], [test])[0]):
             for p, i in zip(probs, idx):
                 pred, gold = p >= 0.5, doc.labels[i]
                 tp += pred and gold
@@ -272,7 +274,7 @@ class TestTraining:
         doc = dataclasses.replace(toy_doc(), labels=None)
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         with pytest.raises(ValueError, match="labels"):
-            model.loss_and_grads([doc])
+            list(Summarizer.losses_and_grads([model], [[doc]]))
 
     @pytest.mark.slow
     def test_trained_beats_random_selection_paired(self):
@@ -285,7 +287,7 @@ class TestTraining:
         model, _ = summarizer_train(train, dev, UnitKind.SEGMENT, config, budget)
         rng = np.random.default_rng(9)
         diffs = []
-        for doc, trained in zip(test, summarize(test, model, budget_chars=budget)):
+        for doc, trained in zip(test, summarize([test], [model], budget_chars=budget)[0]):
             refs = [list(s) for s in doc.reference_sentences]
             trained_tokens = [list(u.tokens) for u in trained.units]
             trained_f1 = rouge_eval(trained_tokens, refs)["rouge1"].f1
@@ -307,8 +309,8 @@ class TestCheckpointing:
         save_checkpoint(model.to_checkpoint(), str(path))
         loaded = Summarizer.from_checkpoint(load_checkpoint(str(path)))
         assert loaded.unit_kind is UnitKind.SEGMENT
-        [(p0, _)] = model.predict_probs(docs[3:])
-        [(p1, _)] = loaded.predict_probs(docs[3:])
+        [(p0, _)] = predict_probs([model], [docs[3:]])[0]
+        [(p1, _)] = predict_probs([loaded], [docs[3:]])[0]
         np.testing.assert_array_equal(p0, p1)
 
 
@@ -321,11 +323,59 @@ def test_batched_inference_matches_one_document_calls():
     window = 2 * max(lengths)
     assert len(set(lengths)) > 1 and sum(lengths) > window  # two documents a group at most
     model = Summarizer(dataclasses.replace(SMALL, max_window=window), UnitKind.SEGMENT)
-    batched = model.predict_probs(docs)
+    batched = predict_probs([model], [docs])[0]
     for doc, (probs, unit_idx) in zip(docs, batched):
-        [(want, want_idx)] = model.predict_probs([doc])
+        [(want, want_idx)] = predict_probs([model], [[doc]])[0]
         assert unit_idx == want_idx
         np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
-    together = [r.units for r in summarize(docs, model, budget_chars=budget)]
-    alone = [summarize([doc], model, budget_chars=budget)[0].units for doc in docs]
+    together = [r.units for r in summarize([docs], [model], budget_chars=budget)[0]]
+    alone = [summarize([[doc]], [model], budget_chars=budget)[0][0].units for doc in docs]
     assert together == alone
+
+
+def _three_kinds(case_count=5):
+    """One model per kind (seeds differ) and each kind's documents of the
+    same cases."""
+    docs = {kind: synth_docs(kind, case_count=case_count)[0] for kind in UnitKind}
+    models = [
+        Summarizer(dataclasses.replace(SMALL, seed=seed), kind)
+        for seed, kind in enumerate(UnitKind)
+    ]
+    return models, [docs[model.unit_kind] for model in models]
+
+
+def test_models_run_together_match_each_model_alone():
+    """predict_probs of three models over the same cases, run together
+    (one BiGRU call per group), equals each model run alone, bit for bit."""
+    models, docs = _three_kinds()
+    together = predict_probs(models, docs)
+    for model, model_docs, got in zip(models, docs, together):
+        [want] = predict_probs([model], [model_docs])
+        assert [idx for _, idx in got] == [idx for _, idx in want]
+        for (p_got, _), (p_want, _) in zip(got, want):
+            assert np.array_equal(p_got, p_want)
+
+
+def test_lockstep_training_step_matches_each_model_alone():
+    """One losses_and_grads over three models, each on a different
+    document (different lengths, padded to the longest), gives each
+    model's loss and gradients bit for bit as its step alone."""
+    models, docs = _three_kinds()
+    batches = [[model_docs[k]] for k, model_docs in enumerate(docs)]
+    assert len({len(Summarizer(SMALL, UnitKind.SENTENCE)._layout(b[0])[0]) for b in batches}) > 1
+    losses = list(Summarizer.losses_and_grads(models, batches))
+    together = [{k: g.copy() for k, g in m.store.grads.items()} for m in models]
+    for model, batch, loss, grads in zip(models, batches, losses, together):
+        model.store.zero_grads()
+        assert list(Summarizer.losses_and_grads([model], [batch])) == [loss]
+        for name, grad in model.store.grads.items():
+            assert np.array_equal(grads[name], grad), name
+
+
+def test_models_run_together_need_the_same_cases():
+    models, docs = _three_kinds()
+    with pytest.raises(ValueError, match="same cases"):
+        predict_probs(models[:2], [docs[0], docs[1][::-1]])
+    wide = Summarizer(dataclasses.replace(SMALL, max_window=512), UnitKind.SEGMENT)
+    with pytest.raises(ValueError, match="max_window"):
+        predict_probs([models[0], wide], [docs[0], docs[1]])

@@ -114,6 +114,25 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         fh.write(bytes(payload))
 
 
+def _check_header_fields(path: str, header: dict) -> None:
+    """A CheckpointError naming path and the field unless the header has
+    a string kind, an object of hyperparameters and integer seed and step
+    >= 0."""
+    for name in ("kind", "hyper", "seed", "step"):
+        if name not in header:
+            raise CheckpointError(f"{path}: header has no {name!r}")
+    if not isinstance(header["kind"], str):
+        raise CheckpointError(f"{path}: header 'kind' must be a string, got {header['kind']!r}")
+    if not isinstance(header["hyper"], dict):
+        raise CheckpointError(f"{path}: header 'hyper' must be an object, got {header['hyper']!r}")
+    for name in ("seed", "step"):
+        value = header[name]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise CheckpointError(
+                f"{path}: header {name!r} must be an integer >= 0, got {value!r}"
+            )
+
+
 def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
@@ -139,6 +158,7 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {header.get('version')!r}"
         )
+    _check_header_fields(path, header)
     if expect_kind is not None and header["kind"] != expect_kind:
         raise CheckpointError(
             f"{path}: checkpoint kind {header['kind']!r}, expected {expect_kind!r}"

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .corpus import CorpusError, read_jsonl
-from .rouge import rouge_n
+from .rouge import clipped_prf, ngram_counts
 from .spans import Unit, budget_select
 
 DEFAULT_BUDGET_CHARS = 1200
@@ -38,7 +38,9 @@ def make_oracle_labels(
     Returns one LabeledUnit per input unit, in input (document) order.
     Units shorter than two tokens carry no bigrams and score 0.
     """
-    scores = [rouge_n(list(u.tokens), reference_tokens, 2).f1 for u in units]
+    reference = ngram_counts(reference_tokens, 2)
+    total = sum(reference.values())
+    scores = [clipped_prf(ngram_counts(u.tokens, 2), reference, total).f1 for u in units]
     chosen = set(budget_select(scores, units, budget_chars, mode))
     return [
         LabeledUnit(u, score, i in chosen)

@@ -15,6 +15,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -134,12 +135,17 @@ class PipelineConfig:
 
 @dataclass
 class CaseView:
-    """A case after sentence splitting and tokenization."""
+    """A case after sentence splitting and tokenization of its record."""
 
     case: Case
     sentences: list[Sentence]
     tokens: list[list[Token]]
-    reference_sentences: list[list[str]]
+
+    @cached_property
+    def reference_sentences(self) -> list[list[str]]:
+        """Token surfaces of each summary sentence, made on first read.
+        Lexicon hooks set tags, never surfaces, so none are needed."""
+        return surface_sentences(self.case.summary_text)
 
 
 def load_lexicons(
@@ -165,7 +171,7 @@ def build_view(case: Case, hooks: LexiconHooks) -> CaseView:
     if not sentences:
         raise CorpusError(f"case {case.id}: record text has no sentences")
     tokens = [tokenize(s.text, hooks) for s in sentences]
-    return CaseView(case, sentences, tokens, surface_sentences(case.summary_text, hooks))
+    return CaseView(case, sentences, tokens)
 
 
 def build_views(cases: list[Case], hooks: LexiconHooks) -> list[CaseView]:

@@ -40,15 +40,21 @@ def ngram_counts(tokens: list[str], n: int) -> Counter:
     """Multiset of n-grams as a Counter of token tuples."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def clipped_prf(candidate: Counter, reference: Counter, reference_total: int) -> PRF:
+    """Clipped overlap of candidate n-gram counts with reference counts
+    that sum to reference_total; reference is only read."""
+    ref = reference.get
+    match = sum(min(count, ref(gram, 0)) for gram, count in candidate.items())
+    return PRF.from_counts(match, sum(candidate.values()), reference_total)
 
 
 def rouge_n(candidate: list[str], reference: list[str], n: int) -> PRF:
     """Clipped n-gram overlap; zero denominators score 0."""
-    cand = ngram_counts(candidate, n)
     ref = ngram_counts(reference, n)
-    match = sum(min(count, ref[gram]) for gram, count in cand.items())
-    return PRF.from_counts(match, sum(cand.values()), sum(ref.values()))
+    return clipped_prf(ngram_counts(candidate, n), ref, sum(ref.values()))
 
 
 def _intern_ids(reference: list[str], candidates: list[list[str]]):

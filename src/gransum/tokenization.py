@@ -81,7 +81,7 @@ class LexiconHooks:
         return surface in self.noun_list
 
 
-def _char_class(c: str) -> str:
+def _classify(c: str) -> str:
     if c.isspace():
         return "space"
     if c in FULLSTOP_CHARS:
@@ -101,6 +101,22 @@ def _char_class(c: str) -> str:
     if "CJK" in name or "HIRAGANA" in name or "KATAKANA" in name:
         return "cjk"
     return "word"
+
+
+class _CharClasses(dict):
+    """Character -> class, classified on the character's first lookup.
+
+    A character's class never changes, so one table serves every call; its
+    __getitem__ is mapped over a sentence without a Python call per
+    character.
+    """
+
+    def __missing__(self, c: str) -> str:
+        cls = self[c] = _classify(c)
+        return cls
+
+
+_char_class = _CharClasses().__getitem__
 
 _CLASS_TAG = {
     "fullstop": Tag.FULLSTOP,
@@ -126,6 +142,10 @@ def _marker_kind(surface: str, hooks: LexiconHooks) -> str | None:
     return None
 
 
+# The hooks of a tokenize call that passes none.
+_NO_HOOKS = LexiconHooks()
+
+
 def tokenize(sentence_text: str, hooks: LexiconHooks | None = None) -> list[Token]:
     """Split one sentence into a deterministic tiling of tokens.
 
@@ -136,18 +156,19 @@ def tokenize(sentence_text: str, hooks: LexiconHooks | None = None) -> list[Toke
     """
     if not sentence_text:
         raise ValueError("sentence_text must be non-empty")
-    hooks = hooks or LexiconHooks()
+    hooks = hooks or _NO_HOOKS
+    classes = list(map(_char_class, sentence_text))
     tokens: list[Token] = []
     i = 0
-    n = len(sentence_text)
+    n = len(classes)
     while i < n:
-        cls = _char_class(sentence_text[i])
+        cls = classes[i]
         if cls == "space":
             i += 1
             continue
         j = i + 1
         if cls not in _SINGLETON:
-            while j < n and _char_class(sentence_text[j]) == cls:
+            while j < n and classes[j] == cls:
                 j += 1
         surface = sentence_text[i:j]
         if cls == "digit":

@@ -1,15 +1,18 @@
 import importlib.util
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
 from gransum import nn, pipeline
 from gransum.cli import main
-from gransum.nn.checkpoint import save_checkpoint
+from gransum.corpus import load_corpus
+from gransum.nn.checkpoint import MAGIC, save_checkpoint
 from gransum.nn.core import train_step
 from gransum.segmenter import PointerSegmenter, SegmenterConfig
 from gransum.spans import UnitKind
+from gransum.splitters import split_sentences
 from gransum.summarizer import Summarizer, SummarizerConfig
 
 
@@ -344,11 +347,48 @@ def _checkpoint_bytes(tmp_path, model, **extra_hyper):
     return path.read_bytes()
 
 
+def _checkpoint_header_bytes(tmp_path, model, **fields):
+    """A saved checkpoint of model with header fields replaced; a field
+    given as None is removed."""
+    data = _checkpoint_bytes(tmp_path, model)
+    start = len(MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[len(MAGIC):start])
+    header = json.loads(data[start:start + length])
+    for name, value in fields.items():
+        if value is None:
+            del header[name]
+        else:
+            header[name] = value
+    raw = json.dumps(header).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(raw)) + raw + data[start + length:]
+
+
 def _label_line(**fields):
     row = {"case_id": "case-00000", "sentence_index": 0, "unit_index": 0,
            "kind": "SENTENCE", "score": 0.0, "gold": True}
     row.update(fields)
     return json.dumps(row) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-segmenter", "--method", "rules", "--gold", "{dir}/gold.jsonl"],
+    ["segment", "--method", "rules"],
+    ["stats", "--method", "rules", "--kind", "CLAUSE"],
+    ["analyze-relations", "--method", "rules"],
+])
+def test_commands_that_read_no_summary_do_not_tokenize_it(argv, synth_dir, tmp_path, monkeypatch):
+    """Each record sentence is tokenized once, and no summary sentence."""
+    calls = []
+    tokenize = pipeline.tokenize
+    monkeypatch.setattr(
+        pipeline, "tokenize", lambda text, hooks=None: calls.append(text) or tokenize(text, hooks)
+    )
+    corpus = str(synth_dir / "corpus.jsonl")
+    argv = [a.format(dir=synth_dir) for a in argv]
+    assert main(argv + ["--corpus", corpus, "--hooks", str(synth_dir / "hooks.json"),
+                        "--output", str(tmp_path / "out")]) == 0
+    records = [s.text for case in load_corpus(corpus) for s in split_sentences(case.record_text)]
+    assert calls == records
 
 
 def test_eval_segmenter_gold_loads_gold_once(synth_dir, tmp_path, monkeypatch):
@@ -406,6 +446,19 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         (summarize + ["--model"],
          _checkpoint_bytes(tmp_path, summarizer, unit_kind="WORD"),
          "checkpoint hyperparameters rejected: 'WORD'"),
+        # header fields that are missing or of the wrong type
+        *[(summarize + ["--model"], _checkpoint_header_bytes(tmp_path, summarizer, **{name: None}),
+           f"{{path}}: header has no {name!r}") for name in ("kind", "hyper", "seed", "step")],
+        (summarize + ["--model"], _checkpoint_header_bytes(tmp_path, summarizer, hyper=[1]),
+         "{path}: header 'hyper' must be an object, got [1]"),
+        (summarize + ["--model"], _checkpoint_header_bytes(tmp_path, summarizer, step="x"),
+         "{path}: header 'step' must be an integer >= 0, got 'x'"),
+        (summarize + ["--model"], _checkpoint_header_bytes(tmp_path, summarizer, seed="x"),
+         "{path}: header 'seed' must be an integer >= 0, got 'x'"),
+        (summarize + ["--model"], _checkpoint_header_bytes(tmp_path, summarizer, step=-5),
+         "{path}: header 'step' must be an integer >= 0, got -5"),
+        (summarize + ["--model"], _checkpoint_header_bytes(tmp_path, summarizer, seed=1.5),
+         "{path}: header 'seed' must be an integer >= 0, got 1.5"),
         (segment + ["--hooks"], "[1, 2]", "{path}: expected a JSON object"),
         (segment + ["--hooks"], '{"verb_list": 5}',
          "{path}: 'verb_list' must be frozenset[str], got int"),
@@ -592,7 +645,8 @@ def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
                  "segmenter.train.calls", "summarizer.train.calls",
                  "segmenter.predict.calls", "kernels.gru_forward.t1_calls",
                  "analysis.corpus_boundary_prf.calls", "rouge.rouge_l.calls",
-                 "pipeline.build_document.calls", "work.units.CLAUSE"):
+                 "pipeline.build_document.calls", "work.units.CLAUSE",
+                 "tokenization.tokenize.calls", "rouge.rouge_n.calls"):
         assert counts[name] > 0, name
     # summarize ran on several documents at once
     assert len((tmp_path / "summaries.jsonl").read_text().splitlines()) >= 3

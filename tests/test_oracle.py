@@ -99,6 +99,9 @@ class TestOracleProperties:
                 labels = make_oracle_labels(entries, reference, budget, mode)
                 expected = reference_selection(entries, reference, budget, mode)
                 assert {i for i, l in enumerate(labels) if l.gold} == expected
+                assert [l.score for l in labels] == [
+                    rouge_n(list(e.tokens), reference, 2).f1 for e in entries
+                ]
 
     def test_budget_monotonicity(self):
         rng = np.random.default_rng(21)
@@ -131,6 +134,27 @@ class TestOracleProperties:
                     seen_zero = True
                 else:
                     assert not seen_zero
+
+    @pytest.mark.parametrize(
+        "reference, units",
+        [
+            # a reference that repeats its bigrams
+            (["a", "b", "a", "b", "a", "b", "c"],
+             [["a", "b"], ["b", "a", "b"], ["a", "b", "c", "a"], ["c", "a", "b"]]),
+            # units that use a bigram more often than the reference does
+            (["a", "b", "c", "d", "a", "b"],
+             [["a", "b", "a", "b", "a", "b"], ["c", "d", "c", "d"], ["a", "b", "c", "d"]]),
+        ],
+    )
+    def test_clipped_scores_in_either_unit_order(self, reference, units):
+        """Each unit is clipped at the reference's counts, and scoring one
+        unit never changes the counts the next unit is scored against."""
+        entries = [entry(0, i, toks) for i, toks in enumerate(units)]
+        expected = [rouge_n(toks, reference, 2).f1 for toks in units]
+        forward = make_oracle_labels(entries, reference, budget_chars=10)
+        backward = make_oracle_labels(entries[::-1], reference, budget_chars=10)
+        assert [l.score for l in forward] == expected
+        assert [l.score for l in backward] == expected[::-1]
 
     def test_empty_units(self):
         assert make_oracle_labels([], ["a"], 10) == []

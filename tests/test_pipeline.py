@@ -7,7 +7,7 @@ import pytest
 
 from gransum import pipeline
 from gransum.cli import main as cli_main
-from gransum.corpus import SyntheticSpec, load_corpus
+from gransum.corpus import SyntheticSpec, generate_synthetic, load_corpus
 from gransum.pipeline import (
     REPORT_VERSION,
     PipelineConfig,
@@ -16,11 +16,14 @@ from gransum.pipeline import (
     rouge_eval_texts,
     run_experiment,
     split_indices,
+    surface_sentences,
 )
 from gransum.segmenter import PointerSegmenter, SegmenterConfig
 from gransum.settings import load_settings
 from gransum.spans import UnitKind
+from gransum.splitters import split_sentences
 from gransum.summarizer import SummarizerConfig
+from gransum.tokenization import Tag, tokenize
 
 import reference_kernels
 
@@ -224,3 +227,20 @@ def test_rouge_eval_texts_identity():
 def test_rouge_eval_texts_empty_candidate():
     scores = rouge_eval_texts("", "a b")
     assert scores["rouge1"].f1 == 0.0
+
+
+@pytest.mark.parametrize("seed", [9, 20250808])
+def test_hooks_never_change_surfaces(seed):
+    """The planted lexicon tags tokens but never moves a boundary, so a
+    summary tokenized without hooks has the surfaces it has with them."""
+    corpus = generate_synthetic(SyntheticSpec(case_count=20, chunks_per_summary=40, seed=seed))
+    markers = 0
+    for case in corpus.cases:
+        for text in (case.record_text, case.summary_text):
+            assert surface_sentences(text, corpus.hooks) == surface_sentences(text)
+            markers += sum(
+                t.tag is Tag.MARKER
+                for s in split_sentences(text)
+                for t in tokenize(s.text, corpus.hooks)
+            )
+    assert markers > 0

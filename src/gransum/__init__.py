@@ -16,8 +16,8 @@ from .analysis import (
 )
 from .corpus import (
     Case,
+    Corpus,
     CorpusError,
-    GeneratedCorpus,
     GoldTable,
     SyntheticSpec,
     generate_synthetic,
@@ -63,9 +63,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundarySet",
     "Case",
+    "Corpus",
     "CorpusError",
     "DocumentExample",
-    "GeneratedCorpus",
     "GoldTable",
     "GranularityStats",
     "LabeledUnit",

@@ -11,17 +11,10 @@ import dataclasses
 import json
 import sys
 
-from .corpus import (
-    CorpusError,
-    SyntheticSpec,
-    generate_synthetic,
-    load_corpus,
-    load_gold_boundaries,
-    read_jsonl,
-)
+from .corpus import Corpus, CorpusError, SyntheticSpec, generate_synthetic, read_jsonl
 from .nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .nn.core import TrainingError
-from .oracle import dump_labels, load_labels, make_oracle_labels
+from .oracle import dump_labels, label_documents, load_labels, make_oracle_labels
 from .pipeline import (
     STATS_HEADER,
     SPLIT_METHODS,
@@ -31,7 +24,6 @@ from .pipeline import (
     build_views,
     census_dict,
     census_lines,
-    load_lexicons,
     mean_rouge,
     rouge_eval_texts,
     run_experiment,
@@ -59,7 +51,6 @@ from .summarizer import (
     summarize,
     summarizer_train,
 )
-from .tokenization import LexiconHooks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,33 +64,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _views(args):
-    """The corpus as views, with the hooks and patterns its arguments name."""
-    cases = load_corpus(args.corpus)
-    hooks, patterns = load_lexicons(args.hooks, getattr(args, "patterns", None))
-    return build_views(cases, hooks), hooks, patterns
-
-
-def _gold_boundaries(path: str, views, hooks: LexiconHooks):
-    return split_views(views, "gold", hooks, gold=load_gold_boundaries(path))
-
-
-def _boundaries(args, views, hooks, patterns, kind: UnitKind):
+def _boundaries(args, views, corpus: Corpus, kind: UnitKind):
     """Every sentence's boundaries for kind units under unit_method, one
     list per view; --method names the segment splitter, fed by
     --checkpoint or --gold."""
     method = unit_method(kind, args.method)
-    if method == "gold":
-        if not args.gold:
-            raise CorpusError("--method gold requires --gold boundaries file")
-        return _gold_boundaries(args.gold, views, hooks)
     pointer = None
     if method == "pointer":
         if not args.checkpoint:
             raise CorpusError("--method pointer requires --checkpoint")
         ckpt = load_checkpoint(args.checkpoint, expect_kind=PointerSegmenter.KIND)
         pointer = PointerSegmenter.from_checkpoint(ckpt)
-    return split_views(views, method, hooks, patterns, pointer=pointer)
+    return split_views(views, method, corpus, pointer=pointer)
 
 
 # ----------------------------------------------------------------------
@@ -117,16 +93,15 @@ def cmd_gen_synthetic(args) -> int:
             copy_rate=args.copy_rate,
             seed=args.seed if args.seed is not None else 1234,
         )
-    generated = generate_synthetic(spec)
-    generated.save(args.corpus_out, args.gold_out, args.hooks_out, args.patterns_out)
-    print(f"wrote {len(generated.cases)} cases to {args.corpus_out}")
+    corpus = generate_synthetic(spec)
+    corpus.save(args.corpus_out, args.gold_out, args.hooks_out, args.patterns_out)
+    print(f"wrote {len(corpus.cases)} cases to {args.corpus_out}")
     return EXIT_OK
 
 
 def cmd_split_sentences(args) -> int:
-    cases = load_corpus(args.corpus)
     lines = []
-    for case in cases:
+    for case in Corpus.load(args.corpus).cases:
         sentences = split_sentences(case.record_text)
         lines.append(
             json.dumps(
@@ -146,14 +121,15 @@ def cmd_split_sentences(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    views, hooks, patterns = _views(args)
+    corpus = Corpus.load(args.corpus, args.gold, args.hooks, args.patterns)
+    views = build_views(corpus.cases, corpus.hooks)
     lines = [
         json.dumps(
             {"id": view.case.id, "sentence_index": si, "boundaries": list(bset.positions)},
             ensure_ascii=False,
             sort_keys=True,
         )
-        for view, bsets in zip(views, _boundaries(args, views, hooks, patterns, UnitKind.SEGMENT))
+        for view, bsets in zip(views, _boundaries(args, views, corpus, UnitKind.SEGMENT))
         for si, bset in enumerate(bsets)
     ]
     write_lines(args.output, lines)
@@ -164,8 +140,9 @@ def cmd_train_segmenter(args) -> int:
     config = SegmenterConfig(
         epochs=args.epochs, seed=args.seed if args.seed is not None else 0
     )
-    views, hooks, _ = _views(args)
-    gold = _gold_boundaries(args.gold, views, hooks)
+    corpus = Corpus.load(args.corpus, args.gold, args.hooks)
+    views = build_views(corpus.cases, corpus.hooks)
+    gold = split_views(views, "gold", corpus)
     model, history = segmenter_train(segmenter_examples(views, gold), config)
     save_checkpoint(model.to_checkpoint(), args.out)
     print(
@@ -176,11 +153,11 @@ def cmd_train_segmenter(args) -> int:
 
 
 def cmd_eval_segmenter(args) -> int:
-    views, hooks, patterns = _views(args)
-    gold = _gold_boundaries(args.gold, views, hooks)
+    corpus = Corpus.load(args.corpus, args.gold, args.hooks, args.patterns)
+    views = build_views(corpus.cases, corpus.hooks)
+    gold = split_views(views, "gold", corpus)
     predicted = (
-        gold if args.method == "gold"
-        else _boundaries(args, views, hooks, patterns, UnitKind.SEGMENT)
+        gold if args.method == "gold" else _boundaries(args, views, corpus, UnitKind.SEGMENT)
     )
     scores = boundary_scores(predicted, gold)
     write_lines(args.output, [json.dumps(scores, sort_keys=True, indent=2)])
@@ -188,10 +165,11 @@ def cmd_eval_segmenter(args) -> int:
 
 
 def cmd_make_oracle(args) -> int:
-    views, hooks, patterns = _views(args)
+    corpus = Corpus.load(args.corpus, args.gold, args.hooks, args.patterns)
+    views = build_views(corpus.cases, corpus.hooks)
     kind = UnitKind(args.kind)
     lines = []
-    for doc in build_documents(views, kind, _boundaries(args, views, hooks, patterns, kind)):
+    for doc in build_documents(views, kind, _boundaries(args, views, corpus, kind)):
         labels = make_oracle_labels(
             list(doc.units), doc.reference_tokens, args.budget, args.mode
         )
@@ -203,24 +181,13 @@ def cmd_make_oracle(args) -> int:
 def cmd_train_summarizer(args) -> int:
     seed = args.seed if args.seed is not None else 0
     config = SummarizerConfig(epochs=args.epochs, seed=seed)
-    views, hooks, patterns = _views(args)
+    corpus = Corpus.load(args.corpus, args.gold, args.hooks, args.patterns)
+    views = build_views(corpus.cases, corpus.hooks)
     kind = UnitKind(args.kind)
-    label_table = load_labels(args.labels)
-    labeled_docs = []
-    for doc in build_documents(views, kind, _boundaries(args, views, hooks, patterns, kind)):
-        case_labels = label_table.get(doc.case_id)
-        if case_labels is None:
-            raise CorpusError(f"labels file has no entries for case {doc.case_id}")
-        labels = []
-        for u in doc.units:
-            key = (u.sentence_index, u.unit_index)
-            if key not in case_labels:
-                raise CorpusError(
-                    f"case {doc.case_id}: no label for unit {key}; "
-                    "labels were built with a different splitter"
-                )
-            labels.append(int(case_labels[key]))
-        labeled_docs.append(dataclasses.replace(doc, labels=tuple(labels)))
+    label_table = load_labels(args.labels, kind)
+    labeled_docs = label_documents(
+        build_documents(views, kind, _boundaries(args, views, corpus, kind)), label_table
+    )
     train_i, dev_i, _ = split_indices(len(labeled_docs), args.dev_fraction, 0.0, seed)
     model, history = summarizer_train(
         [labeled_docs[i] for i in train_i],
@@ -239,18 +206,19 @@ def cmd_train_summarizer(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    views, hooks, patterns = _views(args)
+    corpus = Corpus.load(args.corpus, args.gold, args.hooks, args.patterns)
+    views = build_views(corpus.cases, corpus.hooks)
     ckpt = load_checkpoint(args.model, expect_kind=Summarizer.KIND)
     model = Summarizer.from_checkpoint(ckpt)
     kind = model.unit_kind
-    docs = list(build_documents(views, kind, _boundaries(args, views, hooks, patterns, kind)))
+    docs = list(build_documents(views, kind, _boundaries(args, views, corpus, kind)))
     [results] = summarize([docs], [model], budget_chars=args.budget, mode=args.mode)
     write_lines(args.output, [summary_json(result) for result in results])
     return EXIT_OK
 
 
 def cmd_eval_rouge(args) -> int:
-    cases = {c.id: c for c in load_corpus(args.corpus)}
+    cases = {c.id: c for c in Corpus.load(args.corpus).cases}
     rows = []
     per_case = []
     seen = set()
@@ -274,20 +242,22 @@ def cmd_eval_rouge(args) -> int:
 
 
 def cmd_analyze_relations(args) -> int:
-    views, hooks, patterns = _views(args)
+    corpus = Corpus.load(args.corpus, args.gold, args.hooks, args.patterns)
+    views = build_views(corpus.cases, corpus.hooks)
     census = view_census(
         views,
-        _boundaries(args, views, hooks, patterns, UnitKind.SEGMENT),
-        _boundaries(args, views, hooks, patterns, UnitKind.CLAUSE),
+        _boundaries(args, views, corpus, UnitKind.SEGMENT),
+        _boundaries(args, views, corpus, UnitKind.CLAUSE),
     )
     write_lines(args.output, census_lines(census_dict(census)))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    views, hooks, patterns = _views(args)
+    corpus = Corpus.load(args.corpus, args.gold, args.hooks, args.patterns)
+    views = build_views(corpus.cases, corpus.hooks)
     kind = UnitKind(args.kind)
-    stats = view_stats(views, _boundaries(args, views, hooks, patterns, kind))
+    stats = view_stats(views, _boundaries(args, views, corpus, kind))
     line = stats_line(kind.value, dataclasses.asdict(stats))
     write_lines(args.output, [STATS_HEADER, line])
     return EXIT_OK

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .settings import save_settings
+from .settings import load_settings, save_settings
 from .splitters import DEFAULT_PATTERNS_VERSION, RulePatterns
 from .tokenization import LexiconHooks
 
@@ -161,6 +161,52 @@ def load_gold_boundaries(path: str) -> GoldTable:
             raise CorpusError(f"{where}: duplicate gold boundaries for case {case_id!r} sentence {si}")
         sentences[si] = tuple(positions)
     return gold
+
+
+@dataclass
+class Corpus:
+    """The four corpus files as one bundle: the cases, their gold
+    boundaries (None without a gold file), the lexicon hooks and the rule
+    patterns."""
+
+    cases: list[Case]
+    gold: GoldTable | None
+    hooks: LexiconHooks
+    patterns: RulePatterns
+
+    @classmethod
+    def load(
+        cls,
+        corpus_path: str,
+        gold_path: str | None = None,
+        hooks_path: str | None = None,
+        patterns_path: str | None = None,
+    ) -> Corpus:
+        """Reads the cases and each side file whose path is given; a
+        missing hooks or patterns path gives the defaults."""
+        return cls(
+            load_corpus(corpus_path),
+            load_gold_boundaries(gold_path) if gold_path else None,
+            load_settings(LexiconHooks, hooks_path) if hooks_path else LexiconHooks(),
+            load_settings(RulePatterns, patterns_path) if patterns_path
+            else RulePatterns(DEFAULT_PATTERNS_VERSION),
+        )
+
+    def save(
+        self,
+        corpus_path: str,
+        gold_path: str | None = None,
+        hooks_path: str | None = None,
+        patterns_path: str | None = None,
+    ) -> None:
+        """Writes the cases, and each side file whose path is given."""
+        save_corpus(self.cases, corpus_path)
+        if gold_path:
+            save_gold_boundaries(self.gold, gold_path)
+        if hooks_path:
+            save_settings(self.hooks, hooks_path)
+        if patterns_path:
+            save_settings(self.patterns, patterns_path)
 
 
 @dataclass(frozen=True)
@@ -350,33 +396,7 @@ def _make_segment(rng, vocab: SyntheticVocab, spec: SyntheticSpec) -> _Segment:
     return _Segment(tokens, has_marker=shape == "pair")
 
 
-@dataclass
-class GeneratedCorpus:
-    """Synthetic cases plus their side-channel ground truth and lexicons."""
-
-    cases: list[Case]
-    gold: GoldTable
-    hooks: LexiconHooks
-    patterns: RulePatterns
-
-    def save(
-        self,
-        corpus_path: str,
-        gold_path: str | None = None,
-        hooks_path: str | None = None,
-        patterns_path: str | None = None,
-    ) -> None:
-        """Writes the cases, and each side file whose path is given."""
-        save_corpus(self.cases, corpus_path)
-        if gold_path:
-            save_gold_boundaries(self.gold, gold_path)
-        if hooks_path:
-            save_settings(self.hooks, hooks_path)
-        if patterns_path:
-            save_settings(self.patterns, patterns_path)
-
-
-def generate_synthetic(spec: SyntheticSpec) -> GeneratedCorpus:
+def generate_synthetic(spec: SyntheticSpec) -> Corpus:
     """Generate a deterministic corpus with planted boundaries.
 
     Record sentences are sequences of segments separated by comma tokens;
@@ -451,4 +471,4 @@ def generate_synthetic(spec: SyntheticSpec) -> GeneratedCorpus:
                     )
                 )
         cases.append(Case(case_id, tuple(lines), "\n".join(chunks)))
-    return GeneratedCorpus(cases, gold, vocab.hooks(), vocab.patterns())
+    return Corpus(cases, gold, vocab.hooks(), vocab.patterns())

@@ -11,11 +11,13 @@ analysis).  Selected units become the positive training labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 from .corpus import CorpusError, read_jsonl
 from .rouge import clipped_prf, ngram_counts
-from .spans import Unit, budget_select
+from .spans import Unit, UnitKind, budget_select
+from .summarizer import DocumentExample
 
 DEFAULT_BUDGET_CHARS = 1200
 
@@ -69,18 +71,21 @@ def dump_labels(case_id: str, labels: list[LabeledUnit]) -> list[str]:
     return lines
 
 
-def load_labels(path: str) -> dict[str, dict[tuple[int, int], bool]]:
-    """Gold flags keyed by case id and (sentence_index, unit_index); a
-    second line for one key is a CorpusError."""
+def load_labels(path: str, kind: UnitKind) -> dict[str, dict[tuple[int, int], bool]]:
+    """Gold flags of kind units keyed by case id and (sentence_index,
+    unit_index); a line of another kind, or a second line for one key, is
+    a CorpusError."""
     table: dict[str, dict[tuple[int, int], bool]] = {}
     for where, obj in read_jsonl(
-        path, ("case_id", "sentence_index", "unit_index", "gold")
+        path, ("case_id", "sentence_index", "unit_index", "kind", "gold")
     ):
         if not isinstance(obj["case_id"], str):
             raise CorpusError(f"{where}: case_id must be a string")
         key = (obj["sentence_index"], obj["unit_index"])
         if not all(isinstance(i, int) and not isinstance(i, bool) for i in key):
             raise CorpusError(f"{where}: sentence_index and unit_index must be integers")
+        if obj["kind"] != kind.value:
+            raise CorpusError(f"{where}: label of kind {obj['kind']!r}, expected {kind.value!r}")
         if not isinstance(obj["gold"], bool):
             raise CorpusError(f"{where}: gold must be true or false")
         case_labels = table.setdefault(obj["case_id"], {})
@@ -88,3 +93,26 @@ def load_labels(path: str) -> dict[str, dict[tuple[int, int], bool]]:
             raise CorpusError(f"{where}: duplicate label for case {obj['case_id']!r} unit {key}")
         case_labels[key] = obj["gold"]
     return table
+
+
+def label_documents(
+    docs: Iterable[DocumentExample], table: dict[str, dict[tuple[int, int], bool]]
+) -> list[DocumentExample]:
+    """Each document with the labels of its units from a load_labels
+    table; a case or unit the table lacks is a CorpusError."""
+    labeled = []
+    for doc in docs:
+        case_labels = table.get(doc.case_id)
+        if case_labels is None:
+            raise CorpusError(f"labels file has no entries for case {doc.case_id}")
+        labels = []
+        for u in doc.units:
+            key = (u.sentence_index, u.unit_index)
+            if key not in case_labels:
+                raise CorpusError(
+                    f"case {doc.case_id}: no label for unit {key}; "
+                    "labels were built with a different splitter"
+                )
+            labels.append(int(case_labels[key]))
+        labeled.append(replace(doc, labels=tuple(labels)))
+    return labeled

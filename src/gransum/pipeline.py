@@ -27,26 +27,15 @@ from .analysis import (
     granularity_stats,
     relation_census,
 )
-from .corpus import (
-    Case,
-    CorpusError,
-    GoldTable,
-    SyntheticSpec,
-    generate_synthetic,
-    load_corpus,
-    load_gold_boundaries,
-)
+from .corpus import Case, Corpus, CorpusError, GoldTable, SyntheticSpec, generate_synthetic
 from .nn import History
 from .nn.checkpoint import save_checkpoint
 from .oracle import make_oracle_labels
 from .rouge import PRF, rouge_l, rouge_n
-from .settings import load_settings
 from .spans import Unit, UnitKind, budget_length
 from .splitters import (
-    DEFAULT_PATTERNS_VERSION,
     BoundarySet,
     RuleConfig,
-    RulePatterns,
     Sentence,
     split_clauses,
     split_clinical_rules,
@@ -148,19 +137,6 @@ class CaseView:
         return surface_sentences(self.case.summary_text)
 
 
-def load_lexicons(
-    hooks_path: str | None, patterns_path: str | None = None
-) -> tuple[LexiconHooks, RulePatterns]:
-    """Lexicon hooks and rule patterns from settings files; defaults for a
-    missing path."""
-    hooks = load_settings(LexiconHooks, hooks_path) if hooks_path else LexiconHooks()
-    patterns = (
-        load_settings(RulePatterns, patterns_path) if patterns_path
-        else RulePatterns(DEFAULT_PATTERNS_VERSION)
-    )
-    return hooks, patterns
-
-
 def surface_sentences(text: str, hooks: LexiconHooks | None = None) -> list[list[str]]:
     """Token surfaces of each sentence of text."""
     return [[t.surface for t in tokenize(s.text, hooks)] for s in split_sentences(text)]
@@ -185,19 +161,20 @@ def build_views(cases: list[Case], hooks: LexiconHooks) -> list[CaseView]:
 def split_views(
     views: list[CaseView],
     method: str,
-    hooks: LexiconHooks,
-    patterns: RulePatterns = RulePatterns(DEFAULT_PATTERNS_VERSION),
+    corpus: Corpus,
     pointer: PointerSegmenter | None = None,
-    gold: GoldTable | None = None,
 ) -> list[list[BoundarySet]]:
     """The boundary set of every sentence under one of SPLIT_METHODS or
-    whole (no boundaries), one list per view.
+    whole (no boundaries), one list per view; the views are of corpus's
+    cases, whose hooks, patterns and gold the methods read.
 
     pointer needs a trained segmenter, which decodes every sentence in one
-    predict call.  gold needs a gold table; sentences it lacks stay whole,
-    and a gold position that is negative or at or beyond the sentence's
-    last token is a CorpusError.
+    predict call.  gold needs the corpus's gold table; sentences it lacks
+    stay whole.  A gold row whose case is not among the views or whose
+    sentence index is not one of its record's, and a gold position that is
+    negative or at or beyond the sentence's last token, is a CorpusError.
     """
+    hooks, gold = corpus.hooks, corpus.gold
     if method == "pointer":
         if pointer is None:
             raise ValueError("pointer method needs a trained segmenter")
@@ -214,15 +191,30 @@ def split_views(
     elif method == "clauses":
         split = lambda view, si, tokens: split_clauses(tokens, hooks)
     elif method == "rules":
-        config = RuleConfig(hooks=hooks, patterns=patterns)
+        config = RuleConfig(hooks=hooks, patterns=corpus.patterns)
         split = lambda view, si, tokens: split_clinical_rules(tokens, config)
     elif method == "gold":
         if gold is None:
             raise CorpusError("gold method needs gold boundaries")
+        _check_gold_rows(gold, views)
         split = lambda view, si, tokens: _gold_set(gold, view.case.id, si, tokens)
     else:
         raise ValueError(f"unknown split method {method!r}")
     return [[split(view, si, tokens) for si, tokens in enumerate(view.tokens)] for view in views]
+
+
+def _check_gold_rows(gold: GoldTable, views: list[CaseView]) -> None:
+    """Refuses a gold row that matches no sentence of views."""
+    sentence_counts = {view.case.id: len(view.tokens) for view in views}
+    for case_id, sentences in gold.items():
+        if case_id not in sentence_counts:
+            raise CorpusError(f"gold boundaries of case {case_id}: no such case in the corpus")
+        for si in sentences:
+            if not 0 <= si < sentence_counts[case_id]:
+                raise CorpusError(
+                    f"gold boundaries of case {case_id} sentence {si}: "
+                    f"the record has {sentence_counts[case_id]} sentences"
+                )
 
 
 def _gold_set(
@@ -390,38 +382,35 @@ def split_indices(n: int, dev_fraction: float, test_fraction: float, seed: int):
 # The experiment
 # ----------------------------------------------------------------------
 
-def _resolve_corpus(config: PipelineConfig, out_dir: str):
+def _resolve_corpus(config: PipelineConfig, out_dir: str) -> Corpus:
+    """The config's corpus files, or its synthetic corpus saved to out_dir."""
     if config.corpus_path is not None:
-        cases = load_corpus(config.corpus_path)
-        hooks, patterns = load_lexicons(config.hooks_path, config.patterns_path)
-        gold = None
-        if config.gold_boundaries_path:
-            gold = load_gold_boundaries(config.gold_boundaries_path)
-        return cases, hooks, patterns, gold
-
-    generated = generate_synthetic(config.synthetic)
-    generated.save(*(
+        return Corpus.load(
+            config.corpus_path, config.gold_boundaries_path, config.hooks_path, config.patterns_path
+        )
+    corpus = generate_synthetic(config.synthetic)
+    corpus.save(*(
         os.path.join(out_dir, name)
         for name in ("corpus.jsonl", "gold_boundaries.jsonl", "hooks.json", "patterns.json")
     ))
-    return generated.cases, generated.hooks, generated.patterns, generated.gold
+    return corpus
 
 
 def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
     """Execute the full pipeline per unit kind and write the report."""
     os.makedirs(out_dir, exist_ok=True)
-    cases, hooks, patterns, gold = _resolve_corpus(config, out_dir)
-    views = build_views(cases, hooks)
+    corpus = _resolve_corpus(config, out_dir)
+    views = build_views(corpus.cases, corpus.hooks)
     train_idx, dev_idx, test_idx = split_indices(
         len(views), config.dev_fraction, config.test_fraction, config.seed
     )
 
-    split = lambda method, vs, **kw: split_views(vs, method, hooks, patterns, gold=gold, **kw)
+    split = lambda method, vs, **kw: split_views(vs, method, corpus, **kw)
     # every method splits each sentence once: the methods that cut units,
     # and gold, over all views; the ones only scored, over the test views
-    bounds = {} if gold is None else {"gold": split("gold", views)}
+    bounds = {} if corpus.gold is None else {"gold": split("gold", views)}
     if UnitKind.SEGMENT in config.kinds and config.segment_method == "pointer":
-        if gold is None:
+        if corpus.gold is None:
             raise CorpusError(
                 "segment_method 'pointer' needs gold boundaries to train on"
             )
@@ -444,7 +433,7 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
         cuts[kind] = bounds[method]
 
     segmentation_report = {}
-    if gold:
+    if corpus.gold:
         test_views = [views[i] for i in test_idx]
         on_test = lambda m: (
             [bounds[m][i] for i in test_idx] if m in bounds else split(m, test_views)

@@ -394,12 +394,12 @@ def test_commands_that_read_no_summary_do_not_tokenize_it(argv, synth_dir, tmp_p
 def test_eval_segmenter_gold_loads_gold_once(synth_dir, tmp_path, monkeypatch):
     """--method gold scores the gold boundaries against themselves, read
     and validated once."""
-    import gransum.cli as cli_mod
+    import gransum.corpus as corpus_mod
 
     loaded = []
-    load = cli_mod.load_gold_boundaries
+    load = corpus_mod.load_gold_boundaries
     monkeypatch.setattr(
-        cli_mod, "load_gold_boundaries", lambda path: loaded.append(path) or load(path)
+        corpus_mod, "load_gold_boundaries", lambda path: loaded.append(path) or load(path)
     )
     out = tmp_path / "eval.json"
     rc = main(
@@ -432,6 +432,11 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
     assert main(["make-oracle", "--corpus", corpus, "--kind", "SENTENCE",
                  "--output", str(labels_path)]) == 0
     labels = labels_path.read_text()
+    segment_labels = tmp_path / "segment_labels.jsonl"
+    assert main(["make-oracle", "--corpus", corpus, "--kind", "SEGMENT",
+                 "--output", str(segment_labels)]) == 0
+    eval_gold = ["eval-segmenter", "--corpus", corpus, "--method", "rules", "--gold"]
+    gold_row = '{{"id": "{}", "sentence_index": {}, "boundaries": []}}'
     budget = "budget must be finite and >= 0, got {}"
     dev = "dev fraction must be in (0, 1), got {}"
     gen = ["gen-synthetic", "--corpus-out", str(tmp_path / "c.jsonl"), "--spec"]
@@ -500,6 +505,16 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         (["eval-rouge", "--corpus", corpus, "--candidates"],
          '{"case_id": "case-00000", "summary_text": "x"}\n' * 2,
          "{path}:2: duplicate candidate for case 'case-00000'"),
+        # gold rows that match no sentence of the corpus, and labels of
+        # another unit kind
+        (eval_gold, gold_row.format("nope", 0), "gold boundaries of case nope: no such case"),
+        (eval_gold, gold_row.format("case-00000", 99),
+         "gold boundaries of case case-00000 sentence 99: the record has 4 sentences"),
+        (eval_gold, gold_row.format("case-00000", -1),
+         "gold boundaries of case case-00000 sentence -1: the record has 4 sentences"),
+        (["train-segmenter", "--corpus", corpus, "--out", str(tmp_path / "seg.ckpt"), "--gold"],
+         gold_row.format("nope", 0), "gold boundaries of case nope: no such case"),
+        (train, segment_labels.read_text(), "{path}:1: label of kind 'SEGMENT', expected 'SENTENCE'"),
         # ids that are neither strings nor integers
         (["segment", "--method", "fullstop", "--corpus"],
          '{"id": null, "records": ["a ."], "summary": "b"}', bad_id),

@@ -4,6 +4,7 @@ import pytest
 
 from gransum.corpus import (
     Case,
+    Corpus,
     CorpusError,
     SyntheticSpec,
     dump_case,
@@ -15,8 +16,8 @@ from gransum.corpus import (
 )
 from gransum.rouge import rouge_n
 from gransum.settings import load_settings
-from gransum.splitters import split_sentences
-from gransum.tokenization import tokenize
+from gransum.splitters import DEFAULT_PATTERNS_VERSION, RulePatterns, split_sentences
+from gransum.tokenization import LexiconHooks, tokenize
 
 
 class TestLoadCorpus:
@@ -210,6 +211,24 @@ def test_generated_gold_file_roundtrips_byte_for_byte(tmp_path):
     assert second.read_bytes() == first.read_bytes()
     # injected newlines give records more lines than sentences_per_record
     assert len(first.read_text().splitlines()) > 6 * 4
+
+
+def test_corpus_bundle_roundtrips_byte_for_byte(tmp_path):
+    """Saving a loaded bundle writes the four files it was loaded from;
+    the corpus file alone loads no gold and the default side files."""
+    names = ("corpus.jsonl", "gold.jsonl", "hooks.json", "patterns.json")
+    first = [tmp_path / f"a_{name}" for name in names]
+    second = [tmp_path / f"b_{name}" for name in names]
+    generated = generate_synthetic(SyntheticSpec(case_count=6, sentences_per_record=4, seed=6))
+    generated.save(*map(str, first))
+    Corpus.load(*map(str, first)).save(*map(str, second))
+    for a, b in zip(first, second):
+        assert b.read_bytes() == a.read_bytes(), a.name
+    alone = Corpus.load(str(first[0]))
+    assert alone.cases == generated.cases
+    assert alone.gold is None
+    assert alone.hooks == LexiconHooks()
+    assert alone.patterns == RulePatterns(DEFAULT_PATTERNS_VERSION)
 
 
 def test_dump_case_stable_key_order():

@@ -7,12 +7,11 @@ import pytest
 
 from gransum import pipeline
 from gransum.cli import main as cli_main
-from gransum.corpus import SyntheticSpec, generate_synthetic, load_corpus
+from gransum.corpus import Corpus, SyntheticSpec, generate_synthetic
 from gransum.pipeline import (
     REPORT_VERSION,
     PipelineConfig,
     build_views,
-    load_lexicons,
     rouge_eval_texts,
     run_experiment,
     split_indices,
@@ -82,8 +81,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(PointerSegmenter, "predict", counted)
         run_experiment(replace(TINY, segment_method="pointer"), str(tmp_path))
-        hooks, _ = load_lexicons(str(tmp_path / "hooks.json"))
-        views = build_views(load_corpus(str(tmp_path / "corpus.jsonl")), hooks)
+        corpus = Corpus.load(str(tmp_path / "corpus.jsonl"), hooks_path=str(tmp_path / "hooks.json"))
+        views = build_views(corpus.cases, corpus.hooks)
         sentences = [tuple(t.surface for t in toks) for v in views for toks in v.tokens]
         assert Counter(decoded) == Counter(sentences)
 

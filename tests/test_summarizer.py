@@ -66,7 +66,7 @@ def synth_docs(kind, case_count=40, seed=77, marker_prob=0.12):
     )
     g = generate_synthetic(spec)
     views = build_views(g.cases, g.hooks)
-    bsets = split_views(views, unit_method(kind, "gold"), g.hooks, gold=g.gold)
+    bsets = split_views(views, unit_method(kind, "gold"), g)
     budget = float(np.mean([budget_length(v.case.summary_text) for v in views]))
     docs = [with_oracle_labels(d, budget) for d in build_documents(views, kind, bsets)]
     return docs, g, budget

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,14 +142,23 @@ def softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
     return p * (dp - (dp * p).sum(axis=-1, keepdims=True))
 
 
+# one read-only table per width, as long as the longest length asked for;
+# a row depends only on its position, so a shorter table is a slice of it
+_SINUSOIDS: dict[int, np.ndarray] = {}
+
+
 def sinusoidal_encoding(n: int, d: int) -> np.ndarray:
-    """Standard sine/cosine positional encoding table [n, d]."""
-    pe = np.zeros((n, d))
-    position = np.arange(n)[:, None].astype(np.float64)
-    div = np.exp(np.arange(0, d, 2, dtype=np.float64) * (-math.log(10000.0) / d))
-    pe[:, 0::2] = np.sin(position * div)
-    pe[:, 1::2] = np.cos(position * div[: d // 2])
-    return pe
+    """Standard sine/cosine positional encoding table [n, d], read-only."""
+    table = _SINUSOIDS.get(d)
+    if table is None or table.shape[0] < n:
+        table = np.zeros((n, d))
+        position = np.arange(n)[:, None].astype(np.float64)
+        div = np.exp(np.arange(0, d, 2, dtype=np.float64) * (-math.log(10000.0) / d))
+        table[:, 0::2] = np.sin(position * div)
+        table[:, 1::2] = np.cos(position * div[: d // 2])
+        table.flags.writeable = False
+        _SINUSOIDS[d] = table
+    return table[:n]
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +410,8 @@ def transformer_forward(x, store: ParameterStore, prefix: str):
     k, k_cache = linear_forward(h1, store, f"{prefix}.wk", f"{prefix}.wk_b")
     v, v_cache = linear_forward(h1, store, f"{prefix}.wv", f"{prefix}.wv_b")
     s = (q @ k.T) * scale
-    p = masked_softmax(s, np.ones_like(s, dtype=bool))
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     c = p @ v
     a, o_cache = linear_forward(c, store, f"{prefix}.wo", f"{prefix}.wo_b")
     x1 = x + a
@@ -452,31 +463,82 @@ def transformer_backward(dy, cache, store: ParameterStore):
 # Embedding bag (mean over hashed n-gram buckets)
 # ----------------------------------------------------------------------
 
-def embed_bag_forward(bucket_lists, table: np.ndarray) -> np.ndarray:
-    if not bucket_lists:
+class Bag:
+    """n tokens over k distinct surfaces, the input of the embedding bag:
+    token i is surface tokens[i], every surface in range(k) is some
+    token's, and surface j's buckets are flat[starts[j]:starts[j] +
+    counts[j]].  The index arrays of the backward pass are made on its
+    first call and kept, so a bag reused across steps makes them once."""
+
+    def __init__(self, tokens: np.ndarray, buckets: list[np.ndarray]):
+        self.tokens = tokens
+        self.counts = np.array([len(b) for b in buckets], dtype=np.int64)
+        self.flat = np.concatenate(buckets) if buckets else np.zeros(0, dtype=np.int64)
+        self.starts = np.zeros(len(buckets), dtype=np.int64)
+        np.cumsum(self.counts[:-1], out=self.starts[1:])
+
+    @cached_property
+    def _backward_index(self):
+        """(buckets, segment starts, token rows, token counts) of a
+        segment sum over every token's buckets in token order: the sorted
+        distinct buckets, where each one's run starts among the sorted
+        entries, and each sorted entry's token."""
+        token_counts = self.counts[self.tokens]
+        token_starts = np.cumsum(token_counts) - token_counts
+        entries = np.repeat(self.starts[self.tokens] - token_starts, token_counts)
+        entries += np.arange(entries.size)
+        flat = self.flat[entries]
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        runs = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+        rows = np.repeat(np.arange(self.tokens.size), token_counts)[order]
+        return flat[runs], runs, rows, token_counts
+
+
+class Surfaces:
+    """Distinct token surfaces numbered in order of first appearance, each
+    with its bucket array from buckets(surface)."""
+
+    def __init__(self, buckets):
+        self._buckets = buckets
+        self._ids: dict[str, int] = {}
+        self._arrays: list[np.ndarray] = []
+
+    def ids(self, surfaces) -> np.ndarray:
+        """The ids of surfaces, numbering the ones not seen before."""
+        out = np.empty(len(surfaces), dtype=np.int64)
+        for i, surface in enumerate(surfaces):
+            j = self._ids.get(surface)
+            if j is None:
+                j = self._ids[surface] = len(self._arrays)
+                self._arrays.append(self._buckets(surface))
+            out[i] = j
+        return out
+
+    def bag(self, ids: np.ndarray) -> Bag:
+        """The Bag of tokens with surface ids ids, over their distinct
+        surfaces."""
+        distinct, tokens = np.unique(ids, return_inverse=True)
+        return Bag(tokens, [self._arrays[j] for j in distinct])
+
+
+def embed_bag_forward(bag: Bag, table: np.ndarray) -> np.ndarray:
+    """Each token's mean over its surface's bucket rows of table; the mean
+    is taken once per distinct surface."""
+    if not bag.tokens.size:
         return np.zeros((0, table.shape[1]))
-    counts = np.array([len(b) for b in bucket_lists])
-    flat = np.concatenate(bucket_lists)
-    starts = np.zeros(len(bucket_lists), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    sums = np.add.reduceat(table[flat], starts, axis=0)
-    return sums / counts[:, None]
+    sums = np.add.reduceat(table[bag.flat], bag.starts, axis=0)
+    return (sums / bag.counts[:, None])[bag.tokens]
 
 
-def embed_bag_backward(dx, bucket_lists, grad_table: np.ndarray) -> None:
-    if not bucket_lists:
+def embed_bag_backward(dx, bag: Bag, grad_table: np.ndarray) -> None:
+    """Adds the gradient of embed_bag_forward, for dx the gradient of its
+    output, into grad_table."""
+    if not bag.tokens.size:
         return
-    counts = np.array([len(b) for b in bucket_lists])
-    flat = np.concatenate(bucket_lists)
+    buckets, runs, rows, token_counts = bag._backward_index
     # sort-based segment sum; np.add.at is an order of magnitude slower
-    order = np.argsort(flat, kind="stable")
-    sorted_idx = flat[order]
-    starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
-    # one gather gives each sorted entry its token's share of dx
-    rows = np.repeat(np.arange(len(counts)), counts)[order]
-    grad_table[sorted_idx[starts]] += np.add.reduceat(
-        (dx / counts[:, None])[rows], starts, axis=0
-    )
+    grad_table[buckets] += np.add.reduceat((dx / token_counts[:, None])[rows], runs, axis=0)
 
 
 # ----------------------------------------------------------------------

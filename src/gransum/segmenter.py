@@ -62,6 +62,16 @@ class SentenceExample:
             raise ValueError(f"gold boundary out of range for {n} tokens")
 
 
+@dataclass(frozen=True)
+class PreparedSentence:
+    """A training sentence with its tokens' surface ids in the
+    nn.Surfaces table of one PointerSegmenter.prepare call."""
+
+    example: SentenceExample
+    ids: np.ndarray
+    surfaces: nn.Surfaces
+
+
 def example_from_tokens(tokens: list[Token], gold: BoundarySet) -> SentenceExample:
     gold.validate(len(tokens))
     return SentenceExample(tuple(t.surface for t in tokens), gold.positions)
@@ -86,19 +96,26 @@ class PointerSegmenter:
 
     # -- encoding ------------------------------------------------------
 
-    def _encode(self, sentences):
-        """Encodes sentences (lists of token surfaces) as one zero-padded
-        [T, S] batch: one embed-bag call and one BiGRU call with lengths.
-        Returns (enc [T, S, 2H], lengths [S], cache); the cache holds the
-        token rows and columns, the bucket lists and the BiGRU cache."""
-        bucket_lists = [self.hasher.buckets(s) for sentence in sentences for s in sentence]
-        lengths = np.array([len(sentence) for sentence in sentences])
+    def prepare(self, examples: list[SentenceExample]) -> list["PreparedSentence"]:
+        """The examples with their tokens' surface ids, numbered in one
+        nn.Surfaces table shared by all of them."""
+        surfaces = nn.Surfaces(self.hasher.buckets)
+        return [PreparedSentence(ex, surfaces.ids(ex.surfaces), surfaces) for ex in examples]
+
+    def _encode(self, ids: list[np.ndarray], surfaces: nn.Surfaces):
+        """Encodes sentences, each the surface ids of its tokens in
+        surfaces, as one zero-padded [T, S] batch: one embed-bag call
+        over the batch's distinct surfaces and one BiGRU call with
+        lengths.  Returns (enc [T, S, 2H], lengths [S], cache); the cache
+        holds the token rows and columns, the bag and the BiGRU cache."""
+        bag = surfaces.bag(np.concatenate(ids))
+        lengths = np.array([len(sentence) for sentence in ids])
         rows = np.concatenate([np.arange(n) for n in lengths])
-        cols = np.repeat(np.arange(len(sentences)), lengths)
-        x = np.zeros((lengths.max(), len(sentences), self.config.embed_dim))
-        x[rows, cols] = nn.embed_bag_forward(bucket_lists, self.store.params["emb"])
+        cols = np.repeat(np.arange(len(ids)), lengths)
+        x = np.zeros((lengths.max(), len(ids), self.config.embed_dim))
+        x[rows, cols] = nn.embed_bag_forward(bag, self.store.params["emb"])
         [enc], enc_cache = nn.bigru_forward([x], [self.store], "enc", [lengths])
-        return enc, lengths, (rows, cols, bucket_lists, enc_cache)
+        return enc, lengths, (rows, cols, bag, enc_cache)
 
     def _point_distribution(self, enc_proj, dec_states, starts, lengths):
         """Masked pointer distributions [S, m, T] for decoder states
@@ -113,8 +130,9 @@ class PointerSegmenter:
 
     # -- training ------------------------------------------------------
 
-    def loss_and_grads(self, batch: list[SentenceExample]) -> float:
-        """Mean teacher-forced loss over the batch.
+    def loss_and_grads(self, batch: list["PreparedSentence"]) -> float:
+        """Mean teacher-forced loss over the batch (sentences of one
+        prepare call).
 
         The batch's S sentences are encoded together.  The decoder input at
         step k is the encoding of unit k's first token, which the gold
@@ -125,11 +143,11 @@ class PointerSegmenter:
         """
         store = self.store
         p = store.params
-        enc, lengths, (rows, cols, bucket_lists, enc_cache) = self._encode(
-            [ex.surfaces for ex in batch]
+        enc, lengths, (rows, cols, bag, enc_cache) = self._encode(
+            [item.ids for item in batch], batch[0].surfaces
         )
         seqs = len(batch)
-        ranges = [token_ranges(ex.gold, n) for ex, n in zip(batch, lengths)]
+        ranges = [token_ranges(item.example.gold, n) for item, n in zip(batch, lengths)]
         units = np.array([len(r) for r in ranges])
         # the (sentence, step) pairs of the real decoder steps
         sent = np.repeat(np.arange(seqs), units)
@@ -169,7 +187,7 @@ class PointerSegmenter:
         denc[first, sent] += dx_dec[step, sent]
         dx = nn.bigru_backward([denc], enc_cache, [store])[0][rows, cols]
         del enc, enc_cache, denc  # frees the batch's encoder state before the bag backward
-        nn.embed_bag_backward(dx, bucket_lists, store.grads["emb"])
+        nn.embed_bag_backward(dx, bag, store.grads["emb"])
         return loss
 
     # -- inference -----------------------------------------------------
@@ -187,9 +205,11 @@ class PointerSegmenter:
         if not all(sentences):
             raise ValueError("cannot segment an empty sentence")
         p = self.store.params
+        surfaces = nn.Surfaces(self.hasher.buckets)
+        ids = [surfaces.ids(sentence) for sentence in sentences]
         out = []
         for lo in range(0, len(sentences), self.config.batch_sentences):
-            enc, lengths = self._encode(sentences[lo:lo + self.config.batch_sentences])[:2]
+            enc, lengths = self._encode(ids[lo:lo + self.config.batch_sentences], surfaces)[:2]
             enc_proj = (enc @ p["attn.w_enc"] + p["attn.b"]).transpose(1, 0, 2)
             positions = [[] for _ in lengths]
             live = np.arange(len(lengths))
@@ -223,7 +243,8 @@ def segmenter_train(
     examples: list[SentenceExample], config: SegmenterConfig = SegmenterConfig()
 ) -> tuple[PointerSegmenter, nn.History]:
     """Train the pointer segmenter on (sentence, BoundarySet) pairs,
-    batch_sentences at a time; the last epoch's model is returned."""
+    batch_sentences at a time; the last epoch's model is returned.  Each
+    sentence's surface ids are made once (PointerSegmenter.prepare)."""
     model = PointerSegmenter(config)
-    job = nn.Job(model, examples, config.batch_sentences, config.seed, config.lr)
+    job = nn.Job(model, model.prepare(examples), config.batch_sentences, config.seed, config.lr)
     return model, nn.fit([job], config.epochs)[0]

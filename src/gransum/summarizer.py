@@ -81,6 +81,79 @@ class DocumentExample:
         return [t for sent in self.reference_sentences for t in sent]
 
 
+@dataclass(frozen=True)
+class CaseStream:
+    """One case's token stream under the window cap, the part of its
+    documents that no unit kind changes: a [CLS] before and a [SEP] after
+    each kept sentence.  roles [L] marks each position 0 [CLS], 1 [SEP]
+    or 2 word token, sentence_lengths are the kept sentences' token
+    counts, and bag holds the word tokens in stream order."""
+
+    roles: np.ndarray
+    sentence_lengths: tuple[int, ...]
+    bag: nn.Bag
+
+
+def case_stream(sentences, max_window: int, hasher: SubwordHasher) -> CaseStream:
+    """The CaseStream of a case's sentences.
+
+    Truncation drops trailing sentences once the window is full (a lone
+    over-long first sentence is token-truncated).
+    """
+    kept: list[tuple[str, ...]] = []
+    total = 0
+    for si, sent in enumerate(sentences):
+        need = len(sent) + 2
+        if total + need > max_window:
+            if si == 0:
+                kept.append(sent[: max(1, max_window - 2)])
+            break
+        kept.append(sent)
+        total += need
+    roles = np.concatenate([np.r_[0, np.full(len(sent), 2), 1] for sent in kept])
+    surfaces = nn.Surfaces(hasher.buckets)
+    words = surfaces.ids([s for sent in kept for s in sent])
+    return CaseStream(roles, tuple(len(sent) for sent in kept), surfaces.bag(words))
+
+
+@dataclass(frozen=True)
+class PreparedDocument:
+    """A document ready for a model of its kind: its case's stream, the
+    token range [a, b) of the stream that each scored unit pools (pools
+    [U, 2]), and those units' indices in doc.units."""
+
+    doc: DocumentExample
+    stream: CaseStream
+    pools: np.ndarray
+    unit_idx: list[int]
+
+
+def _stream_key(config: "SummarizerConfig") -> tuple:
+    """The config fields a case's stream depends on."""
+    return (config.max_window, config.n_min, config.n_max, config.bucket_count, config.hash_seed)
+
+
+def prepare_documents(models, docs) -> list[list[PreparedDocument]]:
+    """Each model's documents prepared for it, docs[m] being model m's.
+    A case's stream is built once (case_stream) and shared by every
+    document of the case whose model has the same max_window and
+    hasher."""
+    streams = {}
+    out = []
+    for model, model_docs in zip(models, docs):
+        key = _stream_key(model.config)
+        items = []
+        for doc in model_docs:
+            stream = streams.get((key, doc.sentences))
+            if stream is None:
+                stream = streams[key, doc.sentences] = case_stream(
+                    doc.sentences, model.config.max_window, model.hasher
+                )
+            items.append(model._prepare(doc, stream))
+        out.append(items)
+    return out
+
+
 class Summarizer:
     KIND = "summarizer"
 
@@ -99,97 +172,57 @@ class Summarizer:
         store.add("head_b", (1,), init="zeros")
         self.store = store
 
-    # -- document layout -----------------------------------------------
+    # -- prepared documents --------------------------------------------
 
-    def _layout(self, doc: DocumentExample):
-        """Token stream with [CLS]/[SEP] boundaries under the window cap.
-
-        Truncation drops trailing sentences once the window is full (a
-        lone over-long first sentence is token-truncated).  Units that do
-        not fit the kept tokens are excluded from scoring.
-        """
-        window = self.config.max_window
-        kept: list[tuple[str, ...]] = []
-        total = 0
-        for si, sent in enumerate(doc.sentences):
-            need = len(sent) + 2
-            if total + need > window:
-                if si == 0:
-                    kept.append(sent[: max(1, window - 2)])
-                    total += len(kept[0]) + 2
-                break
-            kept.append(sent)
-            total += need
-
-        stream: list[tuple[str, int]] = []  # (surface, role) role: 0 cls, 1 sep, 2 token
-        cls_pos: list[int] = []
-        offsets: list[int] = []
-        for sent in kept:
-            cls_pos.append(len(stream))
-            stream.append(("", 0))
-            offsets.append(len(stream))
-            stream.extend((s, 2) for s in sent)
-            stream.append(("", 1))
-
+    def _prepare(self, doc: DocumentExample, stream: "CaseStream") -> "PreparedDocument":
+        """doc over its case's stream, with the token range each unit
+        that fits the stream pools.  Units that do not fit the kept tokens
+        are excluded from scoring."""
+        kept = stream.sentence_lengths
+        cls_pos = np.cumsum([0] + [n + 2 for n in kept])
         unit_idx = []
         pools = []
         for ui, unit in enumerate(doc.units):
             si = unit.sentence_index
-            if si >= len(kept) or unit.token_end > len(kept[si]):
+            if si >= len(kept) or unit.token_end > kept[si]:
                 continue
             unit_idx.append(ui)
             if self.unit_kind is UnitKind.SENTENCE:
                 pools.append((cls_pos[si], cls_pos[si] + 1))
             else:
-                a = offsets[si] + unit.token_start
+                a = cls_pos[si] + 1 + unit.token_start
                 pools.append((a, a + (unit.token_end - unit.token_start)))
         if not unit_idx:
             raise ValueError(f"{doc.case_id}: no units fit the token window")
-        return stream, pools, unit_idx
+        return PreparedDocument(doc, stream, np.array(pools, dtype=np.int64), unit_idx)
 
     # -- forward / backward --------------------------------------------
-
-    def _streams(self, layouts):
-        """(lengths [S], roles [S, T], bucket lists) of the token streams
-        of S documents' _layouts; role -1 marks padding, and the bucket
-        lists are those of the role-2 tokens in stream order."""
-        lengths = np.array([len(stream) for stream, _, _ in layouts])
-        roles = np.full((len(layouts), lengths.max()), -1)
-        for s, (stream, _, _) in enumerate(layouts):
-            roles[s, :len(stream)] = [role for _, role in stream]
-        bucket_lists = [
-            self.hasher.buckets(surface)
-            for stream, _, _ in layouts
-            for surface, role in stream
-            if role == 2
-        ]
-        return lengths, roles, bucket_lists
 
     @staticmethod
     def losses_and_grads(models, batches):
         """Yields each model's mean BCE on its own batch of labeled
-        documents once its gradients are accumulated into its store.  The
-        models' BiGRUs run as one call (see _encode); everything else is
-        per model, so each model's arithmetic is that of its step alone.
-        The unit heads run one model at a time, and a model's embedding
-        gradient is made only when the caller has taken the previous
-        model's loss, so one model's head caches and one embedding
-        gradient are alive at once."""
+        documents (PreparedDocuments) once its gradients are accumulated
+        into its store.  The models' BiGRUs run as one call (see
+        _encode); everything else is per model, so each model's
+        arithmetic is that of its step alone.  The unit heads run one
+        model at a time, and a model's embedding gradient is made only
+        when the caller has taken the previous model's loss, so one
+        model's head caches and one embedding gradient are alive at
+        once."""
         for model, batch in zip(models, batches):
-            for doc in batch:
-                if doc.labels is None:
-                    raise ValueError(f"{doc.case_id}: no labels for training")
-                if doc.kind is not model.unit_kind:
+            for item in batch:
+                if item.doc.labels is None:
+                    raise ValueError(f"{item.doc.case_id}: no labels for training")
+                if item.doc.kind is not model.unit_kind:
                     raise ValueError(
-                        f"{doc.case_id}: document kind {doc.kind} does not match "
+                        f"{item.doc.case_id}: document kind {item.doc.kind} does not match "
                         f"model kind {model.unit_kind}"
                     )
-        layouts = [[model._layout(doc) for doc in batch] for model, batch in zip(models, batches)]
-        streams = [model._streams(lays) for model, lays in zip(models, layouts)]
+        streams = [[item.stream for item in batch] for batch in batches]
         encs, enc_cache = _encode(models, streams)
         steps = [
-            model._units_loss_and_grads(batch, lays, enc)
-            for model, batch, lays, enc in zip(models, batches, layouts, encs)
+            model._units_loss_and_grads(batch, enc)
+            for model, batch, enc in zip(models, batches, encs)
         ]
         del encs
         losses = [loss for loss, _ in steps]
@@ -197,53 +230,58 @@ class Summarizer:
             [denc for _, denc in steps], enc_cache, [model.store for model in models]
         )
         del steps
-        for model, loss, dx, (_, roles, bucket_lists) in zip(models, losses, dxs, streams):
+        for model, loss, dx, model_streams in zip(models, losses, dxs, streams):
             grads = model.store.grads
+            roles = _roles(model_streams)
             dx = dx.transpose(1, 0, 2)
             grads["cls_vec"] += dx[roles == 0].sum(axis=0)
             grads["sep_vec"] += dx[roles == 1].sum(axis=0)
-            nn.embed_bag_backward(dx[roles == 2], bucket_lists, grads["emb"])
+            words = dx[roles == 2]
+            lo = 0
+            for stream in model_streams:
+                hi = lo + stream.bag.tokens.size
+                nn.embed_bag_backward(words[lo:hi], stream.bag, grads["emb"])
+                lo = hi
             yield loss
 
-    def _units_forward(self, enc, layouts):
-        """Unit logits of each of S documents from their BiGRU encoding
-        enc [T, S, 2H]: pooling, the unit transformer and the head, per
-        document.  Returns (logits, caches)."""
+    def _units_forward(self, enc, items):
+        """Unit logits of each of S prepared documents from their BiGRU
+        encoding enc [T, S, 2H]: pooling, the unit transformer and the
+        head, per document.  Returns (logits, caches)."""
         p = self.store.params
         logits = []
         caches = []
-        for s, (_, pools, _) in enumerate(layouts):
-            pooled = np.empty((len(pools), enc.shape[2]))
-            for u, (a, b) in enumerate(pools):
+        for s, item in enumerate(items):
+            pooled = np.empty((len(item.pools), enc.shape[2]))
+            for u, (a, b) in enumerate(item.pools):
                 pooled[u] = enc[a:b, s].mean(axis=0)
             s_in = pooled + self.config.unit_pe_scale * nn.sinusoidal_encoding(
-                len(pools), enc.shape[2]
+                len(item.pools), enc.shape[2]
             )
             s_out, tf_cache = nn.transformer_forward(s_in, self.store, "unit_tf")
             logits.append(s_out @ p["head_w"] + p["head_b"][0])
             caches.append((s_out, tf_cache))
         return logits, caches
 
-    def _units_loss_and_grads(self, batch, layouts, enc):
-        """The mean BCE of batch from its BiGRU encoding enc [T, S, 2H],
-        with the gradients of the head and the unit transformer; returns
-        (loss, denc), denc the gradient of enc."""
+    def _units_loss_and_grads(self, batch, enc):
+        """The mean BCE of batch (PreparedDocuments) from its BiGRU
+        encoding enc [T, S, 2H], with the gradients of the head and the
+        unit transformer; returns (loss, denc), denc the gradient of
+        enc."""
         store = self.store
-        logits, caches = self._units_forward(enc, layouts)
+        logits, caches = self._units_forward(enc, batch)
         scale = 1.0 / len(batch)
         total = 0.0
         denc = np.zeros(enc.shape)
-        for s, (doc, (_, pools, unit_idx), doc_logits, (s_out, tf_cache)) in enumerate(
-            zip(batch, layouts, logits, caches)
-        ):
-            labels = np.asarray([doc.labels[i] for i in unit_idx], dtype=np.float64)
+        for s, (item, doc_logits, (s_out, tf_cache)) in enumerate(zip(batch, logits, caches)):
+            labels = np.asarray([item.doc.labels[i] for i in item.unit_idx], dtype=np.float64)
             loss, dl = nn.sigmoid_bce(doc_logits, labels)
             total += loss
             dl = dl * scale
             store.accumulate("head_w", s_out.T @ dl)
             store.accumulate("head_b", np.array([dl.sum()]))
             ds_in = nn.transformer_backward(np.outer(dl, store.params["head_w"]), tf_cache, store)
-            for u, (a, b) in enumerate(pools):
+            for u, (a, b) in enumerate(item.pools):
                 denc[a:b, s] += ds_in[u] / (b - a)
         return total * scale, denc
 
@@ -263,26 +301,36 @@ class Summarizer:
         return restore_model(ckpt, cls.KIND, build)
 
 
+def _roles(streams: list[CaseStream]) -> np.ndarray:
+    """[S, T] roles of S case streams, -1 padding each to the longest."""
+    roles = np.full((len(streams), max(len(stream.roles) for stream in streams)), -1)
+    for s, stream in enumerate(streams):
+        roles[s, :len(stream.roles)] = stream.roles
+    return roles
+
+
 def _encode(models, streams):
-    """BiGRU encodings [T, S, 2H] of each model's token streams, streams[m]
-    being model m's _streams: each model embeds its streams as one
+    """BiGRU encodings [T, S, 2H] of each model's case streams,
+    streams[m] being model m's: each model embeds its streams as one
     zero-padded [T, S] batch, and the streams of all models run through
     the BiGRU as one call (nn.bigru_forward).  Returns (encodings,
     cache)."""
     xs = []
-    for model, (_, roles, bucket_lists) in zip(models, streams):
+    for model, model_streams in zip(models, streams):
         p = model.store.params
         config = model.config
+        roles = _roles(model_streams)
         x = np.zeros(roles.shape + (config.embed_dim,))
         x[roles == 0] = p["cls_vec"]
         x[roles == 1] = p["sep_vec"]
-        x[roles == 2] = nn.embed_bag_forward(bucket_lists, p["emb"])
+        x[roles == 2] = np.concatenate([
+            nn.embed_bag_forward(stream.bag, p["emb"]) for stream in model_streams
+        ])
         x += config.pe_scale * nn.sinusoidal_encoding(roles.shape[1], config.embed_dim)
         x[roles < 0] = 0.0
         xs.append(x.transpose(1, 0, 2))
-    return nn.bigru_forward(
-        xs, [model.store for model in models], "enc", [lengths for lengths, _, _ in streams]
-    )
+    lengths = [np.array([len(stream.roles) for stream in model_streams]) for model_streams in streams]
+    return nn.bigru_forward(xs, [model.store for model in models], "enc", lengths)
 
 
 def predict_probs(models: list[Summarizer], docs: list[list[DocumentExample]]):
@@ -290,40 +338,46 @@ def predict_probs(models: list[Summarizer], docs: list[list[DocumentExample]]):
     documents, one list per model; units outside the window are omitted.
 
     docs[m] are model m's documents: the same cases, in the same order,
-    for every model (a case's units differ by kind).  A case's token
-    stream depends only on its sentences and max_window, so the models
-    must share max_window and the hasher, and each stream's roles and
-    buckets are built once.  Consecutive cases share a forward, which
-    runs every model's BiGRU as one call, while their padded token count
+    for every model (a case's units differ by kind).  See _predict.
+    """
+    return _predict(models, prepare_documents(models, docs))
+
+
+def _predict(models: list[Summarizer], prepared: list[list[PreparedDocument]]):
+    """predict_probs of prepared documents, prepared[m] being model m's.
+
+    A case's token stream depends only on its sentences and max_window,
+    so the models must share max_window and the hasher, and then each
+    case has one stream.  Consecutive cases share a forward, which runs
+    every model's BiGRU as one call, while their padded token count
     (longest stream times cases) stays within max_window, the buffers of
     one maximal training document.
     """
     config = models[0].config
-    shared = lambda c: (c.max_window, c.n_min, c.n_max, c.bucket_count, c.hash_seed)
-    if any(shared(model.config) != shared(config) for model in models):
+    if any(_stream_key(model.config) != _stream_key(config) for model in models):
         raise ValueError("summarizers run together need one max_window and hasher")
-    layouts = [[model._layout(doc) for doc in model_docs] for model, model_docs in zip(models, docs)]
-    streams = [stream for stream, _, _ in layouts[0]]
-    if any([stream for stream, _, _ in model_layouts] != streams for model_layouts in layouts):
+    streams = [item.stream for item in prepared[0]]
+    if any(
+        len(items) != len(streams) or any(item.stream is not st for item, st in zip(items, streams))
+        for items in prepared
+    ):
         raise ValueError("summarizers run together need the same cases")
     out = [[] for _ in models]
     lo = 0
     while lo < len(streams):
         hi = lo + 1
-        longest = len(streams[lo])
+        longest = len(streams[lo].roles)
         while hi < len(streams):
-            longest = max(longest, len(streams[hi]))
+            longest = max(longest, len(streams[hi].roles))
             if longest * (hi + 1 - lo) > config.max_window:
                 break
             hi += 1
-        group = [model_layouts[lo:hi] for model_layouts in layouts]
         # the cache is not kept, so one group's buffers are alive at a time
-        encs = _encode(models, [models[0]._streams(group[0])] * len(models))[0]
-        for model_out, model, enc, model_layouts in zip(out, models, encs, group):
-            logits = model._units_forward(enc, model_layouts)[0]
-            model_out.extend(
-                (nn.sigmoid(lg), unit_idx) for lg, (_, _, unit_idx) in zip(logits, model_layouts)
-            )
+        encs = _encode(models, [streams[lo:hi]] * len(models))[0]
+        for model_out, model, enc, items in zip(out, models, encs, prepared):
+            group = items[lo:hi]
+            logits = model._units_forward(enc, group)[0]
+            model_out.extend((nn.sigmoid(lg), item.unit_idx) for lg, item in zip(logits, group))
         lo = hi
     return out
 
@@ -351,10 +405,16 @@ def summarize(
     Units outside the window are never selected.  A summary joins the
     selected units' stripped texts in document order.
     """
+    return _summaries(models, prepare_documents(models, docs), budget_chars, mode)
+
+
+def _summaries(models, prepared, budget_chars, mode="keep") -> list[list[SummaryResult]]:
+    """summarize of prepared documents, prepared[m] being model m's."""
     out = []
-    for model_docs, model_probs in zip(docs, predict_probs(models, docs)):
+    for items, model_probs in zip(prepared, _predict(models, prepared)):
         results = []
-        for doc, (probs, unit_idx) in zip(model_docs, model_probs):
+        for item, (probs, unit_idx) in zip(items, model_probs):
+            doc = item.doc
             units = [doc.units[i] for i in unit_idx]
             chosen = budget_select(probs, units, budget_chars, mode)
             results.append(SummaryResult(
@@ -366,17 +426,15 @@ def summarize(
     return out
 
 
-def dev_rouge1_f1(
-    models: list[Summarizer], docs: list[list[DocumentExample]], budget: float
-) -> list[float]:
-    """Each model's mean ROUGE-1 F1 of its summaries of its documents
-    against their references (0.0 for no documents)."""
+def _dev_rouge1_f1(models, prepared, budget: float) -> list[float]:
+    """Each model's mean ROUGE-1 F1 of its summaries of its prepared
+    documents against their references (0.0 for no documents)."""
     return [
         float(np.mean([
-            rouge_n([t for unit in result.units for t in unit.tokens], doc.reference_tokens, 1).f1
-            for doc, result in zip(model_docs, results)
-        ])) if model_docs else 0.0
-        for model_docs, results in zip(docs, summarize(docs, models, budget_chars=budget))
+            rouge_n([t for unit in result.units for t in unit.tokens], item.doc.reference_tokens, 1).f1
+            for item, result in zip(items, results)
+        ])) if items else 0.0
+        for items, results in zip(prepared, _summaries(models, prepared, budget))
     ]
 
 
@@ -396,8 +454,10 @@ def train_summarizers(
     in its last epoch.  Otherwise dev_docs[m] are the same cases for
     every kind, the models are scored together by dev ROUGE-1 after each
     epoch (so they also share max_window and the hasher), and each model
-    ends in the state of its first epoch with its highest score.
-    Returns (model, history) per kind.
+    ends in the state of its first epoch with its highest score.  Every
+    document is prepared once (prepare_documents), so each case's stream
+    is built once for all kinds and epochs.  Returns (model, history)
+    per kind.
     """
     check_budget(budget_chars)
     for kind, train, dev in zip(kinds, train_docs, dev_docs):
@@ -407,11 +467,14 @@ def train_summarizers(
     if len({config.epochs for config in configs}) != 1:
         raise ValueError("summarizers trained together need one epoch count")
     models = [Summarizer(config, kind) for config, kind in zip(configs, kinds)]
+    prepared = prepare_documents(models, [train + dev for train, dev in zip(train_docs, dev_docs)])
+    train = [items[:len(docs)] for items, docs in zip(prepared, train_docs)]
+    dev = [items[len(docs):] for items, docs in zip(prepared, train_docs)]
     jobs = [
-        nn.Job(model, docs, 1, config.seed, config.lr)
-        for model, docs, config in zip(models, train_docs, configs)
+        nn.Job(model, items, 1, config.seed, config.lr)
+        for model, items, config in zip(models, train, configs)
     ]
-    dev_score = (lambda ms: dev_rouge1_f1(ms, dev_docs, budget_chars)) if any(dev_docs) else None
+    dev_score = (lambda ms: _dev_rouge1_f1(ms, dev, budget_chars)) if any(dev) else None
     return list(zip(models, nn.fit(jobs, configs[0].epochs, dev_score)))
 
 

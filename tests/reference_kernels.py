@@ -2,7 +2,9 @@
 are checked against.
 
 These are the one-sequence GRU recurrence and the table-filling LCS
-backtrace as they stood before the GRU kernel was batched, the pointer
+backtrace as they stood before the GRU kernel was batched, the
+embedding bag over one bucket array per token as it stood before it
+took each distinct surface once, the pointer
 segmenter's one-sentence greedy decode as it stood before decoding was
 batched, and run_experiment's summarizer stage as it stood before the
 kinds were trained and summarized in lockstep.  Nothing in ``src/``
@@ -122,12 +124,40 @@ def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out):
     return dxzr, dxn, dwhzr, dwhn, dbzr, dbn, carry
 
 
+def embed_bag_forward(bucket_lists, table: np.ndarray) -> np.ndarray:
+    """Each token's mean over the rows of table its bucket array names."""
+    if not bucket_lists:
+        return np.zeros((0, table.shape[1]))
+    counts = np.array([len(b) for b in bucket_lists])
+    flat = np.concatenate(bucket_lists)
+    starts = np.zeros(len(bucket_lists), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    sums = np.add.reduceat(table[flat], starts, axis=0)
+    return sums / counts[:, None]
+
+
+def embed_bag_backward(dx, bucket_lists, grad_table: np.ndarray) -> None:
+    """Adds the gradient of embed_bag_forward into grad_table, summing
+    each bucket's entries in token order."""
+    if not bucket_lists:
+        return
+    counts = np.array([len(b) for b in bucket_lists])
+    flat = np.concatenate(bucket_lists)
+    order = np.argsort(flat, kind="stable")
+    sorted_idx = flat[order]
+    starts = np.flatnonzero(np.r_[True, sorted_idx[1:] != sorted_idx[:-1]])
+    rows = np.repeat(np.arange(len(counts)), counts)[order]
+    grad_table[sorted_idx[starts]] += np.add.reduceat(
+        (dx / counts[:, None])[rows], starts, axis=0
+    )
+
+
 def pointer_greedy_decode(model, surfaces) -> tuple[int, ...]:
     """One sentence's greedy monotone decode by a PointerSegmenter: the
     sentence is encoded alone and the decoder takes one T=1 step per
     unit, pointing with one masked distribution per step."""
     p = model.store.params
-    x = nn.embed_bag_forward([model.hasher.buckets(s) for s in surfaces], p["emb"])
+    x = embed_bag_forward([model.hasher.buckets(s) for s in surfaces], p["emb"])
     enc = nn.bigru_forward([x[:, None]], [model.store], "enc")[0][0][:, 0]
     enc_proj = enc @ p["attn.w_enc"] + p["attn.b"]
     t_count = len(surfaces)

@@ -39,7 +39,7 @@ from gransum.splitters import (
     token_ranges,
     units_from_boundaries,
 )
-from gransum.summarizer import DocumentExample, Summarizer, SummarizerConfig
+from gransum.summarizer import DocumentExample, Summarizer, SummarizerConfig, prepare_documents
 from gransum.tokenization import LexiconHooks, tokenize
 
 from unit_checks import check_tiling, finite_difference_check
@@ -288,11 +288,11 @@ def test_c4_gradient_checks():
         epochs=1, seed=3,
     )
     seg_model = PointerSegmenter(seg_config)
-    six_tokens = SentenceExample(("wa", "bo", ",", "ke", "lu", "。"), (2,))
+    six_tokens = seg_model.prepare([SentenceExample(("wa", "bo", ",", "ke", "lu", "。"), (2,))])
 
     def pointer_loss():
         seg_model.store.zero_grads()
-        return seg_model.loss_and_grads([six_tokens])
+        return seg_model.loss_and_grads(six_tokens)
 
     worst["pointer_segmenter"] = finite_difference_check(pointer_loss, seg_model.store)
 
@@ -312,9 +312,11 @@ def test_c4_gradient_checks():
         reference_sentences=(("wa", "bo"),),
     )
 
+    [prepared] = prepare_documents([sum_model], [[doc]])
+
     def summarizer_loss():
         sum_model.store.zero_grads()
-        [loss] = Summarizer.losses_and_grads([sum_model], [[doc]])
+        [loss] = Summarizer.losses_and_grads([sum_model], [prepared])
         return loss
 
     worst["summarizer"] = finite_difference_check(summarizer_loss, sum_model.store)

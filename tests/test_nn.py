@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from gransum import nn
+from gransum.nn import core
 from gransum.nn.checkpoint import MAGIC, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+from gransum.tokenization import SubwordHasher
 
+import reference_kernels
 from unit_checks import finite_difference_check
 
 
@@ -446,6 +449,95 @@ def test_sinusoidal_encoding_shape_and_range():
     assert pe.shape == (10, 8)
     assert np.abs(pe).max() <= 1.0
     assert not np.array_equal(pe[0], pe[1])
+
+
+def _fresh_sinusoids(n, d):
+    pe = np.zeros((n, d))
+    position = np.arange(n)[:, None].astype(np.float64)
+    div = np.exp(np.arange(0, d, 2, dtype=np.float64) * (-np.log(10000.0) / d))
+    pe[:, 0::2] = np.sin(position * div)
+    pe[:, 1::2] = np.cos(position * div[: d // 2])
+    return pe
+
+
+class TestSinusoidTable:
+    def test_is_read_only(self):
+        pe = nn.sinusoidal_encoding(5, 6)
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+
+    def test_growing_then_shrinking_lengths_match_fresh_tables(self):
+        # odd width: the cosine columns are one fewer than the sine ones
+        for d in (9, 10):
+            for n in (3, 7, 40, 41, 12, 1):
+                assert np.array_equal(nn.sinusoidal_encoding(n, d), _fresh_sinusoids(n, d)), (n, d)
+
+    def test_one_table_per_width(self):
+        tables = [nn.sinusoidal_encoding(n, 14) for n in (4, 30, 11)]
+        assert core._SINUSOIDS[14].shape == (30, 14)
+        assert all(np.shares_memory(t, core._SINUSOIDS[14]) for t in tables[1:])
+        assert not np.shares_memory(nn.sinusoidal_encoding(4, 16), core._SINUSOIDS[14])
+
+
+# a surface repeated across tokens, and (five buckets) buckets repeated
+# within one surface
+BAG_WORDS = ["abc", "x", "abc", "hello", "x", "abc", "qq", "hello"]
+
+
+def _bag_fixture(dim=3, seed=0):
+    hasher = SubwordHasher(2, 3, 5, 0)
+    surfaces = nn.Surfaces(hasher.buckets)
+    bag = surfaces.bag(surfaces.ids(BAG_WORDS))
+    table = np.random.default_rng(seed).normal(size=(5, dim))
+    return hasher, bag, table
+
+
+class TestEmbeddingBag:
+    def test_fixture_repeats_surfaces_and_buckets(self):
+        hasher, bag, _ = _bag_fixture()
+        assert bag.counts.size == len(set(BAG_WORDS)) < len(BAG_WORDS)
+        assert any(len(set(hasher.buckets(w))) < len(hasher.buckets(w)) for w in BAG_WORDS)
+
+    def test_forward_equals_per_token_reference_bit_for_bit(self):
+        hasher, bag, table = _bag_fixture()
+        want = reference_kernels.embed_bag_forward([hasher.buckets(w) for w in BAG_WORDS], table)
+        assert np.array_equal(nn.embed_bag_forward(bag, table), want)
+
+    def test_backward_equals_per_token_reference(self):
+        hasher, bag, table = _bag_fixture()
+        dx = np.random.default_rng(1).normal(size=(len(BAG_WORDS), table.shape[1]))
+        got = np.zeros_like(table)
+        nn.embed_bag_backward(dx, bag, got)
+        want = np.zeros_like(table)
+        reference_kernels.embed_bag_backward(dx, [hasher.buckets(w) for w in BAG_WORDS], want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_bag_of_a_subset_of_ids(self):
+        """A batch's bag takes its distinct surfaces out of a larger
+        table, as the segmenter's batches do."""
+        hasher = SubwordHasher(2, 3, 5, 0)
+        surfaces = nn.Surfaces(hasher.buckets)
+        surfaces.ids(["zz", "yyy"] + BAG_WORDS)
+        ids = surfaces.ids(BAG_WORDS[2:])
+        bag = surfaces.bag(ids)
+        assert bag.counts.size == len(set(BAG_WORDS[2:]))
+        table = np.random.default_rng(2).normal(size=(5, 4))
+        want = reference_kernels.embed_bag_forward([hasher.buckets(w) for w in BAG_WORDS[2:]], table)
+        assert np.array_equal(nn.embed_bag_forward(bag, table), want)
+
+    def test_gradcheck(self):
+        _, bag, table = _bag_fixture()
+        store = nn.ParameterStore(0)
+        store.add("emb", table.shape, init="embedding")
+        weights = np.random.default_rng(3).normal(size=(len(BAG_WORDS), table.shape[1]))
+
+        def loss_fn():
+            store.zero_grads()
+            out = nn.embed_bag_forward(bag, store.params["emb"])
+            nn.embed_bag_backward(weights, bag, store.grads["emb"])
+            return float((weights * out).sum())
+
+        assert finite_difference_check(loss_fn, store) < 1e-6
 
 
 def test_parameter_store_deterministic_init():

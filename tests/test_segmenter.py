@@ -68,7 +68,8 @@ class TestStructuralInvariants:
 
     def test_attention_mass_zero_before_start(self):
         model = PointerSegmenter(SMALL)
-        enc, lengths, _ = model._encode([["wa", "bo", ",", "ke", "lu"]])
+        surfaces = nn.Surfaces(model.hasher.buckets)
+        enc, lengths, _ = model._encode([surfaces.ids(["wa", "bo", ",", "ke", "lu"])], surfaces)
         p = model.store.params
         enc_proj = (enc @ p["attn.w_enc"] + p["attn.b"]).transpose(1, 0, 2)
         h, _ = nn.gru_forward(enc[2][None], model.store, "dec", h0=p["dec_h0"][None])
@@ -150,11 +151,11 @@ def test_gradcheck_six_token_sentence():
         epochs=1, seed=3,
     )
     model = PointerSegmenter(config)
-    ex = SentenceExample(("wa", "bo", ",", "ke", "lu", "。"), (2,))
+    batch = model.prepare([SentenceExample(("wa", "bo", ",", "ke", "lu", "。"), (2,))])
 
     def loss_fn():
         model.store.zero_grads()
-        return model.loss_and_grads([ex])
+        return model.loss_and_grads(batch)
 
     assert finite_difference_check(loss_fn, model.store) < 1e-4
 
@@ -166,11 +167,11 @@ def test_gradcheck_ragged_three_sentence_batch():
     )
     model = PointerSegmenter(config)
     # 3, 1 and 2 units: the padded decoder batch is ragged too
-    batch = [
+    batch = model.prepare([
         SentenceExample(("wa", "bo", ",", "ke", "lu", "。"), (1, 3)),
         SentenceExample(("ne",), ()),
         SentenceExample(("mi", ",", "su", "。"), (1,)),
-    ]
+    ])
 
     def loss_fn():
         model.store.zero_grads()
@@ -199,21 +200,21 @@ def test_batched_decoder_matches_per_sentence_loop():
     """Loss and every gradient of one ragged batch agree with the mean
     over one-sentence batches."""
     model = PointerSegmenter(SMALL)
-    batch = [
+    batch = model.prepare([
         SentenceExample(("wa", "bo", ",", "ke", "lu", "。", "mi"), (1, 3, 4)),
         SentenceExample(("ne",), ()),
         SentenceExample(("mi", ",", "su", "。"), (1,)),
         SentenceExample(("ko", "ra", ",", "te"), ()),
         SentenceExample(("a", ",", "b", ",", "c"), (0, 2)),
-    ]
+    ])
     model.store.zero_grads()
     loss = model.loss_and_grads(batch)
     grads = {k: g.copy() for k, g in model.store.grads.items()}
     want_loss = 0.0
     want = {k: np.zeros_like(g) for k, g in grads.items()}
-    for ex in batch:
+    for item in batch:
         model.store.zero_grads()
-        want_loss += model.loss_and_grads([ex]) / len(batch)
+        want_loss += model.loss_and_grads([item]) / len(batch)
         for k, g in model.store.grads.items():
             want[k] += g / len(batch)
     assert loss == pytest.approx(want_loss, rel=0, abs=1e-12)

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,14 +14,17 @@ from gransum.pipeline import (
     unit_method,
     with_oracle_labels,
 )
+from gransum import summarizer
 from gransum.spans import TextSpan, Unit, UnitKind, budget_length, budget_select
 from gransum.summarizer import (
     DocumentExample,
     Summarizer,
     SummarizerConfig,
     predict_probs,
+    prepare_documents,
     summarize,
     summarizer_train,
+    train_summarizers,
 )
 
 from unit_checks import finite_difference_check
@@ -72,11 +76,15 @@ def synth_docs(kind, case_count=40, seed=77, marker_prob=0.12):
     return docs, g, budget
 
 
+def prepared(model, doc):
+    """doc prepared for model alone."""
+    return prepare_documents([model], [[doc]])[0][0]
+
+
 class TestEncodeDocument:
     def test_single_token_unit_pool_is_identity(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        doc = toy_doc()
-        _, pools, _ = model._layout(doc)
+        pools = prepared(model, toy_doc()).pools
         # the middle unit covers exactly one token
         a, b = pools[1]
         assert b - a == 1
@@ -84,35 +92,37 @@ class TestEncodeDocument:
     def test_pooling_equals_arithmetic_mean(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         doc = toy_doc()
-        stream, pools, unit_idx = model._layout(doc)
-        x = np.empty((len(stream), SMALL.embed_dim))
+        item = prepared(model, doc)
+        roles = item.stream.roles
+        words = iter([s for sentence in doc.sentences for s in sentence])
+        x = np.empty((len(roles), SMALL.embed_dim))
         p = model.store.params
-        for t, (surface, role) in enumerate(stream):
+        for t, role in enumerate(roles):
             if role == 0:
                 x[t] = p["cls_vec"]
             elif role == 1:
                 x[t] = p["sep_vec"]
             else:
-                x[t] = p["emb"][model.hasher.buckets(surface)].mean(axis=0)
-        x = x + SMALL.pe_scale * nn.sinusoidal_encoding(len(stream), SMALL.embed_dim)
+                x[t] = p["emb"][model.hasher.buckets(next(words))].mean(axis=0)
+        x = x + SMALL.pe_scale * nn.sinusoidal_encoding(len(roles), SMALL.embed_dim)
         enc = nn.bigru_forward([x[:, None]], [model.store], "enc")[0][0][:, 0]
-        for (a, b) in pools:
+        for (a, b) in item.pools:
             manual = enc[a:b].mean(axis=0)
             np.testing.assert_allclose(manual, enc[a:b].sum(axis=0) / (b - a), atol=1e-12)
 
     def test_boundary_tokens_excluded_from_pools(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
-        stream, pools, _ = model._layout(toy_doc())
-        special = {t for t, (s, role) in enumerate(stream) if role in (0, 1)}
-        for a, b in pools:
+        item = prepared(model, toy_doc())
+        special = {t for t, role in enumerate(item.stream.roles) if role in (0, 1)}
+        for a, b in item.pools:
             assert not (set(range(a, b)) & special)
 
     def test_sentence_kind_uses_cls(self):
         model = Summarizer(SMALL, UnitKind.SENTENCE)
         doc = toy_doc(UnitKind.SENTENCE)
-        stream, pools, _ = model._layout(doc)
-        cls_positions = [t for t, (s, role) in enumerate(stream) if role == 0]
-        assert pools == [(c, c + 1) for c in cls_positions]
+        item = prepared(model, doc)
+        cls_positions = [t for t, role in enumerate(item.stream.roles) if role == 0]
+        assert item.pools.tolist() == [[c, c + 1] for c in cls_positions]
 
     def test_zero_head_gives_half_probability(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
@@ -125,14 +135,12 @@ class TestEncodeDocument:
         config = dataclasses.replace(SMALL, max_window=8)
         model = Summarizer(config, UnitKind.SEGMENT)
         # first sentence costs 6 (4 tokens + cls + sep); second would overflow
-        doc = toy_doc()
-        _, _, unit_idx = model._layout(doc)
-        assert unit_idx == [0, 1]
+        assert prepared(model, toy_doc()).unit_idx == [0, 1]
 
     def test_kind_mismatch_rejected(self):
         model = Summarizer(SMALL, UnitKind.CLAUSE)
         with pytest.raises(ValueError, match="kind"):
-            list(Summarizer.losses_and_grads([model], [[toy_doc()]]))
+            list(Summarizer.losses_and_grads([model], [[prepared(model, toy_doc())]]))
 
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
@@ -148,11 +156,11 @@ class TestGradients:
             embed_dim=6, hidden=4, d_ff=8, bucket_count=48, seed=3
         )
         model = Summarizer(config, UnitKind.SEGMENT)
-        doc = toy_doc()
+        item = prepared(model, toy_doc())
 
         def loss_fn():
             model.store.zero_grads()
-            [loss] = Summarizer.losses_and_grads([model], [[doc]])
+            [loss] = Summarizer.losses_and_grads([model], [[item]])
             return loss
 
         assert finite_difference_check(loss_fn, model.store) < 1e-4
@@ -274,7 +282,7 @@ class TestTraining:
         doc = dataclasses.replace(toy_doc(), labels=None)
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         with pytest.raises(ValueError, match="labels"):
-            list(Summarizer.losses_and_grads([model], [[doc]]))
+            list(Summarizer.losses_and_grads([model], [[prepared(model, doc)]]))
 
     @pytest.mark.slow
     def test_trained_beats_random_selection_paired(self):
@@ -319,7 +327,7 @@ def test_batched_inference_matches_one_document_calls():
     max_window, agrees with one-document calls, and summarize selects the
     same units."""
     docs, _, budget = synth_docs(UnitKind.SEGMENT, case_count=5)
-    lengths = [len(Summarizer(SMALL, UnitKind.SEGMENT)._layout(d)[0]) for d in docs]
+    lengths = [len(prepared(Summarizer(SMALL, UnitKind.SEGMENT), d).stream.roles) for d in docs]
     window = 2 * max(lengths)
     assert len(set(lengths)) > 1 and sum(lengths) > window  # two documents a group at most
     model = Summarizer(dataclasses.replace(SMALL, max_window=window), UnitKind.SEGMENT)
@@ -361,8 +369,8 @@ def test_lockstep_training_step_matches_each_model_alone():
     document (different lengths, padded to the longest), gives each
     model's loss and gradients bit for bit as its step alone."""
     models, docs = _three_kinds()
-    batches = [[model_docs[k]] for k, model_docs in enumerate(docs)]
-    assert len({len(Summarizer(SMALL, UnitKind.SENTENCE)._layout(b[0])[0]) for b in batches}) > 1
+    batches = [[items[k]] for k, items in enumerate(prepare_documents(models, docs))]
+    assert len({len(batch[0].stream.roles) for batch in batches}) > 1
     losses = list(Summarizer.losses_and_grads(models, batches))
     together = [{k: g.copy() for k, g in m.store.grads.items()} for m in models]
     for model, batch, loss, grads in zip(models, batches, losses, together):
@@ -379,3 +387,29 @@ def test_models_run_together_need_the_same_cases():
     wide = Summarizer(dataclasses.replace(SMALL, max_window=512), UnitKind.SEGMENT)
     with pytest.raises(ValueError, match="max_window"):
         predict_probs([models[0], wide], [docs[0], docs[1]])
+
+
+def test_each_case_is_prepared_once(monkeypatch):
+    """Three kinds trained in lockstep for two epochs with dev scoring,
+    then summarizing: each case's stream is built once, for all kinds,
+    steps and dev evaluations."""
+    kinds = list(UnitKind)
+    per_kind = [synth_docs(kind, case_count=7) for kind in kinds]
+    budget = per_kind[0][2]
+    docs = [d for d, _, _ in per_kind]
+    calls = Counter()
+    real = summarizer.case_stream
+
+    def counting(sentences, *args):
+        calls[sentences] += 1
+        return real(sentences, *args)
+
+    monkeypatch.setattr(summarizer, "case_stream", counting)
+    trained = train_summarizers(
+        [d[:4] for d in docs], [d[4:5] for d in docs], kinds,
+        [dataclasses.replace(SMALL, seed=k) for k in range(len(kinds))], budget,
+    )
+    assert all(len(history.dev_scores) == 2 for _, history in trained)
+    summarize([d[5:] for d in docs], [model for model, _ in trained], budget_chars=budget)
+    assert len(calls) == 7
+    assert set(calls.values()) == {1}

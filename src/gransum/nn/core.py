@@ -479,20 +479,19 @@ class Bag:
 
     @cached_property
     def _backward_index(self):
-        """(buckets, segment starts, token rows, token counts) of a
-        segment sum over every token's buckets in token order: the sorted
-        distinct buckets, where each one's run starts among the sorted
-        entries, and each sorted entry's token."""
-        token_counts = self.counts[self.tokens]
-        token_starts = np.cumsum(token_counts) - token_counts
-        entries = np.repeat(self.starts[self.tokens] - token_starts, token_counts)
-        entries += np.arange(entries.size)
-        flat = self.flat[entries]
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        runs = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-        rows = np.repeat(np.arange(self.tokens.size), token_counts)[order]
-        return flat[runs], runs, rows, token_counts
+        """(token order, surface runs, buckets, bucket runs, surface rows)
+        of the backward's two segment sums: the tokens sorted by surface
+        and where each surface's run starts; then the sorted distinct
+        buckets, where each one's run starts among the sorted bucket
+        entries, and each sorted entry's surface."""
+        token_order = np.argsort(self.tokens, kind="stable")
+        sorted_tokens = self.tokens[token_order]
+        surface_runs = np.flatnonzero(np.r_[True, sorted_tokens[1:] != sorted_tokens[:-1]])
+        order = np.argsort(self.flat, kind="stable")
+        flat = self.flat[order]
+        bucket_runs = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+        rows = np.repeat(np.arange(self.counts.size), self.counts)[order]
+        return token_order, surface_runs, flat[bucket_runs], bucket_runs, rows
 
 
 class Surfaces:
@@ -533,12 +532,14 @@ def embed_bag_forward(bag: Bag, table: np.ndarray) -> np.ndarray:
 
 def embed_bag_backward(dx, bag: Bag, grad_table: np.ndarray) -> None:
     """Adds the gradient of embed_bag_forward, for dx the gradient of its
-    output, into grad_table."""
+    output, into grad_table: the tokens' gradients are summed per
+    surface, then each surface's mean share is summed per bucket."""
     if not bag.tokens.size:
         return
-    buckets, runs, rows, token_counts = bag._backward_index
-    # sort-based segment sum; np.add.at is an order of magnitude slower
-    grad_table[buckets] += np.add.reduceat((dx / token_counts[:, None])[rows], runs, axis=0)
+    token_order, surface_runs, buckets, bucket_runs, rows = bag._backward_index
+    # sort-based segment sums; np.add.at is an order of magnitude slower
+    dsurface = np.add.reduceat(dx[token_order], surface_runs, axis=0) / bag.counts[:, None]
+    grad_table[buckets] += np.add.reduceat(dsurface[rows], bucket_runs, axis=0)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ and a [SEP] after every sentence.  Token vectors (hashed n-gram bag
 embeddings plus sinusoidal positions) run through a bidirectional GRU;
 each unit is pooled by the arithmetic mean of its own token vectors
 (boundary tokens excluded), except sentence-granularity units which use
-their [CLS] vector directly.  A unit-level transformer block
+their [CLS] vector directly.  A document's units share no token.  A unit-level transformer block
 contextualizes the pooled vectors and a sigmoid head scores each unit;
 training minimizes mean binary cross-entropy against oracle labels.
 
@@ -120,11 +120,15 @@ def case_stream(sentences, max_window: int, hasher: SubwordHasher) -> CaseStream
 class PreparedDocument:
     """A document ready for a model of its kind: its case's stream, the
     token range [a, b) of the stream that each scored unit pools (pools
-    [U, 2]), and those units' indices in doc.units."""
+    [U, 2]), their lengths b - a, the stream positions they cover (unit
+    by unit, each position once), and those units' indices in
+    doc.units."""
 
     doc: DocumentExample
     stream: CaseStream
     pools: np.ndarray
+    pool_lengths: np.ndarray
+    pool_rows: np.ndarray
     unit_idx: list[int]
 
 
@@ -177,7 +181,7 @@ class Summarizer:
     def _prepare(self, doc: DocumentExample, stream: "CaseStream") -> "PreparedDocument":
         """doc over its case's stream, with the token range each unit
         that fits the stream pools.  Units that do not fit the kept tokens
-        are excluded from scoring."""
+        are excluded from scoring; units that share a token are refused."""
         kept = stream.sentence_lengths
         cls_pos = np.cumsum([0] + [n + 2 for n in kept])
         unit_idx = []
@@ -194,7 +198,13 @@ class Summarizer:
                 pools.append((a, a + (unit.token_end - unit.token_start)))
         if not unit_idx:
             raise ValueError(f"{doc.case_id}: no units fit the token window")
-        return PreparedDocument(doc, stream, np.array(pools, dtype=np.int64), unit_idx)
+        pools = np.array(pools, dtype=np.int64)
+        lengths = pools[:, 1] - pools[:, 0]
+        rows = np.repeat(pools[:, 0] - (np.cumsum(lengths) - lengths), lengths)
+        rows += np.arange(rows.size)
+        if np.unique(rows).size != rows.size:
+            raise ValueError(f"{doc.case_id}: units overlap")
+        return PreparedDocument(doc, stream, pools, lengths, rows, unit_idx)
 
     # -- forward / backward --------------------------------------------
 
@@ -252,9 +262,9 @@ class Summarizer:
         logits = []
         caches = []
         for s, item in enumerate(items):
-            pooled = np.empty((len(item.pools), enc.shape[2]))
-            for u, (a, b) in enumerate(item.pools):
-                pooled[u] = enc[a:b, s].mean(axis=0)
+            # every pool ends before a [SEP], so each bound indexes a row
+            pooled = np.add.reduceat(enc[:, s], item.pools.ravel(), axis=0)[::2]
+            pooled /= item.pool_lengths[:, None]
             s_in = pooled + self.config.unit_pe_scale * nn.sinusoidal_encoding(
                 len(item.pools), enc.shape[2]
             )
@@ -281,8 +291,10 @@ class Summarizer:
             store.accumulate("head_w", s_out.T @ dl)
             store.accumulate("head_b", np.array([dl.sum()]))
             ds_in = nn.transformer_backward(np.outer(dl, store.params["head_w"]), tf_cache, store)
-            for u, (a, b) in enumerate(item.pools):
-                denc[a:b, s] += ds_in[u] / (b - a)
+            # units share no position, so one assignment scatters them all
+            denc[item.pool_rows, s] = np.repeat(
+                ds_in / item.pool_lengths[:, None], item.pool_lengths, axis=0
+            )
         return total * scale, denc
 
     # -- persistence ---------------------------------------------------

@@ -142,6 +142,13 @@ class TestEncodeDocument:
         with pytest.raises(ValueError, match="kind"):
             list(Summarizer.losses_and_grads([model], [[prepared(model, toy_doc())]]))
 
+    def test_overlapping_units_rejected(self):
+        doc = dataclasses.replace(
+            toy_doc(), units=(unit(0, 0, 0, 3, 5), unit(0, 1, 2, 4, 3), unit(1, 0, 0, 3, 5))
+        )
+        with pytest.raises(ValueError, match="overlap"):
+            prepared(Summarizer(SMALL, UnitKind.SEGMENT), doc)
+
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
             DocumentExample(

@@ -468,13 +468,14 @@ class Bag:
     token i is surface tokens[i], every surface in range(k) is some
     token's, and surface j's buckets are flat[starts[j]:starts[j] +
     counts[j]].  The index arrays of the backward pass are made on its
-    first call and kept, so a bag reused across steps makes them once."""
+    first call and kept, so a bag reused across steps makes them once.
+    Indices are int32, which halves what a kept bag holds."""
 
     def __init__(self, tokens: np.ndarray, buckets: list[np.ndarray]):
-        self.tokens = tokens
-        self.counts = np.array([len(b) for b in buckets], dtype=np.int64)
-        self.flat = np.concatenate(buckets) if buckets else np.zeros(0, dtype=np.int64)
-        self.starts = np.zeros(len(buckets), dtype=np.int64)
+        self.tokens = tokens.astype(np.int32)
+        self.counts = np.array([len(b) for b in buckets], dtype=np.int32)
+        self.flat = np.concatenate(buckets, dtype=np.int32) if buckets else np.zeros(0, np.int32)
+        self.starts = np.zeros(len(buckets), dtype=np.int32)
         np.cumsum(self.counts[:-1], out=self.starts[1:])
 
     @cached_property
@@ -490,8 +491,11 @@ class Bag:
         order = np.argsort(self.flat, kind="stable")
         flat = self.flat[order]
         bucket_runs = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-        rows = np.repeat(np.arange(self.counts.size), self.counts)[order]
-        return token_order, surface_runs, flat[bucket_runs], bucket_runs, rows
+        rows = np.repeat(np.arange(self.counts.size, dtype=np.int32), self.counts)[order]
+        return (
+            token_order.astype(np.int32), surface_runs.astype(np.int32), flat[bucket_runs],
+            bucket_runs.astype(np.int32), rows,
+        )
 
 
 class Surfaces:
@@ -505,7 +509,7 @@ class Surfaces:
 
     def ids(self, surfaces) -> np.ndarray:
         """The ids of surfaces, numbering the ones not seen before."""
-        out = np.empty(len(surfaces), dtype=np.int64)
+        out = np.empty(len(surfaces), dtype=np.int32)
         for i, surface in enumerate(surfaces):
             j = self._ids.get(surface)
             if j is None:

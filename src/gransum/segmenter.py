@@ -96,7 +96,7 @@ class PointerSegmenter:
 
     # -- encoding ------------------------------------------------------
 
-    def prepare(self, examples: list[SentenceExample]) -> list["PreparedSentence"]:
+    def prepare(self, examples: list[SentenceExample]) -> list[PreparedSentence]:
         """The examples with their tokens' surface ids, numbered in one
         nn.Surfaces table shared by all of them."""
         surfaces = nn.Surfaces(self.hasher.buckets)
@@ -130,7 +130,7 @@ class PointerSegmenter:
 
     # -- training ------------------------------------------------------
 
-    def loss_and_grads(self, batch: list["PreparedSentence"]) -> float:
+    def loss_and_grads(self, batch: list[PreparedSentence]) -> float:
         """Mean teacher-forced loss over the batch (sentences of one
         prepare call).
 

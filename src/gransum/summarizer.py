@@ -110,7 +110,7 @@ def case_stream(sentences, max_window: int, hasher: SubwordHasher) -> CaseStream
             break
         kept.append(sent)
         total += need
-    roles = np.concatenate([np.r_[0, np.full(len(sent), 2), 1] for sent in kept])
+    roles = np.concatenate([np.r_[0, np.full(len(sent), 2), 1] for sent in kept]).astype(np.int8)
     surfaces = nn.Surfaces(hasher.buckets)
     words = surfaces.ids([s for sent in kept for s in sent])
     return CaseStream(roles, tuple(len(sent) for sent in kept), surfaces.bag(words))
@@ -132,7 +132,7 @@ class PreparedDocument:
     unit_idx: list[int]
 
 
-def _stream_key(config: "SummarizerConfig") -> tuple:
+def _stream_key(config: SummarizerConfig) -> tuple:
     """The config fields a case's stream depends on."""
     return (config.max_window, config.n_min, config.n_max, config.bucket_count, config.hash_seed)
 
@@ -178,7 +178,7 @@ class Summarizer:
 
     # -- prepared documents --------------------------------------------
 
-    def _prepare(self, doc: DocumentExample, stream: "CaseStream") -> "PreparedDocument":
+    def _prepare(self, doc: DocumentExample, stream: CaseStream) -> PreparedDocument:
         """doc over its case's stream, with the token range each unit
         that fits the stream pools.  Units that do not fit the kept tokens
         are excluded from scoring; units that share a token are refused."""
@@ -198,10 +198,10 @@ class Summarizer:
                 pools.append((a, a + (unit.token_end - unit.token_start)))
         if not unit_idx:
             raise ValueError(f"{doc.case_id}: no units fit the token window")
-        pools = np.array(pools, dtype=np.int64)
+        pools = np.array(pools, dtype=np.int32)
         lengths = pools[:, 1] - pools[:, 0]
         rows = np.repeat(pools[:, 0] - (np.cumsum(lengths) - lengths), lengths)
-        rows += np.arange(rows.size)
+        rows = (rows + np.arange(rows.size)).astype(np.int32)
         if np.unique(rows).size != rows.size:
             raise ValueError(f"{doc.case_id}: units overlap")
         return PreparedDocument(doc, stream, pools, lengths, rows, unit_idx)

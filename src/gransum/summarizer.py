@@ -5,9 +5,10 @@ and a [SEP] after every sentence.  Token vectors (hashed n-gram bag
 embeddings plus sinusoidal positions) run through a bidirectional GRU;
 each unit is pooled by the arithmetic mean of its own token vectors
 (boundary tokens excluded), except sentence-granularity units which use
-their [CLS] vector directly.  A document's units share no token.  A unit-level transformer block
-contextualizes the pooled vectors and a sigmoid head scores each unit;
-training minimizes mean binary cross-entropy against oracle labels.
+their [CLS] vector directly; a document's units share no token.  A
+unit-level transformer block contextualizes the pooled vectors and a
+sigmoid head scores each unit; training minimizes mean binary
+cross-entropy against oracle labels.
 
 Inference selects units with spans.budget_select, the oracle labeler's
 rule, scoring each unit by its probability.
@@ -198,13 +199,11 @@ class Summarizer:
                 pools.append((a, a + (unit.token_end - unit.token_start)))
         if not unit_idx:
             raise ValueError(f"{doc.case_id}: no units fit the token window")
-        pools = np.array(pools, dtype=np.int32)
-        lengths = pools[:, 1] - pools[:, 0]
-        rows = np.repeat(pools[:, 0] - (np.cumsum(lengths) - lengths), lengths)
-        rows = (rows + np.arange(rows.size)).astype(np.int32)
+        rows = np.concatenate([np.arange(a, b, dtype=np.int32) for a, b in pools])
         if np.unique(rows).size != rows.size:
             raise ValueError(f"{doc.case_id}: units overlap")
-        return PreparedDocument(doc, stream, pools, lengths, rows, unit_idx)
+        pools = np.array(pools, dtype=np.int32)
+        return PreparedDocument(doc, stream, pools, pools[:, 1] - pools[:, 0], rows, unit_idx)
 
     # -- forward / backward --------------------------------------------
 
@@ -341,7 +340,7 @@ def _encode(models, streams):
         x += config.pe_scale * nn.sinusoidal_encoding(roles.shape[1], config.embed_dim)
         x[roles < 0] = 0.0
         xs.append(x.transpose(1, 0, 2))
-    lengths = [np.array([len(stream.roles) for stream in model_streams]) for model_streams in streams]
+    lengths = [np.array([len(stream.roles) for stream in ss]) for ss in streams]
     return nn.bigru_forward(xs, [model.store for model in models], "enc", lengths)
 
 
@@ -443,7 +442,9 @@ def _dev_rouge1_f1(models, prepared, budget: float) -> list[float]:
     documents against their references (0.0 for no documents)."""
     return [
         float(np.mean([
-            rouge_n([t for unit in result.units for t in unit.tokens], item.doc.reference_tokens, 1).f1
+            rouge_n(
+                [t for unit in result.units for t in unit.tokens], item.doc.reference_tokens, 1
+            ).f1
             for item, result in zip(items, results)
         ])) if items else 0.0
         for items, results in zip(prepared, _summaries(models, prepared, budget))
@@ -480,13 +481,15 @@ def train_summarizers(
         raise ValueError("summarizers trained together need one epoch count")
     models = [Summarizer(config, kind) for config, kind in zip(configs, kinds)]
     prepared = prepare_documents(models, [train + dev for train, dev in zip(train_docs, dev_docs)])
-    train = [items[:len(docs)] for items, docs in zip(prepared, train_docs)]
-    dev = [items[len(docs):] for items, docs in zip(prepared, train_docs)]
+    train_items = [items[:len(docs)] for items, docs in zip(prepared, train_docs)]
+    dev_items = [items[len(docs):] for items, docs in zip(prepared, train_docs)]
     jobs = [
         nn.Job(model, items, 1, config.seed, config.lr)
-        for model, items, config in zip(models, train, configs)
+        for model, items, config in zip(models, train_items, configs)
     ]
-    dev_score = (lambda ms: _dev_rouge1_f1(ms, dev, budget_chars)) if any(dev) else None
+    dev_score = (
+        (lambda ms: _dev_rouge1_f1(ms, dev_items, budget_chars)) if any(dev_items) else None
+    )
     return list(zip(models, nn.fit(jobs, configs[0].epochs, dev_score)))
 
 

@@ -55,8 +55,8 @@ def restore_model(
     parameters and step.
 
     build returns a fresh model whose store names every parameter.  A
-    wrong kind, hyperparameters build rejects, and a missing or
-    mis-shaped tensor are CheckpointError.
+    wrong kind, hyperparameters build rejects, and a missing, mis-shaped
+    or not all finite tensor are CheckpointError.
     """
     if ckpt.kind != kind:
         raise CheckpointError(f"checkpoint kind {ckpt.kind!r}, expected {kind!r}")
@@ -72,6 +72,8 @@ def restore_model(
                 f"tensor {name!r} shape {ckpt.tensors[name].shape}, "
                 f"expected {param.shape}"
             )
+        if not np.isfinite(ckpt.tensors[name]).all():
+            raise CheckpointError(f"tensor {name!r} is not all finite")
         param[...] = ckpt.tensors[name]
     model.store.step = ckpt.step
     return model

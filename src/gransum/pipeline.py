@@ -48,7 +48,6 @@ from .segmenter import (
     PointerSegmenter,
     SegmenterConfig,
     SentenceExample,
-    example_from_tokens,
     segmenter_train,
 )
 from .summarizer import (
@@ -235,7 +234,7 @@ def segmenter_examples(
 ) -> list[SentenceExample]:
     """One pointer-segmenter training example per sentence."""
     return [
-        example_from_tokens(tokens, bset)
+        SentenceExample(tuple(t.surface for t in tokens), bset.positions)
         for view, bsets in zip(views, gold)
         for tokens, bset in zip(view.tokens, bsets)
     ]

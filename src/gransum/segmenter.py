@@ -17,8 +17,8 @@ import numpy as np
 
 from . import nn
 from .nn.checkpoint import Checkpoint, model_checkpoint, restore_model
-from .splitters import BoundarySet, token_ranges
-from .tokenization import SubwordHasher, Token
+from .splitters import token_ranges
+from .tokenization import SubwordHasher
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,6 @@ class PreparedSentence:
     example: SentenceExample
     ids: np.ndarray
     surfaces: nn.Surfaces
-
-
-def example_from_tokens(tokens: list[Token], gold: BoundarySet) -> SentenceExample:
-    gold.validate(len(tokens))
-    return SentenceExample(tuple(t.surface for t in tokens), gold.positions)
 
 
 class PointerSegmenter:

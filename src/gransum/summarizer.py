@@ -86,13 +86,18 @@ class DocumentExample:
 class CaseStream:
     """One case's token stream under the window cap, the part of its
     documents that no unit kind changes: a [CLS] before and a [SEP] after
-    each kept sentence.  roles [L] marks each position 0 [CLS], 1 [SEP]
-    or 2 word token, sentence_lengths are the kept sentences' token
-    counts, and bag holds the word tokens in stream order."""
+    each kept sentence.  cls, sep and words are the stream positions of
+    the [CLS], the [SEP] and the word tokens, increasing (int32; kept
+    sentence i is the words between cls[i] and sep[i]), and bag holds the
+    word tokens in stream order."""
 
-    roles: np.ndarray
-    sentence_lengths: tuple[int, ...]
+    cls: np.ndarray
+    sep: np.ndarray
+    words: np.ndarray
     bag: nn.Bag
+
+    def __len__(self) -> int:
+        return int(self.sep[-1]) + 1
 
 
 def case_stream(sentences, max_window: int, hasher: SubwordHasher) -> CaseStream:
@@ -111,10 +116,13 @@ def case_stream(sentences, max_window: int, hasher: SubwordHasher) -> CaseStream
             break
         kept.append(sent)
         total += need
-    roles = np.concatenate([np.r_[0, np.full(len(sent), 2), 1] for sent in kept]).astype(np.int8)
+    lengths = np.array([len(sent) for sent in kept], dtype=np.int32)
+    sep = np.cumsum(lengths + 2, dtype=np.int32) - 1
+    cls = sep - lengths - 1
+    words = np.setdiff1d(np.arange(sep[-1] + 1, dtype=np.int32), np.r_[cls, sep])
     surfaces = nn.Surfaces(hasher.buckets)
-    words = surfaces.ids([s for sent in kept for s in sent])
-    return CaseStream(roles, tuple(len(sent) for sent in kept), surfaces.bag(words))
+    ids = surfaces.ids([s for sent in kept for s in sent])
+    return CaseStream(cls, sep, words, surfaces.bag(ids))
 
 
 @dataclass(frozen=True)
@@ -182,9 +190,12 @@ class Summarizer:
     def _prepare(self, doc: DocumentExample, stream: CaseStream) -> PreparedDocument:
         """doc over its case's stream, with the token range each unit
         that fits the stream pools.  Units that do not fit the kept tokens
-        are excluded from scoring; units that share a token are refused."""
-        kept = stream.sentence_lengths
-        cls_pos = np.cumsum([0] + [n + 2 for n in kept])
+        are excluded from scoring; units that share a token, and a
+        document of another kind than the model's, are refused."""
+        if doc.kind is not self.unit_kind:
+            raise ValueError(f"{doc.case_id}: kind {doc.kind} != model kind {self.unit_kind}")
+        kept = (stream.sep - stream.cls - 1).tolist()
+        cls_pos = stream.cls.tolist()
         unit_idx = []
         pools = []
         for ui, unit in enumerate(doc.units):
@@ -218,15 +229,6 @@ class Summarizer:
         when the caller has taken the previous model's loss, so one
         model's head caches and one embedding gradient are alive at
         once."""
-        for model, batch in zip(models, batches):
-            for item in batch:
-                if item.doc.labels is None:
-                    raise ValueError(f"{item.doc.case_id}: no labels for training")
-                if item.doc.kind is not model.unit_kind:
-                    raise ValueError(
-                        f"{item.doc.case_id}: document kind {item.doc.kind} does not match "
-                        f"model kind {model.unit_kind}"
-                    )
         streams = [[item.stream for item in batch] for batch in batches]
         encs, enc_cache = _encode(models, streams)
         steps = [
@@ -241,16 +243,10 @@ class Summarizer:
         del steps
         for model, loss, dx, model_streams in zip(models, losses, dxs, streams):
             grads = model.store.grads
-            roles = _roles(model_streams)
-            dx = dx.transpose(1, 0, 2)
-            grads["cls_vec"] += dx[roles == 0].sum(axis=0)
-            grads["sep_vec"] += dx[roles == 1].sum(axis=0)
-            words = dx[roles == 2]
-            lo = 0
-            for stream in model_streams:
-                hi = lo + stream.bag.tokens.size
-                nn.embed_bag_backward(words[lo:hi], stream.bag, grads["emb"])
-                lo = hi
+            for s, stream in enumerate(model_streams):
+                grads["cls_vec"] += dx[stream.cls, s].sum(axis=0)
+                grads["sep_vec"] += dx[stream.sep, s].sum(axis=0)
+                nn.embed_bag_backward(dx[stream.words, s], stream.bag, grads["emb"])
             yield loss
 
     def _units_forward(self, enc, items):
@@ -283,6 +279,8 @@ class Summarizer:
         total = 0.0
         denc = np.zeros(enc.shape)
         for s, (item, doc_logits, (s_out, tf_cache)) in enumerate(zip(batch, logits, caches)):
+            if item.doc.labels is None:
+                raise ValueError(f"{item.doc.case_id}: no labels for training")
             labels = np.asarray([item.doc.labels[i] for i in item.unit_idx], dtype=np.float64)
             loss, dl = nn.sigmoid_bce(doc_logits, labels)
             total += loss
@@ -312,35 +310,26 @@ class Summarizer:
         return restore_model(ckpt, cls.KIND, build)
 
 
-def _roles(streams: list[CaseStream]) -> np.ndarray:
-    """[S, T] roles of S case streams, -1 padding each to the longest."""
-    roles = np.full((len(streams), max(len(stream.roles) for stream in streams)), -1)
-    for s, stream in enumerate(streams):
-        roles[s, :len(stream.roles)] = stream.roles
-    return roles
-
-
 def _encode(models, streams):
     """BiGRU encodings [T, S, 2H] of each model's case streams,
-    streams[m] being model m's: each model embeds its streams as one
-    zero-padded [T, S] batch, and the streams of all models run through
-    the BiGRU as one call (nn.bigru_forward).  Returns (encodings,
-    cache)."""
+    streams[m] being model m's: each model writes its streams' tokens at
+    their positions in one zero-padded [T, S, E] batch, and the streams
+    of all models run through the BiGRU as one call (nn.bigru_forward).
+    Returns (encodings, cache)."""
     xs = []
     for model, model_streams in zip(models, streams):
         p = model.store.params
         config = model.config
-        roles = _roles(model_streams)
-        x = np.zeros(roles.shape + (config.embed_dim,))
-        x[roles == 0] = p["cls_vec"]
-        x[roles == 1] = p["sep_vec"]
-        x[roles == 2] = np.concatenate([
-            nn.embed_bag_forward(stream.bag, p["emb"]) for stream in model_streams
-        ])
-        x += config.pe_scale * nn.sinusoidal_encoding(roles.shape[1], config.embed_dim)
-        x[roles < 0] = 0.0
-        xs.append(x.transpose(1, 0, 2))
-    lengths = [np.array([len(stream.roles) for stream in ss]) for ss in streams]
+        steps = max(len(stream) for stream in model_streams)
+        pe = config.pe_scale * nn.sinusoidal_encoding(steps, config.embed_dim)
+        x = np.zeros((steps, len(model_streams), config.embed_dim))
+        for s, stream in enumerate(model_streams):
+            x[stream.cls, s] = p["cls_vec"]
+            x[stream.sep, s] = p["sep_vec"]
+            x[stream.words, s] = nn.embed_bag_forward(stream.bag, p["emb"])
+            x[:len(stream), s] += pe[:len(stream)]
+        xs.append(x)
+    lengths = [np.array([len(stream) for stream in ss]) for ss in streams]
     return nn.bigru_forward(xs, [model.store for model in models], "enc", lengths)
 
 
@@ -377,9 +366,9 @@ def _predict(models: list[Summarizer], prepared: list[list[PreparedDocument]]):
     lo = 0
     while lo < len(streams):
         hi = lo + 1
-        longest = len(streams[lo].roles)
+        longest = len(streams[lo])
         while hi < len(streams):
-            longest = max(longest, len(streams[hi].roles))
+            longest = max(longest, len(streams[hi]))
             if longest * (hi + 1 - lo) > config.max_window:
                 break
             hi += 1
@@ -473,10 +462,6 @@ def train_summarizers(
     per kind.
     """
     check_budget(budget_chars)
-    for kind, train, dev in zip(kinds, train_docs, dev_docs):
-        for doc in train + dev:
-            if doc.kind is not kind:
-                raise ValueError(f"{doc.case_id}: kind {doc.kind} != {kind}")
     if len({config.epochs for config in configs}) != 1:
         raise ValueError("summarizers trained together need one epoch count")
     models = [Summarizer(config, kind) for config, kind in zip(configs, kinds)]

@@ -6,10 +6,12 @@ backtrace as they stood before the GRU kernel was batched, the
 embedding bag over one bucket array per token as it stood before it
 took each distinct surface once, the pointer
 segmenter's one-sentence greedy decode as it stood before decoding was
-batched, and run_experiment's summarizer stage as it stood before the
-kinds were trained and summarized in lockstep.  Nothing in ``src/``
-calls them; the tests run both forms on the same seeded inputs and
-require them to agree.
+batched, run_experiment's summarizer stage as it stood before the
+kinds were trained and summarized in lockstep, and the summarizer's
+embedding of its case streams through a padded role matrix and its
+masks as it stood before the streams held their token positions.
+Nothing in ``src/`` calls them; the tests run both forms on the same
+seeded inputs and require them to agree.
 """
 
 import os
@@ -150,6 +152,56 @@ def embed_bag_backward(dx, bucket_lists, grad_table: np.ndarray) -> None:
     grad_table[sorted_idx[starts]] += np.add.reduceat(
         (dx / counts[:, None])[rows], starts, axis=0
     )
+
+
+def summarizer_roles(streams) -> np.ndarray:
+    """[S, T] roles of S case streams, each position 0 [CLS], 1 [SEP] or
+    2 word token, -1 padding each stream to the longest."""
+    roles = np.full((len(streams), max(len(stream) for stream in streams)), -1)
+    for s, stream in enumerate(streams):
+        roles[s, stream.cls] = 0
+        roles[s, stream.sep] = 1
+        roles[s, stream.words] = 2
+    return roles
+
+
+def summarizer_encode(models, streams):
+    """summarizer._encode by role masks: each model embeds its streams
+    as one [S, T] batch, adds the positions to every row, zeroes the
+    padding and runs the BiGRU on its [T, S] transpose."""
+    xs = []
+    for model, model_streams in zip(models, streams):
+        p = model.store.params
+        config = model.config
+        roles = summarizer_roles(model_streams)
+        x = np.zeros(roles.shape + (config.embed_dim,))
+        x[roles == 0] = p["cls_vec"]
+        x[roles == 1] = p["sep_vec"]
+        x[roles == 2] = np.concatenate([
+            nn.embed_bag_forward(stream.bag, p["emb"]) for stream in model_streams
+        ])
+        x += config.pe_scale * nn.sinusoidal_encoding(roles.shape[1], config.embed_dim)
+        x[roles < 0] = 0.0
+        xs.append(x.transpose(1, 0, 2))
+    lengths = [np.array([len(stream) for stream in ss]) for ss in streams]
+    return nn.bigru_forward(xs, [model.store for model in models], "enc", lengths)
+
+
+def summarizer_embed_backward(model, streams, dx) -> None:
+    """The embedding half of Summarizer.losses_and_grads by role masks:
+    adds the gradients of cls_vec, sep_vec and emb for dx [T, S, E], the
+    gradient of the BiGRU input of model's streams."""
+    grads = model.store.grads
+    roles = summarizer_roles(streams)
+    dx = dx.transpose(1, 0, 2)
+    grads["cls_vec"] += dx[roles == 0].sum(axis=0)
+    grads["sep_vec"] += dx[roles == 1].sum(axis=0)
+    words = dx[roles == 2]
+    lo = 0
+    for stream in streams:
+        hi = lo + stream.bag.tokens.size
+        nn.embed_bag_backward(words[lo:hi], stream.bag, grads["emb"])
+        lo = hi
 
 
 def pointer_greedy_decode(model, surfaces) -> tuple[int, ...]:

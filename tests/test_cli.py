@@ -3,6 +3,7 @@ import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gransum import nn, pipeline
@@ -347,6 +348,17 @@ def _checkpoint_bytes(tmp_path, model, **extra_hyper):
     return path.read_bytes()
 
 
+def _nan_checkpoint_bytes(tmp_path, model, name):
+    """A saved checkpoint of model whose tensor name ends in a NaN, as a
+    payload tail overwritten with 0xFF bytes reads."""
+    ckpt = model.to_checkpoint()
+    ckpt.tensors[name] = ckpt.tensors[name].copy()
+    ckpt.tensors[name].flat[-1] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(ckpt, str(path))
+    return path.read_bytes()
+
+
 def _checkpoint_header_bytes(tmp_path, model, **fields):
     """A saved checkpoint of model with header fields replaced; a field
     given as None is removed."""
@@ -451,6 +463,12 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         (summarize + ["--model"],
          _checkpoint_bytes(tmp_path, summarizer, unit_kind="WORD"),
          "checkpoint hyperparameters rejected: 'WORD'"),
+        # tensors that are not all finite
+        (summarize + ["--model"], _nan_checkpoint_bytes(tmp_path, summarizer, "unit_tf.wv"),
+         "tensor 'unit_tf.wv' is not all finite"),
+        (["segment", "--corpus", corpus, "--method", "pointer", "--checkpoint"],
+         _nan_checkpoint_bytes(tmp_path, segmenter, "attn.v"),
+         "tensor 'attn.v' is not all finite"),
         # header fields that are missing or of the wrong type
         *[(summarize + ["--model"], _checkpoint_header_bytes(tmp_path, summarizer, **{name: None}),
            f"{{path}}: header has no {name!r}") for name in ("kind", "hyper", "seed", "step")],

@@ -27,6 +27,7 @@ from gransum.summarizer import (
     train_summarizers,
 )
 
+import reference_kernels
 from unit_checks import finite_difference_check
 
 SMALL = SummarizerConfig(
@@ -93,18 +94,14 @@ class TestEncodeDocument:
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         doc = toy_doc()
         item = prepared(model, doc)
-        roles = item.stream.roles
-        words = iter([s for sentence in doc.sentences for s in sentence])
-        x = np.empty((len(roles), SMALL.embed_dim))
+        stream = item.stream
+        words = [s for sentence in doc.sentences for s in sentence]
+        x = np.empty((len(stream), SMALL.embed_dim))
         p = model.store.params
-        for t, role in enumerate(roles):
-            if role == 0:
-                x[t] = p["cls_vec"]
-            elif role == 1:
-                x[t] = p["sep_vec"]
-            else:
-                x[t] = p["emb"][model.hasher.buckets(next(words))].mean(axis=0)
-        x = x + SMALL.pe_scale * nn.sinusoidal_encoding(len(roles), SMALL.embed_dim)
+        x[stream.cls] = p["cls_vec"]
+        x[stream.sep] = p["sep_vec"]
+        x[stream.words] = [p["emb"][model.hasher.buckets(w)].mean(axis=0) for w in words]
+        x = x + SMALL.pe_scale * nn.sinusoidal_encoding(len(stream), SMALL.embed_dim)
         enc = nn.bigru_forward([x[:, None]], [model.store], "enc")[0][0][:, 0]
         for (a, b) in item.pools:
             manual = enc[a:b].mean(axis=0)
@@ -113,7 +110,7 @@ class TestEncodeDocument:
     def test_boundary_tokens_excluded_from_pools(self):
         model = Summarizer(SMALL, UnitKind.SEGMENT)
         item = prepared(model, toy_doc())
-        special = {t for t, role in enumerate(item.stream.roles) if role in (0, 1)}
+        special = set(item.stream.cls.tolist()) | set(item.stream.sep.tolist())
         for a, b in item.pools:
             assert not (set(range(a, b)) & special)
 
@@ -121,7 +118,7 @@ class TestEncodeDocument:
         model = Summarizer(SMALL, UnitKind.SENTENCE)
         doc = toy_doc(UnitKind.SENTENCE)
         item = prepared(model, doc)
-        cls_positions = [t for t, role in enumerate(item.stream.roles) if role == 0]
+        cls_positions = item.stream.cls.tolist()
         assert item.pools.tolist() == [[c, c + 1] for c in cls_positions]
 
     def test_zero_head_gives_half_probability(self):
@@ -140,7 +137,16 @@ class TestEncodeDocument:
     def test_kind_mismatch_rejected(self):
         model = Summarizer(SMALL, UnitKind.CLAUSE)
         with pytest.raises(ValueError, match="kind"):
-            list(Summarizer.losses_and_grads([model], [[prepared(model, toy_doc())]]))
+            prepared(model, toy_doc())
+        with pytest.raises(ValueError, match="kind"):
+            summarizer_train([toy_doc()], [], UnitKind.CLAUSE, SMALL)
+
+    def test_summarize_refuses_document_of_another_kind(self):
+        model = Summarizer(SMALL, UnitKind.SENTENCE)
+        with pytest.raises(ValueError, match="c1: kind UnitKind.SEGMENT != model kind"):
+            summarize([[toy_doc()]], [model])
+        with pytest.raises(ValueError, match="kind"):
+            predict_probs([model], [[toy_doc()]])
 
     def test_overlapping_units_rejected(self):
         doc = dataclasses.replace(
@@ -334,7 +340,7 @@ def test_batched_inference_matches_one_document_calls():
     max_window, agrees with one-document calls, and summarize selects the
     same units."""
     docs, _, budget = synth_docs(UnitKind.SEGMENT, case_count=5)
-    lengths = [len(prepared(Summarizer(SMALL, UnitKind.SEGMENT), d).stream.roles) for d in docs]
+    lengths = [len(prepared(Summarizer(SMALL, UnitKind.SEGMENT), d).stream) for d in docs]
     window = 2 * max(lengths)
     assert len(set(lengths)) > 1 and sum(lengths) > window  # two documents a group at most
     model = Summarizer(dataclasses.replace(SMALL, max_window=window), UnitKind.SEGMENT)
@@ -377,7 +383,7 @@ def test_lockstep_training_step_matches_each_model_alone():
     model's loss and gradients bit for bit as its step alone."""
     models, docs = _three_kinds()
     batches = [[items[k]] for k, items in enumerate(prepare_documents(models, docs))]
-    assert len({len(batch[0].stream.roles) for batch in batches}) > 1
+    assert len({len(batch[0].stream) for batch in batches}) > 1
     losses = list(Summarizer.losses_and_grads(models, batches))
     together = [{k: g.copy() for k, g in m.store.grads.items()} for m in models]
     for model, batch, loss, grads in zip(models, batches, losses, together):
@@ -420,3 +426,67 @@ def test_each_case_is_prepared_once(monkeypatch):
     summarize([d[5:] for d in docs], [model for model, _ in trained], budget_chars=budget)
     assert len(calls) == 7
     assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("max_window", [1024, 9, 5])
+def test_case_stream_positions(max_window):
+    """cls, sep and words partition the stream's positions, one [CLS]
+    and one [SEP] around each kept sentence; a lone over-long first
+    sentence keeps max_window - 2 tokens."""
+    sentences = (("a", "b", "c", "d", "e", "f", "g", "h"), ("i",), ("j", "k"))
+    stream = summarizer.case_stream(sentences, max_window, SMALL.hasher())
+    length = len(stream)
+    positions = np.concatenate([stream.cls, stream.sep, stream.words])
+    assert np.array_equal(np.sort(positions), np.arange(length))
+    assert {a.dtype for a in (stream.cls, stream.sep, stream.words)} == {np.dtype(np.int32)}
+    assert stream.words.size == stream.bag.tokens.size
+    kept = {1024: [8, 1, 2], 9: [7], 5: [3]}[max_window]
+    assert (stream.sep - stream.cls - 1).tolist() == kept
+    assert length == sum(kept) + 2 * len(kept) <= max_window
+
+
+def _streams_of_three_lengths(models):
+    docs = [synth_docs(model.unit_kind, case_count=3)[0] for model in models]
+    prepared_docs = prepare_documents(models, docs)
+    streams = [item.stream for item in prepared_docs[0]]
+    assert len({len(stream) for stream in streams}) == 3
+    return prepared_docs, streams
+
+
+def test_encode_matches_role_mask_reference():
+    """_encode of two models over a group of three streams of different
+    lengths is bit for bit the role-mask reference, inputs and
+    encodings."""
+    models, _ = _three_kinds()
+    models = models[:2]
+    _, streams = _streams_of_three_lengths(models)
+    got, got_cache = summarizer._encode(models, [streams] * 2)
+    want, want_cache = reference_kernels.summarizer_encode(models, [streams] * 2)
+    for x_got, x_want, enc_got, enc_want in zip(got_cache[0], want_cache[0], got, want):
+        assert np.array_equal(x_got, x_want)
+        assert np.array_equal(enc_got, enc_want)
+
+
+def test_embedding_gradients_match_role_mask_reference():
+    """One lockstep step's cls_vec, sep_vec and emb gradients are bit for
+    bit those of the role-mask reference (one document per model, the
+    models' streams of different lengths)."""
+    models, _ = _three_kinds()
+    prepared_docs, _ = _streams_of_three_lengths(models)
+    batches = [[items[k]] for k, items in enumerate(prepared_docs)]
+    list(Summarizer.losses_and_grads(models, batches))
+    names = ("cls_vec", "sep_vec", "emb")
+    got = [{name: model.store.grads[name].copy() for name in names} for model in models]
+    for model in models:
+        model.store.zero_grads()
+    streams = [[batch[0].stream] for batch in batches]
+    encs, cache = reference_kernels.summarizer_encode(models, streams)
+    denc = [
+        model._units_loss_and_grads(batch, enc)[1]
+        for model, batch, enc in zip(models, batches, encs)
+    ]
+    dxs = nn.bigru_backward(denc, cache, [model.store for model in models])
+    for model, model_streams, dx, grads in zip(models, streams, dxs, got):
+        reference_kernels.summarizer_embed_backward(model, model_streams, dx)
+        for name in names:
+            assert np.array_equal(grads[name], model.store.grads[name]), name

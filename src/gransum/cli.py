@@ -398,13 +398,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (
-        CorpusError,
-        CheckpointError,
-        OSError,
-        ValueError,
-        KeyError,
-    ) as exc:
+    except (CheckpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -33,7 +33,6 @@ class Checkpoint:
     tensors: dict[str, np.ndarray]
     seed: int
     step: int
-    version: int = field(default=FORMAT_VERSION)
 
 
 def model_checkpoint(kind: str, hyper: dict, store) -> Checkpoint:
@@ -99,7 +98,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         payload.extend(data)
     header = json.dumps(
         {
-            "version": ckpt.version,
+            "version": FORMAT_VERSION,
             "kind": ckpt.kind,
             "hyper": ckpt.hyper,
             "seed": ckpt.seed,
@@ -188,5 +187,4 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
         tensors=tensors,
         seed=header["seed"],
         step=header["step"],
-        version=header["version"],
     )

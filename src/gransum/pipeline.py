@@ -603,8 +603,6 @@ def write_report(report: dict, out_dir: str) -> None:
 
     lines = ["Units\tROUGE-1\tROUGE-2\tROUGE-L"]
     for kind in report["config"]["kinds"]:
-        if kind not in report["summarization"]:
-            continue
         r = report["summarization"][kind]["rouge"]
         lines.append(
             f"{kind.capitalize()}\t{r['rouge1']['f1']:.2f}"
@@ -613,8 +611,7 @@ def write_report(report: dict, out_dir: str) -> None:
     lines.append("")
     lines.append(STATS_HEADER)
     for kind in report["config"]["kinds"]:
-        if kind in report["granularity"]:
-            lines.append(stats_line(kind, report["granularity"][kind]))
+        lines.append(stats_line(kind, report["granularity"][kind]))
     if report["relations"]:
         lines.append("")
         lines.extend(census_lines(report["relations"]))

@@ -50,10 +50,6 @@ class BoundarySet:
                 f"boundary beyond last internal position for {n_tokens} tokens"
             )
 
-    @property
-    def unit_count(self) -> int:
-        return len(self.positions) + 1
-
 
 def token_ranges(positions, n_tokens: int) -> list[tuple[int, int]]:
     """Half-open token ranges [start, end) of the units that the sorted
@@ -111,11 +107,11 @@ def split_fullstop_verb(tokens: list[Token], hooks: LexiconHooks) -> BoundarySet
     pos = set(split_fullstop(tokens).positions)
     n = len(tokens)
     for i, tok in enumerate(tokens):
-        if not hooks.is_verb(tok.surface):
+        if tok.surface not in hooks.verb_list:
             continue
         for j in range(i + 1, n):
             surface = tokens[j].surface
-            if hooks.is_noun(surface) and surface not in hooks.non_independent_list:
+            if surface in hooks.noun_list and surface not in hooks.non_independent_list:
                 pos.add(j - 1)
                 break
     return BoundarySet(_internal(pos, n))
@@ -128,7 +124,7 @@ def split_clauses(tokens: list[Token], hooks: LexiconHooks) -> BoundarySet:
     for i, tok in enumerate(tokens):
         if tok.tag is Tag.COMMA:
             pos.add(i)
-        elif hooks.is_verb(tok.surface):
+        elif tok.surface in hooks.verb_list:
             pos.add(i)
         elif (
             tok.marker == "verbal_noun"
@@ -191,7 +187,7 @@ def _attachment_run(tokens, i, config, allow_numbers: bool) -> int:
         attachable = (
             nxt.surface in particles
             or nxt.surface in hooks.non_independent_list
-            or hooks.is_noun(nxt.surface)
+            or nxt.surface in hooks.noun_list
             or (allow_numbers and nxt.tag is Tag.NUMBER)
         )
         if not attachable:

@@ -148,23 +148,24 @@ def _stream_key(config: SummarizerConfig) -> tuple:
 
 def prepare_documents(models, docs) -> list[list[PreparedDocument]]:
     """Each model's documents prepared for it, docs[m] being model m's.
-    A case's stream is built once (case_stream) and shared by every
-    document of the case whose model has the same max_window and
-    hasher."""
-    streams = {}
-    out = []
-    for model, model_docs in zip(models, docs):
-        key = _stream_key(model.config)
-        items = []
-        for doc in model_docs:
-            stream = streams.get((key, doc.sentences))
-            if stream is None:
-                stream = streams[key, doc.sentences] = case_stream(
-                    doc.sentences, model.config.max_window, model.hasher
-                )
-            items.append(model._prepare(doc, stream))
-        out.append(items)
-    return out
+    Models run together: they must share max_window and the hasher, and
+    docs[m] must be the same cases, in the same order, for every model.
+    Each case's stream is built once (case_stream) and shared by all of
+    its documents."""
+    config = models[0].config
+    if any(_stream_key(model.config) != _stream_key(config) for model in models):
+        raise ValueError("summarizers run together need one max_window and hasher")
+    if any(
+        len(model_docs) != len(docs[0])
+        or any(doc.sentences != first.sentences for doc, first in zip(model_docs, docs[0]))
+        for model_docs in docs
+    ):
+        raise ValueError("summarizers run together need the same cases")
+    streams = [case_stream(doc.sentences, config.max_window, models[0].hasher) for doc in docs[0]]
+    return [
+        [model._prepare(doc, stream) for doc, stream in zip(model_docs, streams)]
+        for model, model_docs in zip(models, docs)
+    ]
 
 
 class Summarizer:
@@ -346,22 +347,14 @@ def predict_probs(models: list[Summarizer], docs: list[list[DocumentExample]]):
 def _predict(models: list[Summarizer], prepared: list[list[PreparedDocument]]):
     """predict_probs of prepared documents, prepared[m] being model m's.
 
-    A case's token stream depends only on its sentences and max_window,
-    so the models must share max_window and the hasher, and then each
-    case has one stream.  Consecutive cases share a forward, which runs
-    every model's BiGRU as one call, while their padded token count
-    (longest stream times cases) stays within max_window, the buffers of
-    one maximal training document.
+    The models' documents share each case's stream (prepare_documents).
+    Consecutive cases share a forward, which runs every model's BiGRU as
+    one call, while their padded token count (longest stream times
+    cases) stays within max_window, the buffers of one maximal training
+    document.
     """
     config = models[0].config
-    if any(_stream_key(model.config) != _stream_key(config) for model in models):
-        raise ValueError("summarizers run together need one max_window and hasher")
     streams = [item.stream for item in prepared[0]]
-    if any(
-        len(items) != len(streams) or any(item.stream is not st for item, st in zip(items, streams))
-        for items in prepared
-    ):
-        raise ValueError("summarizers run together need the same cases")
     out = [[] for _ in models]
     lo = 0
     while lo < len(streams):
@@ -452,14 +445,14 @@ def train_summarizers(
     exactly as it would alone, and step k of all of them shares one BiGRU
     call.  train_docs[m], dev_docs[m] and configs[m] belong to kinds[m].
 
-    The configs agree in epochs.  Without dev documents each model ends
-    in its last epoch.  Otherwise dev_docs[m] are the same cases for
-    every kind, the models are scored together by dev ROUGE-1 after each
-    epoch (so they also share max_window and the hasher), and each model
-    ends in the state of its first epoch with its highest score.  Every
-    document is prepared once (prepare_documents), so each case's stream
-    is built once for all kinds and epochs.  Returns (model, history)
-    per kind.
+    The configs agree in epochs, max_window and the hasher, and
+    train_docs[m] and dev_docs[m] are the same cases for every kind.
+    Without dev documents each model ends in its last epoch.  Otherwise
+    the models are scored together by dev ROUGE-1 after each epoch, and
+    each model ends in the state of its first epoch with its highest
+    score.  Every document is prepared once (prepare_documents), so each
+    case's stream is built once for all kinds and epochs.  Returns
+    (model, history) per kind.
     """
     check_budget(budget_chars)
     if len({config.epochs for config in configs}) != 1:

@@ -74,12 +74,6 @@ class LexiconHooks:
                 return True
         return False
 
-    def is_verb(self, surface: str) -> bool:
-        return surface in self.verb_list
-
-    def is_noun(self, surface: str) -> bool:
-        return surface in self.noun_list
-
 
 def _classify(c: str) -> str:
     if c.isspace():
@@ -118,6 +112,8 @@ class _CharClasses(dict):
 
 _char_class = _CharClasses().__getitem__
 
+# The character classes that always form single-character tokens, and
+# their tags.
 _CLASS_TAG = {
     "fullstop": Tag.FULLSTOP,
     "comma": Tag.COMMA,
@@ -125,9 +121,6 @@ _CLASS_TAG = {
     "paren_close": Tag.PAREN_CLOSE,
     "punct": Tag.PUNCT,
 }
-
-# Character classes that always form single-character tokens.
-_SINGLETON = {"fullstop", "comma", "paren_open", "paren_close", "punct"}
 
 
 def _marker_kind(surface: str, hooks: LexiconHooks) -> str | None:
@@ -167,7 +160,7 @@ def tokenize(sentence_text: str, hooks: LexiconHooks | None = None) -> list[Toke
             i += 1
             continue
         j = i + 1
-        if cls not in _SINGLETON:
+        if cls not in _CLASS_TAG:
             while j < n and classes[j] == cls:
                 j += 1
         surface = sentence_text[i:j]

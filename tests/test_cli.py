@@ -87,6 +87,19 @@ def test_numeric_error_exits_three(synth_dir, tmp_path, monkeypatch):
     assert rc == 3
 
 
+def test_program_fault_is_not_data_error(synth_dir, monkeypatch):
+    """A KeyError inside a command is a program fault: main raises it
+    rather than reporting bad input with exit 2."""
+    import gransum.cli as cli_mod
+
+    def missing_key(*args, **kwargs):
+        raise KeyError("units_per_sentence")
+
+    monkeypatch.setattr(cli_mod, "view_stats", missing_key)
+    with pytest.raises(KeyError, match="units_per_sentence"):
+        main(["stats", "--corpus", str(synth_dir / "corpus.jsonl"), "--kind", "SENTENCE"])
+
+
 def test_malformed_corpus_is_data_error(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{oops\n")

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import gransum
 
 from gransum.pipeline import PipelineConfig
 from gransum.settings import load_settings, save_settings
@@ -57,3 +62,20 @@ def test_bad_values_are_named(tmp_path, raw, message):
     with pytest.raises(ValueError) as info:
         load_settings(PipelineConfig, path)
     assert str(info.value).startswith(path) and message in str(info.value)
+
+
+def test_leaf_modules_import_alone():
+    """The package root imports nothing, so importing the leaf modules
+    settings and spans loads neither numpy nor another gransum module."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gransum.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, gransum.settings, gransum.spans; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    loaded = set(probe.stdout.split())
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.split(".")[0] == "gransum"} == {
+        "gransum", "gransum.settings", "gransum.spans"
+    }

@@ -170,7 +170,6 @@ class TestBoundarySet:
     def test_normalizes_sorted_unique(self):
         b = BoundarySet((3, 1, 3))
         assert b.positions == (1, 3)
-        assert b.unit_count == 3
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -402,6 +402,15 @@ def test_models_run_together_need_the_same_cases():
         predict_probs([models[0], wide], [docs[0], docs[1]])
 
 
+def test_models_trained_together_need_one_max_window():
+    """train_summarizers refuses kinds of different max_window, dev
+    documents or not."""
+    docs = synth_docs(UnitKind.SEGMENT, case_count=3)[0]
+    configs = [SMALL, dataclasses.replace(SMALL, max_window=512)]
+    with pytest.raises(ValueError, match="max_window"):
+        train_summarizers([docs, docs], [[], []], [UnitKind.SEGMENT] * 2, configs)
+
+
 def test_each_case_is_prepared_once(monkeypatch):
     """Three kinds trained in lockstep for two epochs with dev scoring,
     then summarizing: each case's stream is built once, for all kinds,

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 import gransum
-
 from gransum.pipeline import PipelineConfig
 from gransum.settings import load_settings, save_settings
 from gransum.spans import UnitKind

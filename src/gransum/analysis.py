@@ -10,7 +10,6 @@ that do not intersect are excluded unless explicitly requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .rouge import PRF
@@ -78,31 +77,17 @@ def classify_relation(
     return RelationType.OVERLAP
 
 
-@dataclass
-class RelationCensus:
-    counts: dict[RelationType, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def percentages(self) -> dict[RelationType, float]:
-        total = self.total
-        if total == 0:
-            return {r: 0.0 for r in RelationType}
-        return {r: 100.0 * self.counts[r] / total for r in RelationType}
-
-
 def relation_census(
     sentences: list[list[Token]],
     segments: list[BoundarySet],
     clauses: list[BoundarySet],
-) -> RelationCensus:
+) -> dict:
     """Classify all (segment, clause) pairs of every sentence.
 
     segments[i] and clauses[i] are the two boundary sets of sentences[i].
     Counts cover intersecting pairs and partition them exactly; disjoint
-    pairs are not counted.
+    pairs are not counted.  Returns the report's "relations" entry: counts
+    and percentages keyed by relation name, and total_intersecting.
     """
     counts = {r: 0 for r in RelationType}
     for tokens, seg_set, cl_set in zip(sentences, segments, clauses, strict=True):
@@ -112,27 +97,26 @@ def relation_census(
                 rel = classify_relation(seg, cl)
                 if rel is not None:
                     counts[rel] += 1
-    return RelationCensus(counts)
-
-
-@dataclass(frozen=True)
-class GranularityStats:
-    units_per_sentence: float
-    tokens_per_unit: float
-    chars_per_unit: float
-    sentence_count: int
-    unit_count: int
+    total = sum(counts.values())
+    return {
+        "counts": {r.value: counts[r] for r in RelationType},
+        "percentages": {
+            r.value: 100.0 * counts[r] / total if total else 0.0 for r in RelationType
+        },
+        "total_intersecting": total,
+    }
 
 
 def granularity_stats(
     sentences: list[tuple[str, list[Token]]],
     boundaries: list[BoundarySet],
-) -> GranularityStats:
+) -> dict:
     """Mean units/sentence, tokens/unit, and characters/unit.
 
     boundaries[i] splits sentences[i] into units.  Character counts
     exclude whitespace, matching the budget length used everywhere else.
-    tokens/unit and chars/unit average over units.
+    tokens/unit and chars/unit average over units.  Returns the report's
+    "granularity" entry of one kind, with the sentence and unit counts.
     """
     if not sentences:
         raise ValueError("no sentences")
@@ -145,10 +129,10 @@ def granularity_stats(
         total_tokens += len(tokens)
         total_chars += budget_length(text)
     n = len(sentences)
-    return GranularityStats(
-        units_per_sentence=total_units / n,
-        tokens_per_unit=total_tokens / total_units,
-        chars_per_unit=total_chars / total_units,
-        sentence_count=n,
-        unit_count=total_units,
-    )
+    return {
+        "units_per_sentence": total_units / n,
+        "tokens_per_unit": total_tokens / total_units,
+        "chars_per_unit": total_chars / total_units,
+        "sentence_count": n,
+        "unit_count": total_units,
+    }

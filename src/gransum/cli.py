@@ -22,7 +22,6 @@ from .pipeline import (
     boundary_scores,
     build_documents,
     build_views,
-    census_dict,
     census_lines,
     mean_rouge,
     rouge_eval_texts,
@@ -249,7 +248,7 @@ def cmd_analyze_relations(args) -> int:
         _boundaries(args, views, corpus, UnitKind.SEGMENT),
         _boundaries(args, views, corpus, UnitKind.CLAUSE),
     )
-    write_lines(args.output, census_lines(census_dict(census)))
+    write_lines(args.output, census_lines(census))
     return EXIT_OK
 
 
@@ -258,8 +257,7 @@ def cmd_stats(args) -> int:
     views = build_views(corpus.cases, corpus.hooks)
     kind = UnitKind(args.kind)
     stats = view_stats(views, _boundaries(args, views, corpus, kind))
-    line = stats_line(kind.value, dataclasses.asdict(stats))
-    write_lines(args.output, [STATS_HEADER, line])
+    write_lines(args.output, [STATS_HEADER, stats_line(kind.value, stats)])
     return EXIT_OK
 
 

@@ -198,19 +198,3 @@ def gru_seq_backward(hs, zs, rs, ns, whzr, whn, dh_out, set_steps=None):
         dbn[g] = rows.sum(axis=0)
     return dxzr, dxn, dwhzr, dwhn, dbzr, dbn, carry
 
-
-def lcs_ref_match_mask(ref_ids: np.ndarray, cand_ids: np.ndarray) -> np.ndarray:
-    """Boolean mask over reference positions matched by one LCS.
-
-    Tie-breaking is leftmost: when several LCSs exist, the match positions
-    chosen are the earliest in the reference (achieved by running the
-    greedy-from-the-end backtrace on reversed sequences).
-    """
-    ref_ids = np.ascontiguousarray(ref_ids, dtype=np.int64)
-    cand_ids = np.ascontiguousarray(cand_ids, dtype=np.int64)
-    if ref_ids.size == 0 or cand_ids.size == 0:
-        return np.zeros(ref_ids.size, dtype=bool)
-    rev = lcs_mask_greedy(
-        np.ascontiguousarray(ref_ids[::-1]), np.ascontiguousarray(cand_ids[::-1])
-    )
-    return rev[::-1].astype(bool)

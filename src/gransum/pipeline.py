@@ -19,14 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import (
-    GranularityStats,
-    RelationCensus,
-    RelationType,
-    corpus_boundary_prf,
-    granularity_stats,
-    relation_census,
-)
+from .analysis import RelationType, corpus_boundary_prf, granularity_stats, relation_census
 from .corpus import Case, Corpus, CorpusError, GoldTable, SyntheticSpec, generate_synthetic
 from .nn import History
 from .nn.checkpoint import save_checkpoint
@@ -240,7 +233,7 @@ def segmenter_examples(
     ]
 
 
-def view_stats(views: list[CaseView], bsets: list[list[BoundarySet]]) -> GranularityStats:
+def view_stats(views: list[CaseView], bsets: list[list[BoundarySet]]) -> dict:
     """Granularity statistics of the units bsets cut."""
     rows = [
         (sentence.text, tokens)
@@ -254,7 +247,7 @@ def view_census(
     views: list[CaseView],
     segments: list[list[BoundarySet]],
     clauses: list[list[BoundarySet]],
-) -> RelationCensus:
+) -> dict:
     return relation_census(
         [tokens for view in views for tokens in view.tokens],
         [b for per_view in segments for b in per_view],
@@ -453,11 +446,11 @@ def run_experiment(config: PipelineConfig, out_dir: str) -> dict:
     kind_reports = train_and_summarize(
         config, views, cuts, (train_idx, dev_idx, test_idx), budget, out_dir
     )
-    per_kind_stats = {kind.value: asdict(view_stats(views, cuts[kind])) for kind in config.kinds}
+    per_kind_stats = {kind.value: view_stats(views, cuts[kind]) for kind in config.kinds}
 
     relations = {}
     if UnitKind.SEGMENT in cuts and UnitKind.CLAUSE in cuts:
-        relations = census_dict(view_census(views, cuts[UnitKind.SEGMENT], cuts[UnitKind.CLAUSE]))
+        relations = view_census(views, cuts[UnitKind.SEGMENT], cuts[UnitKind.CLAUSE])
 
     report = {
         "report_version": REPORT_VERSION,
@@ -559,15 +552,6 @@ def summary_json(result: SummaryResult) -> str:
         ensure_ascii=False,
         sort_keys=True,
     )
-
-
-def census_dict(census: RelationCensus) -> dict:
-    pct = census.percentages()
-    return {
-        "counts": {r.value: census.counts[r] for r in RelationType},
-        "percentages": {r.value: pct[r] for r in RelationType},
-        "total_intersecting": census.total,
-    }
 
 
 # ----------------------------------------------------------------------

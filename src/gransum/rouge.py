@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import lcs_ref_match_mask
+from . import kernels
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,32 @@ def rouge_n(candidate: list[str], reference: list[str], n: int) -> PRF:
     return clipped_prf(ngram_counts(candidate, n), ref, sum(ref.values()))
 
 
-def _intern_ids(reference: list[str], candidates: list[list[str]]):
+def _lcs_matched(candidates: list[list[str]], references: list[list[str]]) -> int:
+    """Reference positions matched by union-LCS, summed over references.
+
+    Every token is numbered in one table and each sentence's ids are
+    reversed once: the greedy-from-the-end backtrace of
+    kernels.lcs_mask_greedy then picks the leftmost matches.  Masks stay
+    in reversed order, which leaves their union's count unchanged.
+    """
     vocab: dict[str, int] = {}
-    def ids(seq: list[str]) -> np.ndarray:
-        out = np.empty(len(seq), dtype=np.int64)
-        for i, tok in enumerate(seq):
-            out[i] = vocab.setdefault(tok, len(vocab))
-        return out
-    return ids(reference), [ids(c) for c in candidates]
+
+    def reversed_ids(seq: list[str]) -> np.ndarray:
+        return np.array(
+            [vocab.setdefault(tok, len(vocab)) for tok in reversed(seq)], dtype=np.int64
+        )
+
+    cand_ids = [reversed_ids(c) for c in candidates if c]
+    matched = 0
+    for ref in references:
+        if not ref:
+            continue
+        ref_ids = reversed_ids(ref)
+        union = np.zeros(len(ref), dtype=np.uint8)
+        for cid in cand_ids:
+            union |= kernels.lcs_mask_greedy(ref_ids, cid)
+        matched += int(np.count_nonzero(union))
+    return matched
 
 
 def union_lcs(reference: list[str], candidates: list[list[str]]) -> tuple[int, float]:
@@ -75,21 +93,14 @@ def union_lcs(reference: list[str], candidates: list[list[str]]) -> tuple[int, f
     the union is over reference positions, so repeated coverage of the
     same position is counted once.
     """
-    if not reference:
-        return 0, 0.0
-    ref_ids, cand_ids = _intern_ids(reference, candidates)
-    union = np.zeros(len(reference), dtype=bool)
-    for cid in cand_ids:
-        if cid.size == 0:
-            continue
-        union |= lcs_ref_match_mask(ref_ids, cid)
-    count = int(union.sum())
-    return count, count / len(reference)
+    count = _lcs_matched(candidates, [reference])
+    return count, count / len(reference) if reference else 0.0
 
 
 def rouge_l(candidates: list[list[str]], references: list[list[str]]) -> PRF:
     """Union-LCS ROUGE-L over candidate and reference sentence lists."""
-    matched = sum(union_lcs(ref, candidates)[0] for ref in references)
     return PRF.from_counts(
-        matched, sum(len(c) for c in candidates), sum(len(ref) for ref in references)
+        _lcs_matched(candidates, references),
+        sum(len(c) for c in candidates),
+        sum(len(ref) for ref in references),
     )

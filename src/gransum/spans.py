@@ -43,7 +43,7 @@ def budget_length(text: str) -> int:
     This is the length used by every character-budget rule, so that join
     separators and incidental spacing never count against the budget.
     """
-    return sum(1 for c in text if not c.isspace())
+    return sum(map(len, text.split()))
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,7 @@ def units_from_boundaries(
         raise ValueError("cannot materialize units for an empty token list")
     boundaries.validate(len(tokens))
     ranges = token_ranges(boundaries.positions, len(tokens))
-    char_starts = [0] + [tokens[start].span.start for start, _ in ranges[1:]]
+    char_starts = [0] + [tokens[start].start for start, _ in ranges[1:]]
     char_ends = char_starts[1:] + [len(sentence_text)]
     return [
         Unit(

@@ -3,8 +3,8 @@
 The tokenizer is a pluggable stand-in for a full morphological analyzer:
 it splits on whitespace, punctuation classes, and script boundaries, and
 tags tokens through user-supplied lexicon lists.  Whitespace is consumed
-(never emitted as a token) but every token keeps its absolute character
-span, so the sentence text is always reconstructible.
+(never emitted as a token) but every token keeps its absolute start
+offset, so the sentence text is always reconstructible.
 
 Subword features are hashed character n-grams over the boundary-padded
 surface, which keeps out-of-vocabulary surfaces embeddable without any
@@ -16,10 +16,9 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-
-from .spans import TextSpan
 
 FULLSTOP_CHARS = frozenset({"。", "．", "."})
 COMMA_CHARS = frozenset({"、", "，", ","})
@@ -40,9 +39,10 @@ class Tag(str, Enum):
 
 @dataclass(frozen=True)
 class Token:
-    """One token of a sentence; surface always equals the span's slice."""
+    """One token of a sentence: surface is the text from offset start on,
+    so the token ends at start + len(surface)."""
 
-    span: TextSpan
+    start: int
     surface: str
     tag: Tag
     marker: str | None = None  # "disease" | "exam" | "verbal_noun" when tag is MARKER
@@ -65,14 +65,18 @@ class LexiconHooks:
     exam_pattern_list: tuple[str, ...] = ()
     case_particle_list: frozenset[str] = frozenset()
 
+    @cached_property
+    def _exam_rule(self) -> tuple[frozenset[str], tuple[str, ...]]:
+        """The exact exam patterns, and the prefixes of the wildcard ones."""
+        patterns = self.exam_pattern_list
+        return (
+            frozenset(p for p in patterns if not p.endswith("*")),
+            tuple(p[:-1] for p in patterns if p.endswith("*")),
+        )
+
     def matches_exam(self, surface: str) -> bool:
-        for pat in self.exam_pattern_list:
-            if pat.endswith("*"):
-                if surface.startswith(pat[:-1]):
-                    return True
-            elif surface == pat:
-                return True
-        return False
+        exact, prefixes = self._exam_rule
+        return surface in exact or surface.startswith(prefixes)
 
 
 def _classify(c: str) -> str:
@@ -171,7 +175,7 @@ def tokenize(sentence_text: str, hooks: LexiconHooks | None = None) -> list[Toke
         else:
             marker = _marker_kind(surface, hooks)
             tag = Tag.MARKER if marker else Tag.WORD
-        tokens.append(Token(TextSpan(i, j), surface, tag, marker))
+        tokens.append(Token(i, surface, tag, marker))
         i = j
     return tokens
 

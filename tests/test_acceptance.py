@@ -480,11 +480,11 @@ def test_c7_structural_fuzz():
             for s in token_ranges(seg.positions, len(tokens))
             for c in token_ranges(cl.positions, len(tokens))
         )
-    assert census.total + disjoint == total_pairs
+    assert census["total_intersecting"] + disjoint == total_pairs
 
     stats = granularity_stats(stats_rows, [split_clauses(t, hooks) for _, t in stats_rows])
     expected = float(np.mean(boundary_counts)) + 1.0
-    assert abs(stats.units_per_sentence - expected) <= 1e-12
+    assert abs(stats["units_per_sentence"] - expected) <= 1e-12
     report_line(
         "C7",
         f"{n_sentences} sentences fuzzed; census partition exact; "
@@ -540,14 +540,14 @@ def test_c9_table6_self_consistency():
     clause_stats = granularity_stats(
         sentences, [split_clauses(t, generated.hooks) for _, t in sentences]
     )
-    assert sentence_stats.units_per_sentence == 1.0
-    assert segment_stats.chars_per_unit < sentence_stats.chars_per_unit
-    assert clause_stats.chars_per_unit < sentence_stats.chars_per_unit
-    assert segment_stats.tokens_per_unit < sentence_stats.tokens_per_unit
-    assert clause_stats.tokens_per_unit < sentence_stats.tokens_per_unit
+    assert sentence_stats["units_per_sentence"] == 1.0
+    assert segment_stats["chars_per_unit"] < sentence_stats["chars_per_unit"]
+    assert clause_stats["chars_per_unit"] < sentence_stats["chars_per_unit"]
+    assert segment_stats["tokens_per_unit"] < sentence_stats["tokens_per_unit"]
+    assert clause_stats["tokens_per_unit"] < sentence_stats["tokens_per_unit"]
     report_line(
         "C9",
         f"units/sentence SENTENCE=1 exactly; chars/unit "
-        f"segment {segment_stats.chars_per_unit:.1f} and clause "
-        f"{clause_stats.chars_per_unit:.1f} < sentence {sentence_stats.chars_per_unit:.1f}",
+        f"segment {segment_stats['chars_per_unit']:.1f} and clause "
+        f"{clause_stats['chars_per_unit']:.1f} < sentence {sentence_stats['chars_per_unit']:.1f}",
     )

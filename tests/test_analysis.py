@@ -114,8 +114,8 @@ class TestRelationCensus:
         sents = self._sentences(["a, b vrun c", "x y", "p, q"])
         fn = lambda toks: split_clauses(toks, HOOKS)
         census = relation_census(sents, [fn(t) for t in sents], [fn(t) for t in sents])
-        assert census.counts[RelationType.EQUAL] == census.total > 0
-        assert census.counts[RelationType.OVERLAP] == 0
+        assert census["counts"]["EQUAL"] == census["total_intersecting"] > 0
+        assert census["counts"]["OVERLAP"] == 0
 
     def test_refinement_yields_included(self):
         sents = self._sentences(["aa bb vrun cc dd"])
@@ -123,10 +123,10 @@ class TestRelationCensus:
         fine = [split_clauses(toks, HOOKS) for toks in sents]
         census = relation_census(sents, coarse, fine)
         # segment = whole sentence strictly contains both clauses
-        assert census.counts[RelationType.INCLUSIVE] == 2
+        assert census["counts"]["INCLUSIVE"] == 2
         # swapped: each clause is included in the whole-sentence clause
         census_sw = relation_census(sents, fine, coarse)
-        assert census_sw.counts[RelationType.INCLUDED] == 2
+        assert census_sw["counts"]["INCLUDED"] == 2
 
     def test_partition_exact_on_random_corpora(self):
         rng = np.random.default_rng(34)
@@ -145,20 +145,20 @@ class TestRelationCensus:
             )
             n_seg = len(seg_pos) + 1
             n_cl = len(cl_pos) + 1
-            assert census.total + disjoint == n_seg * n_cl
-            assert sum(census.percentages().values()) == pytest.approx(100.0)
+            assert census["total_intersecting"] + disjoint == n_seg * n_cl
+            assert sum(census["percentages"].values()) == pytest.approx(100.0)
 
 
 class TestGranularityStats:
     def test_sentence_kind_is_one(self):
         sents = [("a b", tokenize("a b")), ("c d e", tokenize("c d e"))]
         stats = granularity_stats(sents, [BoundarySet(()) for _ in sents])
-        assert stats.units_per_sentence == 1.0
+        assert stats["units_per_sentence"] == 1.0
 
     def test_one_boundary_per_sentence(self):
         sents = [("a b c", tokenize("a b c")), ("d e f", tokenize("d e f"))]
         stats = granularity_stats(sents, [BoundarySet((0,)) for _ in sents])
-        assert stats.units_per_sentence == 2.0
+        assert stats["units_per_sentence"] == 2.0
 
     def test_units_equals_mean_boundaries_plus_one(self):
         rng = np.random.default_rng(35)
@@ -179,4 +179,4 @@ class TestGranularityStats:
             sents,
             [BoundarySet(splits[" ".join(t.surface for t in toks)]) for _, toks in sents],
         )
-        assert abs(stats.units_per_sentence - (np.mean(boundary_counts) + 1)) < 1e-12
+        assert abs(stats["units_per_sentence"] - (np.mean(boundary_counts) + 1)) < 1e-12

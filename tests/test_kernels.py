@@ -6,28 +6,6 @@ from gransum import kernels
 import reference_kernels
 
 
-class TestLcsMask:
-    def test_leftmost_tie_break(self):
-        # reference (a, a) vs candidate (a): leftmost position matched
-        mask = kernels.lcs_ref_match_mask(
-            np.array([0, 0], dtype=np.int64), np.array([0], dtype=np.int64)
-        )
-        np.testing.assert_array_equal(mask, [True, False])
-
-    def test_empty_inputs(self):
-        out = kernels.lcs_ref_match_mask(
-            np.array([], dtype=np.int64), np.array([1], dtype=np.int64)
-        )
-        assert out.size == 0
-
-    def test_mask_count_is_lcs_length(self):
-        mask = kernels.lcs_ref_match_mask(
-            np.array([1, 2, 3, 4], dtype=np.int64),
-            np.array([1, 9, 3, 9, 4], dtype=np.int64),
-        )
-        assert mask.sum() == 3
-
-
 def _gru_batch(seed, lengths, weight_sets, hidden=4):
     """Seeded inputs for B = len(lengths) sequences on weight_sets sets."""
     rng = np.random.default_rng(seed)

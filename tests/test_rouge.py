@@ -125,6 +125,22 @@ class TestUnionLcs:
             count, _ = union_lcs(a, [b])
             assert count == exhaustive_lcs_len(a, b)
 
+    def test_leftmost_tie_break(self):
+        # reference (a, a) vs candidate (a): one position matched
+        assert union_lcs(["a", "a"], [["a"]]) == (1, 0.5)
+
+    def test_leftmost_match_shows_in_the_union(self):
+        # (a) takes the first a, which (a, b) covers too; the last a would
+        # make the union 3
+        assert union_lcs(["a", "b", "a"], [["a"], ["a", "b"]]) == (2, 2 / 3)
+
+    def test_empty_inputs(self):
+        assert union_lcs([], [["b"]]) == (0, 0.0)
+        assert union_lcs(["a"], [[]]) == (0, 0.0)
+
+    def test_mask_count_is_lcs_length(self):
+        assert union_lcs(["1", "2", "3", "4"], [["1", "9", "3", "9", "4"]]) == (3, 3 / 4)
+
     def test_adding_candidate_never_decreases(self):
         rng = np.random.default_rng(5)
         vocab = ["a", "b", "c", "d"]

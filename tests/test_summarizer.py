@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from collections import Counter
 
 import numpy as np
@@ -236,6 +237,11 @@ class TestBudgetSelect:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             budget_select([0], ten_char_units(1), 10, mode="bad")
+
+
+def test_budget_length_skips_exactly_the_space_characters():
+    for c in map(chr, range(sys.maxunicode + 1)):
+        assert budget_length("a" + c + "b") == 2 + (not c.isspace()), hex(ord(c))
 
 
 class TestTraining:

@@ -46,7 +46,7 @@ class TestTokenize:
     def test_offsets_are_exact_slices(self):
         text = "alpha  beta、ga 12。"
         for tok in tokenize(text):
-            assert text[tok.span.start:tok.span.end] == tok.surface
+            assert text[tok.start:tok.start + len(tok.surface)] == tok.surface
 
     def test_tiling_reconstruction(self):
         rng = np.random.default_rng(11)
@@ -64,13 +64,30 @@ class TestTokenize:
             tokens = tokenize(text)
             rebuilt = list(text)
             for tok in tokens:
-                for k in range(tok.span.start, tok.span.end):
+                for k in range(tok.start, tok.start + len(tok.surface)):
                     rebuilt[k] = None
             # everything not covered by a token span must be whitespace
             assert all(c is None or c.isspace() for c in rebuilt)
             # spans are ordered and non-overlapping
             for a, b in zip(tokens, tokens[1:]):
-                assert a.span.end <= b.span.start
+                assert a.start + len(a.surface) <= b.start
+
+    @pytest.mark.parametrize(
+        "patterns, surface, expected",
+        [
+            (("ctscan",), "ctscan", True),
+            (("ctscan",), "ctscans", False),
+            (("lab*",), "lab", True),
+            (("lab*",), "la", False),
+            (("ct", "lab*"), "lab42x", True),
+            (("*",), "anything", True),
+            (("*",), "。", True),
+            ((), "lab", False),
+        ],
+    )
+    def test_matches_exam(self, patterns, surface, expected):
+        hooks = LexiconHooks(exam_pattern_list=patterns)
+        assert hooks.matches_exam(surface) is expected
 
     def test_determinism(self):
         hooks = LexiconHooks(verb_list=frozenset({"runs"}))

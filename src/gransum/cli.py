@@ -42,7 +42,7 @@ from .segmenter import (
     segmenter_train,
 )
 from .settings import load_settings
-from .spans import UnitKind
+from .spans import DEFAULT_BUDGET_CHARS, UnitKind
 from .splitters import split_sentences
 from .summarizer import (
     Summarizer,
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     _add_split_args(p)
     p.add_argument("--kind", required=True, choices=[k.value for k in UnitKind])
-    p.add_argument("--budget", type=float, default=1200)
+    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_CHARS)
     p.add_argument("--mode", default="keep", choices=["keep", "drop"])
     p.add_argument("--output")
     p.set_defaults(func=cmd_make_oracle)
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     _add_split_args(p)
     p.add_argument("--kind", required=True, choices=[k.value for k in UnitKind])
-    p.add_argument("--budget", type=float, default=1200)
+    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_CHARS)
     p.add_argument("--dev-fraction", type=float, default=0.1)
     p.add_argument("--epochs", type=int, default=6)
     p.add_argument("--seed", type=int)
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     _add_split_args(p)
     p.add_argument("--model", required=True, help="summarizer checkpoint")
-    p.add_argument("--budget", type=float, default=1200)
+    p.add_argument("--budget", type=float, default=DEFAULT_BUDGET_CHARS)
     p.add_argument("--mode", default="keep", choices=["keep", "drop"])
     p.add_argument("--output")
     p.set_defaults(func=cmd_summarize)

@@ -238,8 +238,12 @@ class SyntheticSpec:
     inject_newline_prob: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.copy_rate <= 1.0:
-            raise ValueError("copy_rate must be in [0, 1]")
+        for name in (
+            "copy_rate", "marker_prob", "decoy_prob", "copy_marker_bias",
+            "drop_fullstop_prob", "inject_newline_prob",
+        ):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if self.marker_prob + 2 * self.decoy_prob > 1.0:
             raise ValueError("marker_prob + 2 * decoy_prob must not exceed 1")
         for name in ("case_count", "sentences_per_record", "chunks_per_summary"):

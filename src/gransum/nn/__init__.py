@@ -1,34 +1,1 @@
-from .core import (
-    Adam,
-    Bag,
-    History,
-    Job,
-    ParameterStore,
-    ShapeError,
-    Surfaces,
-    TrainingError,
-    add_bigru_params,
-    add_gru_params,
-    add_transformer_params,
-    bigru_backward,
-    bigru_forward,
-    check_hyperparameters,
-    embed_bag_backward,
-    embed_bag_forward,
-    fit,
-    gru_backward,
-    gru_forward,
-    layer_norm_backward,
-    layer_norm_forward,
-    linear_backward,
-    linear_forward,
-    masked_softmax,
-    sigmoid,
-    sigmoid_bce,
-    sinusoidal_encoding,
-    softmax_backward,
-    train_step,
-    transformer_backward,
-    transformer_forward,
-)
-from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
+"""The numpy network kernel (core) and its checkpoint container (checkpoint)."""

@@ -33,8 +33,9 @@ MAX_PARAMETERS = 2 ** 24
 
 def check_hyperparameters(config, minimums: dict[str, int]) -> None:
     """Range checks shared by the model configs: each field named in
-    minimums is at least its minimum, and lr is finite and > 0.  A
-    failure is a ValueError naming the config and the key."""
+    minimums is at least its minimum, lr is finite and > 0, and every
+    other float field is finite.  A failure is a ValueError naming the
+    config and the key."""
     what = type(config).__name__
     for key, low in minimums.items():
         value = getattr(config, key)
@@ -42,6 +43,9 @@ def check_hyperparameters(config, minimums: dict[str, int]) -> None:
             raise ValueError(f"{what}: {key!r} must be >= {low}, got {value!r}")
     if not 0.0 < config.lr < math.inf:
         raise ValueError(f"{what}: 'lr' must be finite and > 0, got {config.lr!r}")
+    for key, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{what}: {key!r} must be finite, got {value!r}")
 
 
 class _Gradients(dict):

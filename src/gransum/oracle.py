@@ -16,10 +16,8 @@ from dataclasses import dataclass, replace
 
 from .corpus import CorpusError, read_jsonl
 from .rouge import clipped_prf, ngram_counts
-from .spans import Unit, UnitKind, budget_select
+from .spans import DEFAULT_BUDGET_CHARS, Unit, UnitKind, budget_select
 from .summarizer import DocumentExample
-
-DEFAULT_BUDGET_CHARS = 1200
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,13 @@ import numpy as np
 
 from .analysis import RelationType, corpus_boundary_prf, granularity_stats, relation_census
 from .corpus import Case, Corpus, CorpusError, GoldTable, SyntheticSpec, generate_synthetic
-from .nn import History
+from .nn.core import History
 from .nn.checkpoint import save_checkpoint
 from .oracle import make_oracle_labels
 from .rouge import PRF, rouge_l, rouge_n
 from .spans import Unit, UnitKind, budget_length
 from .splitters import (
     BoundarySet,
-    RuleConfig,
     Sentence,
     split_clauses,
     split_clinical_rules,
@@ -183,8 +182,7 @@ def split_views(
     elif method == "clauses":
         split = lambda view, si, tokens: split_clauses(tokens, hooks)
     elif method == "rules":
-        config = RuleConfig(hooks=hooks, patterns=corpus.patterns)
-        split = lambda view, si, tokens: split_clinical_rules(tokens, config)
+        split = lambda view, si, tokens: split_clinical_rules(tokens, hooks, corpus.patterns)
     elif method == "gold":
         if gold is None:
             raise CorpusError("gold method needs gold boundaries")

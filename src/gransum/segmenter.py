@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import nn
+from .nn import core as nn
 from .nn.checkpoint import Checkpoint, model_checkpoint, restore_model
 from .splitters import token_ranges
 from .tokenization import SubwordHasher

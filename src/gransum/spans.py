@@ -71,6 +71,9 @@ class Unit:
         return self.span.slice(sentence_text)
 
 
+DEFAULT_BUDGET_CHARS = 1200
+
+
 def check_budget(budget_chars: float) -> None:
     """A character budget that is not finite and >= 0 is a ValueError."""
     if not 0 <= budget_chars < math.inf:

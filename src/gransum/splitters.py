@@ -155,31 +155,8 @@ class RulePatterns:
             raise ValueError(f"unsupported rule pattern file version: {self.version!r}")
 
 
-ALL_RULES = frozenset({"R1", "R2", "R3", "R4", "R5", "R6"})
-
-
-@dataclass(frozen=True)
-class RuleConfig:
-    hooks: LexiconHooks
-    patterns: RulePatterns = RulePatterns(DEFAULT_PATTERNS_VERSION)
-    enabled_rules: frozenset[str] = ALL_RULES
-
-    def __post_init__(self):
-        unknown = self.enabled_rules - ALL_RULES
-        if unknown:
-            raise ValueError(f"unknown rules: {sorted(unknown)}")
-        # R2-R6 are exceptions/extensions to the base rule.
-        if self.enabled_rules and "R1" not in self.enabled_rules:
-            raise ValueError("R1 must be enabled when any rule is")
-
-    def particles(self) -> frozenset[str]:
-        return self.patterns.case_particles or self.hooks.case_particle_list
-
-
-def _attachment_run(tokens, i, config, allow_numbers: bool) -> int:
+def _attachment_run(tokens, i, hooks, particles, allow_numbers: bool) -> int:
     """Last index of the phrase starting at token i (particles, attached nouns)."""
-    hooks = config.hooks
-    particles = config.particles()
     j = i
     n = len(tokens)
     while j + 1 < n:
@@ -196,12 +173,12 @@ def _attachment_run(tokens, i, config, allow_numbers: bool) -> int:
     return j
 
 
-def _phrase_boundaries(tokens, i, config, allow_numbers: bool) -> set[int]:
+def _phrase_boundaries(tokens, i, hooks, particles, allow_numbers: bool) -> set[int]:
     """R3/R4 boundary candidates around the marker phrase starting at i."""
     pos: set[int] = set()
     if i > 0:
         pos.add(i - 1)
-    j = _attachment_run(tokens, i, config, allow_numbers)
+    j = _attachment_run(tokens, i, hooks, particles, allow_numbers)
     # The after-phrase boundary exists only for a real phrase; adjacent
     # punctuation already carries its own boundary.
     if j > i and j + 1 < len(tokens) and tokens[j + 1].tag not in (
@@ -221,83 +198,81 @@ def _content_size(tokens, start, end) -> int:
     )
 
 
-def split_clinical_rules(tokens: list[Token], config: RuleConfig) -> BoundarySet:
-    """Apply the clinical segmentation rule engine R1--R6."""
+def split_clinical_rules(
+    tokens: list[Token], hooks: LexiconHooks, patterns: RulePatterns
+) -> BoundarySet:
+    """Apply the clinical segmentation rule engine R1--R6.  The pattern
+    file's case particles, when it names any, replace the hooks'."""
     n = len(tokens)
-    rules = config.enabled_rules
+    particles = patterns.case_particles or hooks.case_particle_list
     candidates: set[int] = set()
 
-    if "R1" in rules:
+    # R1
+    for i, tok in enumerate(tokens):
+        if tok.tag is Tag.COMMA:
+            candidates.add(i)
+        elif tok.marker == "verbal_noun":
+            j = _attachment_run(tokens, i, hooks, particles, allow_numbers=False)
+            if j + 1 < n and tokens[j + 1].tag not in (
+                Tag.COMMA,
+                Tag.FULLSTOP,
+                Tag.PAREN_CLOSE,
+            ):
+                candidates.add(j)
+
+    # R3, then R4
+    for marker, allow_numbers in (("disease", False), ("exam", True)):
         for i, tok in enumerate(tokens):
-            if tok.tag is Tag.COMMA:
+            if tok.marker == marker:
+                candidates |= _phrase_boundaries(tokens, i, hooks, particles, allow_numbers)
+
+    # R2
+    stack: list[int] = []
+    for i, tok in enumerate(tokens):
+        if tok.tag is Tag.PAREN_OPEN:
+            stack.append(i)
+        elif tok.tag is Tag.PAREN_CLOSE and stack:
+            o = stack.pop()
+            if any(o <= p < i for p in candidates):
+                if o > 0:
+                    candidates.add(o - 1)
                 candidates.add(i)
-            elif tok.marker == "verbal_noun":
-                j = _attachment_run(tokens, i, config, allow_numbers=False)
-                if j + 1 < n and tokens[j + 1].tag not in (
-                    Tag.COMMA,
-                    Tag.FULLSTOP,
-                    Tag.PAREN_CLOSE,
-                ):
-                    candidates.add(j)
-
-    if "R3" in rules:
-        for i, tok in enumerate(tokens):
-            if tok.marker == "disease":
-                candidates |= _phrase_boundaries(tokens, i, config, allow_numbers=False)
-
-    if "R4" in rules:
-        for i, tok in enumerate(tokens):
-            if tok.marker == "exam":
-                candidates |= _phrase_boundaries(tokens, i, config, allow_numbers=True)
-
-    if "R2" in rules:
-        stack: list[int] = []
-        for i, tok in enumerate(tokens):
-            if tok.tag is Tag.PAREN_OPEN:
-                stack.append(i)
-            elif tok.tag is Tag.PAREN_CLOSE and stack:
-                o = stack.pop()
-                if any(o <= p < i for p in candidates):
-                    if o > 0:
-                        candidates.add(o - 1)
-                    candidates.add(i)
 
     positions = sorted(_internal(candidates, n))
+    if not positions:
+        return BoundarySet(())
 
-    suppress: set[int] = set()
-    if positions and ("R5" in rules or "R6" in rules):
-        chunks = token_ranges(positions, n)
-        has_marker = [
-            any(t.tag is Tag.MARKER for t in tokens[start:end]) for start, end in chunks
-        ]
-        pat = config.patterns
+    chunks = token_ranges(positions, n)
+    has_marker = [
+        any(t.tag is Tag.MARKER for t in tokens[start:end]) for start, end in chunks
+    ]
 
-        if "R5" in rules:
-            for k, p in enumerate(positions):
-                if not has_marker[k] and not has_marker[k + 1]:
-                    suppress.add(p)
+    # R5
+    suppress = {
+        p for k, p in enumerate(positions) if not has_marker[k] and not has_marker[k + 1]
+    }
 
-        if "R6" in rules:
-            def chunk_has(start, end, surfaces):
-                return any(t.surface in surfaces for t in tokens[start:end])
+    # R6
+    def chunk_has(start, end, surfaces):
+        return any(t.surface in surfaces for t in tokens[start:end])
 
-            for k, (start, end) in enumerate(chunks):
-                if chunk_has(start, end, pat.denial_surfaces):
-                    # Enumeration of findings resolved by one denial: merge
-                    # the run of short comma-separated chunks it closes.
-                    run = k
-                    while (
-                        run > 0
-                        and tokens[positions[run - 1]].tag is Tag.COMMA
-                        and _content_size(tokens, *chunks[run - 1])
-                        <= pat.max_enum_chunk_tokens
-                    ):
-                        suppress.add(positions[run - 1])
-                        run -= 1
-                if chunk_has(start, end, pat.plan_surfaces) and k > 0:
-                    suppress.add(positions[k - 1])
-                if chunk_has(start, end, pat.temporal_surfaces) and k < len(positions):
-                    suppress.add(positions[k])
+    for k, (start, end) in enumerate(chunks):
+        if chunk_has(start, end, patterns.denial_surfaces):
+            # Enumeration of findings resolved by one denial: merge
+            # the run of short comma-separated chunks it closes.
+            run = k
+            while (
+                run > 0
+                and tokens[positions[run - 1]].tag is Tag.COMMA
+                and _content_size(tokens, *chunks[run - 1])
+                <= patterns.max_enum_chunk_tokens
+            ):
+                suppress.add(positions[run - 1])
+                run -= 1
+        if chunk_has(start, end, patterns.plan_surfaces) and k > 0:
+            suppress.add(positions[k - 1])
+        if chunk_has(start, end, patterns.temporal_surfaces) and k < len(positions):
+            suppress.add(positions[k])
 
     return BoundarySet(tuple(p for p in positions if p not in suppress))
 

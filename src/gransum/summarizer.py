@@ -20,10 +20,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import nn
+from .nn import core as nn
 from .nn.checkpoint import Checkpoint, model_checkpoint, restore_model
 from .rouge import rouge_n
-from .spans import Unit, UnitKind, budget_select, check_budget
+from .spans import DEFAULT_BUDGET_CHARS, Unit, UnitKind, budget_select, check_budget
 from .tokenization import SubwordHasher
 
 
@@ -385,7 +385,7 @@ class SummaryResult:
 def summarize(
     docs: list[list[DocumentExample]],
     models: list[Summarizer],
-    budget_chars: float = 1200,
+    budget_chars: float = DEFAULT_BUDGET_CHARS,
     mode: str = "keep",
 ) -> list[list[SummaryResult]]:
     """Select the units of each model's documents under the character
@@ -438,7 +438,7 @@ def train_summarizers(
     dev_docs: list[list[DocumentExample]],
     kinds: list[UnitKind],
     configs: list[SummarizerConfig],
-    budget_chars: float = 1200,
+    budget_chars: float = DEFAULT_BUDGET_CHARS,
 ) -> list[tuple[Summarizer, nn.History]]:
     """Seeded BCE training of one summarizer per kind, one document per
     step, the models in lockstep (one nn.fit job each): each model trains
@@ -476,7 +476,7 @@ def summarizer_train(
     dev_docs: list[DocumentExample],
     kind: UnitKind,
     config: SummarizerConfig = SummarizerConfig(),
-    budget_chars: float = 1200,
+    budget_chars: float = DEFAULT_BUDGET_CHARS,
 ) -> tuple[Summarizer, nn.History]:
     """Trains one kind's summarizer, the one-kind case of
     train_summarizers; returns (model, history).  The model holds the

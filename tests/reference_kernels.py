@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from gransum import nn
+from gransum.nn import core as nn
 from gransum.nn.checkpoint import save_checkpoint
 from gransum.pipeline import build_documents, kind_report, summarizer_config, with_oracle_labels
 from gransum.summarizer import summarize, summarizer_train

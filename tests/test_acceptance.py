@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gransum import nn
+from gransum.nn import core as nn
 from gransum.analysis import (
     classify_relation,
     corpus_boundary_prf,
@@ -29,8 +29,9 @@ from gransum.segmenter import (
 )
 from gransum.spans import TextSpan, Unit, UnitKind, budget_select
 from gransum.splitters import (
+    DEFAULT_PATTERNS_VERSION,
     BoundarySet,
-    RuleConfig,
+    RulePatterns,
     split_clauses,
     split_clinical_rules,
     split_fullstop,
@@ -423,7 +424,7 @@ def test_c7_structural_fuzz():
         exam_pattern_list=("ctscan",),
         case_particle_list=frozenset({"wo", "de"}),
     )
-    rule_config = RuleConfig(hooks=hooks)
+    patterns = RulePatterns(DEFAULT_PATTERNS_VERSION)
     pointer = PointerSegmenter(
         SegmenterConfig(
             embed_dim=6, hidden=5, dec_hidden=6, attn_dim=6, bucket_count=128, seed=5
@@ -437,7 +438,7 @@ def test_c7_structural_fuzz():
         lambda t: split_fullstop(t),
         lambda t: split_fullstop_verb(t, hooks),
         lambda t: split_clauses(t, hooks),
-        lambda t: split_clinical_rules(t, rule_config),
+        lambda t: split_clinical_rules(t, hooks, patterns),
     ]
     n_sentences = 10_000
     boundary_counts = []
@@ -466,13 +467,13 @@ def test_c7_structural_fuzz():
 
     census = relation_census(
         census_sentences,
-        [split_clinical_rules(t, rule_config) for t in census_sentences],
+        [split_clinical_rules(t, hooks, patterns) for t in census_sentences],
         [split_clauses(t, hooks) for t in census_sentences],
     )
     total_pairs = 0
     disjoint = 0
     for tokens in census_sentences:
-        seg = split_clinical_rules(tokens, rule_config)
+        seg = split_clinical_rules(tokens, hooks, patterns)
         cl = split_clauses(tokens, hooks)
         total_pairs += (len(seg.positions) + 1) * (len(cl.positions) + 1)
         disjoint += sum(

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gransum import nn, pipeline
+from gransum import pipeline
 from gransum.cli import main
 from gransum.corpus import load_corpus
+from gransum.nn import core as nn
 from gransum.nn.checkpoint import MAGIC, save_checkpoint
 from gransum.nn.core import train_step
 from gransum.segmenter import PointerSegmenter, SegmenterConfig
@@ -523,6 +524,10 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         (gen, '{"segments_per_sentence": {"5": Infinity}}', weights),
         (gen, '{"segments_per_sentence": {"5": NaN}}', "weights >= 0"),
         (gen, '{"segments_per_sentence": {"x": 1}}', "key 'x' must be int"),
+        # probabilities outside [0, 1]
+        (gen, '{"drop_fullstop_prob": 2.0}', "drop_fullstop_prob must be in [0, 1]"),
+        (gen, '{"marker_prob": -1.0}', "marker_prob must be in [0, 1]"),
+        (gen, '{"inject_newline_prob": NaN}', "inject_newline_prob must be in [0, 1]"),
         (train, _label_line(sentence_index="0"), bad_index),
         (train, _label_line(unit_index=0.5), bad_index),
         (train, _label_line(case_id=3), "{path}:1: case_id"),
@@ -567,6 +572,8 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         (run, '{"summarizer": {"max_window": 2}}', "'max_window' must be >= 3"),
         (run, '{"summarizer": {"lr": Infinity}}', "'lr' must be finite and > 0"),
         (run, '{"segmenter": {"lr": 0}}', "'lr' must be finite and > 0"),
+        (run, '{"summarizer": {"pe_scale": Infinity}}', "'pe_scale' must be finite, got inf"),
+        (run, '{"summarizer": {"unit_pe_scale": NaN}}', "'unit_pe_scale' must be finite, got nan"),
         (run, '{"kinds": []}', "'kinds' must name at least one unit kind"),
         (run, '{"kinds": ["CLAUSE", "CLAUSE"]}', "'kinds' must not name a unit kind twice"),
         # budgets that are not finite and >= 0, refused before any work
@@ -600,7 +607,7 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
     ]
     # the binding nn.fit calls
     steps = []
-    monkeypatch.setattr(nn.core, "train_step", lambda *args: steps.append(args) or train_step(*args))
+    monkeypatch.setattr(nn, "train_step", lambda *args: steps.append(args) or train_step(*args))
     file_path = tmp_path / "input"
     folder = tmp_path / "folder"
     folder.mkdir()

@@ -4,8 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from gransum import nn
-from gransum.nn import core
+from gransum.nn import core as nn
 from gransum.nn.checkpoint import MAGIC, Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from gransum.tokenization import SubwordHasher
 
@@ -292,7 +291,7 @@ class TestTraining:
         with pytest.raises(ValueError, match="'huge' of shape .* over the cap"):
             store.add("huge", (2 ** 20, 2 ** 20))
         assert list(store.params) == ["small"] and store.size == 12
-        store.size = nn.core.MAX_PARAMETERS - 12  # as if the model were nearly full
+        store.size = nn.MAX_PARAMETERS - 12  # as if the model were nearly full
         store.add("fits", (3, 4))
         with pytest.raises(ValueError, match="over the cap"):
             store.add("one_more", (1,))
@@ -474,9 +473,9 @@ class TestSinusoidTable:
 
     def test_one_table_per_width(self):
         tables = [nn.sinusoidal_encoding(n, 14) for n in (4, 30, 11)]
-        assert core._SINUSOIDS[14].shape == (30, 14)
-        assert all(np.shares_memory(t, core._SINUSOIDS[14]) for t in tables[1:])
-        assert not np.shares_memory(nn.sinusoidal_encoding(4, 16), core._SINUSOIDS[14])
+        assert nn._SINUSOIDS[14].shape == (30, 14)
+        assert all(np.shares_memory(t, nn._SINUSOIDS[14]) for t in tables[1:])
+        assert not np.shares_memory(nn.sinusoidal_encoding(4, 16), nn._SINUSOIDS[14])
 
 
 # a surface repeated across tokens, and (five buckets) buckets repeated

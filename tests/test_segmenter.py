@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gransum import nn
+from gransum.nn import core as nn
 from gransum.analysis import corpus_boundary_prf
 from gransum.corpus import SyntheticSpec, generate_synthetic
-from gransum.nn.checkpoint import load_checkpoint, save_checkpoint
+from gransum.nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from gransum.segmenter import (
     PointerSegmenter,
     SegmenterConfig,
@@ -134,14 +134,14 @@ class TestCheckpointing:
         from gransum.nn.checkpoint import Checkpoint
 
         ckpt = Checkpoint("other", {}, {"x": np.zeros(1)}, 0, 0)
-        with pytest.raises(nn.CheckpointError):
+        with pytest.raises(CheckpointError):
             PointerSegmenter.from_checkpoint(ckpt)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         model = PointerSegmenter(SMALL)
         ckpt = model.to_checkpoint()
         ckpt.tensors["emb"] = np.zeros((2, 2))
-        with pytest.raises(nn.CheckpointError):
+        with pytest.raises(CheckpointError):
             PointerSegmenter.from_checkpoint(ckpt)
 
 

@@ -63,18 +63,22 @@ def test_bad_values_are_named(tmp_path, raw, message):
     assert str(info.value).startswith(path) and message in str(info.value)
 
 
-def test_leaf_modules_import_alone():
-    """The package root imports nothing, so importing the leaf modules
-    settings and spans loads neither numpy nor another gransum module."""
+@pytest.mark.parametrize("modules, gransum_loaded, numpy_loaded", [
+    # the package root imports nothing, so the leaf modules load neither
+    # numpy nor another gransum module
+    ("gransum.settings, gransum.spans", {"gransum", "gransum.settings", "gransum.spans"}, False),
+    # gransum.nn re-exports nothing, so the checkpoint container loads
+    # neither the network kernel nor the kernels under it
+    ("gransum.nn.checkpoint", {"gransum", "gransum.nn", "gransum.nn.checkpoint"}, True),
+], ids=["settings-spans", "nn-checkpoint"])
+def test_leaf_modules_import_alone(modules, gransum_loaded, numpy_loaded):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(gransum.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = subprocess.run(
-        [sys.executable, "-c", "import sys, gransum.settings, gransum.spans; print(*sys.modules)"],
+        [sys.executable, "-c", f"import sys, {modules}; print(*sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
     loaded = set(probe.stdout.split())
-    assert "numpy" not in loaded
-    assert {m for m in loaded if m.split(".")[0] == "gransum"} == {
-        "gransum", "gransum.settings", "gransum.spans"
-    }
+    assert ("numpy" in loaded) == numpy_loaded
+    assert {m for m in loaded if m.split(".")[0] == "gransum"} == gransum_loaded

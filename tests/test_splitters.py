@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from gransum.spans import UnitKind
 from gransum.splitters import (
     DEFAULT_PATTERNS_VERSION,
     BoundarySet,
-    RuleConfig,
     RulePatterns,
     split_clauses,
     split_clinical_rules,
@@ -116,54 +117,46 @@ class TestSplitClauses:
 
 
 class TestClinicalRules:
-    def config(self, rules=None):
-        return RuleConfig(
-            hooks=HOOKS,
-            patterns=PATTERNS,
-            enabled_rules=frozenset(rules) if rules else frozenset(
-                {"R1", "R2", "R3", "R4", "R5", "R6"}
-            ),
-        )
-
     def test_r1_comma_boundaries_with_markers(self):
         # comma-separated treatment/disease content splits at each comma
         tokens = tokenize("fasting, dosing, pneumonia relieved。", HOOKS)
-        bset = split_clinical_rules(tokens, self.config())
+        bset = split_clinical_rules(tokens, HOOKS, PATTERNS)
         commas = tuple(i for i, t in enumerate(tokens) if t.surface == ",")
         assert bset.positions == commas
 
     def test_r5_non_medical_sentence_unsplit(self):
         tokens = tokenize("she came, with manager。", HOOKS)
-        assert split_clinical_rules(tokens, self.config()).positions == ()
+        assert split_clinical_rules(tokens, HOOKS, PATTERNS).positions == ()
 
     def test_r6_negated_enumeration_unsplit(self):
         tokens = tokenize("fever, sweating, weightloss denied", HOOKS)
-        assert split_clinical_rules(tokens, self.config()).positions == ()
+        assert split_clinical_rules(tokens, HOOKS, PATTERNS).positions == ()
 
-    def test_r3_disease_phrase_with_particle(self):
+    @pytest.mark.parametrize("hook_particles, pattern_particles, expected", [
+        # the pattern file's particles replace the hooks' other ones
+        (frozenset({"wo"}), PATTERNS.case_particles, (1,)),
+        (HOOKS.case_particle_list, frozenset(), (1,)),  # the hooks' only
+        (frozenset(), frozenset(), ()),  # neither: "de" does not attach
+    ], ids=["patterns", "hooks", "neither"])
+    def test_r3_disease_phrase_with_particle(self, hook_particles, pattern_particles, expected):
         # boundary after the disease-plus-particle phrase
-        tokens = tokenize("pneumonia de referred here", HOOKS)
-        bset = split_clinical_rules(tokens, self.config({"R1", "R3"}))
-        assert 1 in bset.positions
+        hooks = replace(HOOKS, case_particle_list=hook_particles)
+        patterns = replace(PATTERNS, case_particles=pattern_particles)
+        tokens = tokenize("pneumonia de referred here", hooks)
+        assert split_clinical_rules(tokens, hooks, patterns).positions == expected
 
     def test_r4_exam_result_boundary(self):
         tokens = tokenize("ctscan 4512 de highly elevated", HOOKS)
-        bset = split_clinical_rules(tokens, self.config({"R1", "R4"}))
+        bset = split_clinical_rules(tokens, HOOKS, PATTERNS)
         assert 2 in bset.positions
 
     def test_r2_parentheses_promoted(self):
-        tokens = tokenize("w ( pneumonia de shadow, severe ) admitted", HOOKS)
-        with_r2 = split_clinical_rules(tokens, self.config({"R1", "R2", "R3"}))
-        without_r2 = split_clinical_rules(tokens, self.config({"R1", "R3"}))
-        open_idx = next(i for i, t in enumerate(tokens) if t.surface == "(")
-        close_idx = next(i for i, t in enumerate(tokens) if t.surface == ")")
-        assert open_idx - 1 in with_r2.positions
-        assert close_idx in with_r2.positions
-        assert close_idx not in without_r2.positions
-
-    def test_r1_must_be_enabled(self):
-        with pytest.raises(ValueError):
-            RuleConfig(hooks=HOOKS, patterns=PATTERNS, enabled_rules=frozenset({"R2"}))
+        # a boundary inside the parentheses promotes both of their edges;
+        # markers on both sides keep the promoted boundaries past R5
+        tokens = tokenize("fever ( pneumonia de shadow, severe ) ctscan 40", HOOKS)
+        assert split_clinical_rules(tokens, HOOKS, PATTERNS).positions == (0, 1, 3, 7)
+        tokens = tokenize("fever ( severe shadow ) ctscan 40", HOOKS)
+        assert 0 not in split_clinical_rules(tokens, HOOKS, PATTERNS).positions
 
 
 class TestBoundarySet:
@@ -197,12 +190,11 @@ class TestUnitsFromBoundaries:
     def test_fuzz_tiling_all_splitters(self):
         rng = np.random.default_rng(17)
         words = ["vrun", "napple", "fasting", "wo", "x", ",", "。", "pneumonia", "(", ")"]
-        config = RuleConfig(hooks=HOOKS, patterns=PATTERNS)
         splitters = [
             lambda t: split_fullstop(t),
             lambda t: split_fullstop_verb(t, HOOKS),
             lambda t: split_clauses(t, HOOKS),
-            lambda t: split_clinical_rules(t, config),
+            lambda t: split_clinical_rules(t, HOOKS, PATTERNS),
         ]
         for _ in range(400):
             n = int(rng.integers(1, 14))

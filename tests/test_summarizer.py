@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gransum import nn
+from gransum.nn import core as nn
 from gransum.corpus import SyntheticSpec, generate_synthetic
 from gransum.nn.checkpoint import load_checkpoint, save_checkpoint
 from gransum.pipeline import (

@@ -9,7 +9,7 @@ scale.
 
 import numpy as np
 
-from gransum.nn import ParameterStore
+from gransum.nn.core import ParameterStore
 from gransum.spans import Unit
 
 

@@ -2,8 +2,10 @@
 
 Layout: magic, 8-byte little-endian header length, a canonical JSON
 header (sorted keys), then the raw tensor payloads concatenated in name
-order.  No timestamps or environment data are recorded, so identical
-models serialize to identical bytes, and round-trips are bit-exact.
+order.  The header records each payload's CRC-32, so a flipped bit that
+leaves every value finite is still refused.  No timestamps or
+environment data are recorded, so identical models serialize to
+identical bytes, and round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -19,7 +22,7 @@ import numpy as np
 Model = TypeVar("Model")
 
 MAGIC = b"GRANSUMCKPT\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -93,6 +96,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
                 "shape": list(arr.shape),
                 "offset": len(payload),
                 "nbytes": len(data),
+                "crc32": zlib.crc32(data),
             }
         )
         payload.extend(data)
@@ -176,6 +180,8 @@ def load_checkpoint(path: str, expect_kind: str | None = None) -> Checkpoint:
                     f"{path}: tensor {e['name']!r} does not fit the payload"
                 )
             raw = payload[offset:offset + nbytes]
+            if zlib.crc32(raw) != e["crc32"]:
+                raise CheckpointError(f"{path}: tensor {e['name']!r} fails its CRC-32 check")
             tensors[e["name"]] = np.frombuffer(raw, dtype=dtype).reshape(
                 e["shape"]
             ).copy()

@@ -22,8 +22,8 @@ class TrainingError(RuntimeError):
     """Raised when training produces a non-finite loss."""
 
 
-class ShapeError(ValueError):
-    """Operand shapes are incompatible."""
+class ShapeError(RuntimeError):
+    """Operand shapes are incompatible: a program fault, not bad input."""
 
 
 # float64 values one store may hold: 128 MiB of weights, about 640 MiB

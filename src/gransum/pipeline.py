@@ -122,15 +122,20 @@ class CaseView:
     tokens: list[list[Token]]
 
     @cached_property
-    def reference_sentences(self) -> list[list[str]]:
+    def surfaces(self) -> tuple[tuple[str, ...], ...]:
+        """Token surfaces of each record sentence, made on first read."""
+        return tuple(tuple(t.surface for t in tokens) for tokens in self.tokens)
+
+    @cached_property
+    def reference_sentences(self) -> tuple[tuple[str, ...], ...]:
         """Token surfaces of each summary sentence, made on first read.
         Lexicon hooks set tags, never surfaces, so none are needed."""
         return surface_sentences(self.case.summary_text)
 
 
-def surface_sentences(text: str, hooks: LexiconHooks | None = None) -> list[list[str]]:
+def surface_sentences(text: str) -> tuple[tuple[str, ...], ...]:
     """Token surfaces of each sentence of text."""
-    return [[t.surface for t in tokenize(s.text, hooks)] for s in split_sentences(text)]
+    return tuple(tuple(t.surface for t in tokenize(s.text)) for s in split_sentences(text))
 
 
 def build_view(case: Case, hooks: LexiconHooks) -> CaseView:
@@ -169,9 +174,7 @@ def split_views(
     if method == "pointer":
         if pointer is None:
             raise ValueError("pointer method needs a trained segmenter")
-        flat = iter(pointer.predict(
-            [[t.surface for t in tokens] for view in views for tokens in view.tokens]
-        ))
+        flat = iter(pointer.predict([s for view in views for s in view.surfaces]))
         return [[BoundarySet(next(flat)) for _ in view.tokens] for view in views]
     if method == "whole":
         return [[BoundarySet(())] * len(view.tokens) for view in views]
@@ -225,9 +228,9 @@ def segmenter_examples(
 ) -> list[SentenceExample]:
     """One pointer-segmenter training example per sentence."""
     return [
-        SentenceExample(tuple(t.surface for t in tokens), bset.positions)
+        SentenceExample(surfaces, bset.positions)
         for view, bsets in zip(views, gold)
-        for tokens, bset in zip(view.tokens, bsets)
+        for surfaces, bset in zip(view.surfaces, bsets)
     ]
 
 
@@ -279,15 +282,16 @@ def units_for_view(
 def build_document(
     view: CaseView, kind: UnitKind, bsets: list[BoundarySet]
 ) -> DocumentExample:
-    """One case as an unlabeled document of kind units (see units_for_view)."""
+    """One case as an unlabeled document of kind units (see units_for_view);
+    its sentences and reference are the view's own surfaces."""
     units, unit_texts = units_for_view(view, kind, bsets)
     return DocumentExample(
         case_id=view.case.id,
         kind=kind,
-        sentences=tuple(tuple(t.surface for t in toks) for toks in view.tokens),
+        sentences=view.surfaces,
         units=tuple(units),
         unit_texts=tuple(unit_texts),
-        reference_sentences=tuple(tuple(s) for s in view.reference_sentences),
+        reference_sentences=view.reference_sentences,
     )
 
 
@@ -325,9 +329,7 @@ def rouge_eval(
 
 
 def rouge_eval_texts(candidate_text: str, reference_text: str) -> dict[str, PRF]:
-    return rouge_eval(
-        surface_sentences(candidate_text), surface_sentences(reference_text)
-    )
+    return rouge_eval(surface_sentences(candidate_text), surface_sentences(reference_text))
 
 
 def mean_rouge(

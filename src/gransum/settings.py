@@ -7,9 +7,9 @@ cannot spell: a list to a tuple or frozenset, an object to a nested
 dataclass or to a dict with int keys, and a string to a str enum.  An
 integer given for a float field stays an integer.  A key left out takes
 the field's default, and a field without a default must be given.  An
-unknown or missing key, a value of the wrong type and malformed JSON
-are ValueErrors naming the file.  save_settings writes every field back
-in the form load_settings reads, with sets sorted.
+unknown or missing key, a value of the wrong type or out of range, and
+malformed JSON are ValueErrors naming the file.  save_settings writes
+every field back in the form load_settings reads, with sets sorted.
 """
 
 from __future__ import annotations
@@ -56,10 +56,14 @@ def _decode_object(cls, raw, where: str):
     for f in declared.values():
         if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"{where}missing key {f.name!r}")
-    return cls(**{
+    values = {
         key: _decode(value, hints[key], f"{where}{key!r}", declared[key].type)
         for key, value in raw.items()
-    })
+    }
+    try:
+        return cls(**values)
+    except ValueError as exc:  # the dataclass's own range checks
+        raise ValueError(f"{where}{exc}") from exc
 
 
 def _fits(value, hint) -> bool:

@@ -1,11 +1,11 @@
-"""Character spans, summarization units and budgeted unit selection.
+"""Summarization units and budgeted unit selection.
 
-A TextSpan is a half-open character interval over exactly one sentence's
-text.  A Unit is a span tagged with the granularity it was produced at,
-carrying its token surfaces and budget length; units of one sentence and
-one kind always tile the sentence.  budget_select is the one selection
-rule, shared by the oracle labeler and summarizer inference: rank units
-by descending score (ties in document order) and take them until the
+A Unit is a half-open character interval over exactly one sentence's
+text, tagged with the granularity it was produced at and carrying its
+token surfaces and budget length; units of one sentence and one kind
+always tile the sentence.  budget_select is the one selection rule,
+shared by the oracle labeler and summarizer inference: rank units by
+descending score (ties in document order) and take them until the
 character budget is crossed.
 """
 
@@ -22,21 +22,6 @@ class UnitKind(str, Enum):
     CLAUSE = "CLAUSE"
 
 
-@dataclass(frozen=True)
-class TextSpan:
-    """Half-open character interval [start, end) into a sentence."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
-
-    def slice(self, text: str) -> str:
-        return text[self.start:self.end]
-
-
 def budget_length(text: str) -> int:
     """Length of text in characters, whitespace excluded.
 
@@ -51,24 +36,25 @@ class Unit:
     """One summarization unit of a sentence.
 
     token_start/token_end give the half-open token-index interval the unit
-    covers and tokens the surfaces in it; span gives the character
-    interval and char_length the budget_length of its text.  Character
-    spans of the units of one sentence tile it exactly: the first unit
-    starts at 0, each later unit starts where the previous one ends, and
-    the last unit ends at the sentence length.
+    covers and tokens the surfaces in it; char_start/char_end give the
+    half-open character interval and char_length the budget_length of its
+    text.  The intervals of the units of one sentence tile it exactly: the
+    first unit starts at 0, each later unit starts where the previous one
+    ends, and the last unit ends at the sentence length.
     """
 
     sentence_index: int
     unit_index: int
     kind: UnitKind
-    span: TextSpan
+    char_start: int
+    char_end: int
     token_start: int
     token_end: int
     tokens: tuple[str, ...]
     char_length: int
 
     def text(self, sentence_text: str) -> str:
-        return self.span.slice(sentence_text)
+        return sentence_text[self.char_start:self.char_end]
 
 
 DEFAULT_BUDGET_CHARS = 1200

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .spans import TextSpan, Unit, UnitKind, budget_length
+from .spans import Unit, UnitKind, budget_length
 from .tokenization import FULLSTOP_CHARS, LexiconHooks, Tag, Token
 
 
@@ -287,9 +287,9 @@ def units_from_boundaries(
     """Materialize the tiling units a BoundarySet induces on sentence
     sentence_index; the empty BoundarySet gives the whole sentence.
 
-    Unit character spans snap to token edges, except that the first unit
+    Unit character bounds snap to token edges, except that the first unit
     starts at 0 and every unit extends to the start of the next, so the
-    spans tile the sentence exactly.
+    units tile the sentence exactly.
     """
     if not tokens:
         raise ValueError("cannot materialize units for an empty token list")
@@ -297,15 +297,17 @@ def units_from_boundaries(
     ranges = token_ranges(boundaries.positions, len(tokens))
     char_starts = [0] + [tokens[start].start for start, _ in ranges[1:]]
     char_ends = char_starts[1:] + [len(sentence_text)]
+    surfaces = tuple(t.surface for t in tokens)
     return [
         Unit(
             sentence_index=sentence_index,
             unit_index=k,
             kind=kind,
-            span=TextSpan(char_starts[k], char_ends[k]),
+            char_start=char_starts[k],
+            char_end=char_ends[k],
             token_start=start,
             token_end=end,
-            tokens=tuple(t.surface for t in tokens[start:end]),
+            tokens=surfaces[start:end],
             char_length=budget_length(sentence_text[char_starts[k]:char_ends[k]]),
         )
         for k, (start, end) in enumerate(ranges)

@@ -27,7 +27,7 @@ from gransum.segmenter import (
     SentenceExample,
     segmenter_train,
 )
-from gransum.spans import TextSpan, Unit, UnitKind, budget_select
+from gransum.spans import Unit, UnitKind, budget_select
 from gransum.splitters import (
     DEFAULT_PATTERNS_VERSION,
     BoundarySet,
@@ -170,7 +170,7 @@ def test_c3_oracle_labeler_equivalence():
                 toks = tuple(vocab[i] for i in rng.integers(0, 10, rng.integers(1, 8)))
                 length = int(rng.integers(1, 16))
                 entries.append(
-                    Unit(si, ui, UnitKind.SEGMENT, TextSpan(0, max(1, length)),
+                    Unit(si, ui, UnitKind.SEGMENT, 0, max(1, length),
                          0, len(toks), toks, length)
                 )
         return entries, reference
@@ -304,9 +304,9 @@ def test_c4_gradient_checks():
         kind=UnitKind.SEGMENT,
         sentences=(("wa", "bo", ",", "ke"), ("lu", "mi", "。")),
         units=(
-            Unit(0, 0, UnitKind.SEGMENT, TextSpan(0, 6), 0, 3, ("wa", "bo", ","), 5),
-            Unit(0, 1, UnitKind.SEGMENT, TextSpan(6, 9), 3, 4, ("ke",), 2),
-            Unit(1, 0, UnitKind.SEGMENT, TextSpan(0, 6), 0, 3, ("lu", "mi", "。"), 5),
+            Unit(0, 0, UnitKind.SEGMENT, 0, 6, 0, 3, ("wa", "bo", ","), 5),
+            Unit(0, 1, UnitKind.SEGMENT, 6, 9, 3, 4, ("ke",), 2),
+            Unit(1, 0, UnitKind.SEGMENT, 0, 6, 0, 3, ("lu", "mi", "。"), 5),
         ),
         unit_texts=("wa bo,", "ke", "lu mi。"),
         labels=(1, 0, 1),

@@ -89,16 +89,20 @@ def test_numeric_error_exits_three(synth_dir, tmp_path, monkeypatch):
 
 
 def test_program_fault_is_not_data_error(synth_dir, monkeypatch):
-    """A KeyError inside a command is a program fault: main raises it
-    rather than reporting bad input with exit 2."""
+    """A KeyError or a ShapeError inside a command is a program fault:
+    main raises it rather than reporting bad input with exit 2."""
     import gransum.cli as cli_mod
 
-    def missing_key(*args, **kwargs):
-        raise KeyError("units_per_sentence")
+    stats = ["stats", "--corpus", str(synth_dir / "corpus.jsonl"), "--kind", "SENTENCE"]
+    for fault in (KeyError("units_per_sentence"), nn.ShapeError("scores (2, 3) vs mask (2, 4)")):
 
-    monkeypatch.setattr(cli_mod, "view_stats", missing_key)
-    with pytest.raises(KeyError, match="units_per_sentence"):
-        main(["stats", "--corpus", str(synth_dir / "corpus.jsonl"), "--kind", "SENTENCE"])
+        def raise_fault(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(cli_mod, "view_stats", raise_fault)
+        with pytest.raises(type(fault)) as raised:
+            main(stats)
+        assert raised.value is fault
 
 
 def test_malformed_corpus_is_data_error(tmp_path):
@@ -373,6 +377,17 @@ def _nan_checkpoint_bytes(tmp_path, model, name):
     return path.read_bytes()
 
 
+def _flipped_checkpoint_bytes(tmp_path, model, name):
+    """A saved checkpoint of model with the lowest bit of tensor name's
+    first payload byte flipped: every value stays finite."""
+    data = bytearray(_checkpoint_bytes(tmp_path, model))
+    start = len(MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[len(MAGIC):start])
+    [entry] = [e for e in json.loads(data[start:start + length])["tensors"] if e["name"] == name]
+    data[start + length + entry["offset"]] ^= 1
+    return bytes(data)
+
+
 def _checkpoint_header_bytes(tmp_path, model, **fields):
     """A saved checkpoint of model with header fields replaced; a field
     given as None is removed."""
@@ -483,6 +498,12 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         (["segment", "--corpus", corpus, "--method", "pointer", "--checkpoint"],
          _nan_checkpoint_bytes(tmp_path, segmenter, "attn.v"),
          "tensor 'attn.v' is not all finite"),
+        # a flipped payload bit that leaves every value finite
+        (summarize + ["--model"], _flipped_checkpoint_bytes(tmp_path, summarizer, "unit_tf.wv"),
+         "{path}: tensor 'unit_tf.wv' fails its CRC-32 check"),
+        (["segment", "--corpus", corpus, "--method", "pointer", "--checkpoint"],
+         _flipped_checkpoint_bytes(tmp_path, segmenter, "attn.v"),
+         "{path}: tensor 'attn.v' fails its CRC-32 check"),
         # header fields that are missing or of the wrong type
         *[(summarize + ["--model"], _checkpoint_header_bytes(tmp_path, summarizer, **{name: None}),
            f"{{path}}: header has no {name!r}") for name in ("kind", "hyper", "seed", "step")],
@@ -528,6 +549,10 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
         (gen, '{"drop_fullstop_prob": 2.0}', "drop_fullstop_prob must be in [0, 1]"),
         (gen, '{"marker_prob": -1.0}', "marker_prob must be in [0, 1]"),
         (gen, '{"inject_newline_prob": NaN}', "inject_newline_prob must be in [0, 1]"),
+        # a value the settings dataclass refuses names the file and section
+        (gen, '{"drop_fullstop_prob": 2.0}', "{path}: drop_fullstop_prob must be in [0, 1]"),
+        (run, '{"segmenter": {"hidden": 0}}',
+         "{path}: 'segmenter': SegmenterConfig: 'hidden' must be >= 1, got 0"),
         (train, _label_line(sentence_index="0"), bad_index),
         (train, _label_line(unit_index=0.5), bad_index),
         (train, _label_line(case_id=3), "{path}:1: case_id"),
@@ -630,12 +655,12 @@ def test_damaged_checkpoint_is_data_error(synth_dir, tmp_path, capsys, monkeypat
 
 
 def _benchmark_tracer():
-    """perfbench/tracer.py's Tracer, loaded from the checkout."""
+    """perfbench/tracer.py, loaded from the checkout."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Tracer()
+    return module
 
 
 def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
@@ -660,7 +685,15 @@ def test_benchmark_tracer_wraps_live_names(synth_dir, tmp_path):
         "--patterns", str(synth_dir / "patterns.json"),
         "--method", "rules",
     ]
-    tracer = _benchmark_tracer()
+    tracer_module = _benchmark_tracer()
+    # Marks skips a time mark whose function is gone, which would coarsen
+    # the benchmark's pieces without an error, so each must resolve here
+    for module_name, attr in tracer_module.Marks.CUTS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module_name, attr)
+    tracer = tracer_module.Tracer()
     tracer.install()
     try:
         assert main(["make-oracle", *common, "--kind", "SEGMENT",

@@ -3,13 +3,13 @@ import pytest
 
 from gransum.oracle import make_oracle_labels
 from gransum.rouge import rouge_n
-from gransum.spans import TextSpan, Unit, UnitKind
+from gransum.spans import Unit, UnitKind
 
 
 def entry(si, ui, tokens, length=None):
     length = length if length is not None else len("".join(tokens))
     return Unit(
-        si, ui, UnitKind.SEGMENT, TextSpan(0, max(1, length)), 0, len(tokens),
+        si, ui, UnitKind.SEGMENT, 0, max(1, length), 0, len(tokens),
         tuple(tokens), length,
     )
 

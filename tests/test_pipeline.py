@@ -11,10 +11,12 @@ from gransum.corpus import Corpus, SyntheticSpec, generate_synthetic
 from gransum.pipeline import (
     REPORT_VERSION,
     PipelineConfig,
+    build_document,
     build_views,
     rouge_eval_texts,
     run_experiment,
     split_indices,
+    split_views,
     surface_sentences,
 )
 from gransum.segmenter import PointerSegmenter, SegmenterConfig
@@ -236,10 +238,32 @@ def test_hooks_never_change_surfaces(seed):
     markers = 0
     for case in corpus.cases:
         for text in (case.record_text, case.summary_text):
-            assert surface_sentences(text, corpus.hooks) == surface_sentences(text)
+            hooked = tuple(
+                tuple(t.surface for t in tokenize(s.text, corpus.hooks))
+                for s in split_sentences(text)
+            )
+            assert hooked == surface_sentences(text)
             markers += sum(
                 t.tag is Tag.MARKER
                 for s in split_sentences(text)
                 for t in tokenize(s.text, corpus.hooks)
             )
     assert markers > 0
+
+
+def test_every_kind_shares_the_view_surfaces():
+    """Each kind's document holds the view's own surface tuples, and its
+    units slice them by their token and character bounds."""
+    corpus = generate_synthetic(SyntheticSpec(case_count=3, seed=4))
+    views = build_views(corpus.cases, corpus.hooks)
+    view = views[0]
+    for kind, method in ((UnitKind.SENTENCE, "whole"), (UnitKind.SEGMENT, "rules"),
+                         (UnitKind.CLAUSE, "clauses")):
+        doc = build_document(view, kind, split_views(views, method, corpus)[0])
+        assert doc.sentences is view.surfaces
+        assert doc.reference_sentences is view.reference_sentences
+        for unit, text in zip(doc.units, doc.unit_texts):
+            assert not hasattr(unit, "span")
+            sentence = view.sentences[unit.sentence_index].text
+            assert text == sentence[unit.char_start:unit.char_end]
+            assert unit.tokens == view.surfaces[unit.sentence_index][unit.token_start:unit.token_end]

@@ -16,7 +16,7 @@ from gransum.pipeline import (
     with_oracle_labels,
 )
 from gransum import summarizer
-from gransum.spans import TextSpan, Unit, UnitKind, budget_length, budget_select
+from gransum.spans import Unit, UnitKind, budget_length, budget_select
 from gransum.summarizer import (
     DocumentExample,
     Summarizer,
@@ -40,7 +40,7 @@ SENTENCES = (("wa", "bo", ",", "ke"), ("lu", "mi", "。"))
 
 
 def unit(si, ui, ts, te, length, kind=UnitKind.SEGMENT):
-    return Unit(si, ui, kind, TextSpan(0, 4), ts, te, SENTENCES[si][ts:te], length)
+    return Unit(si, ui, kind, 0, 4, ts, te, SENTENCES[si][ts:te], length)
 
 
 def toy_doc(kind=UnitKind.SEGMENT, labels=(1, 0, 1)):

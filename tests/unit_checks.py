@@ -17,14 +17,17 @@ def check_tiling(units: list[Unit], sentence_length: int) -> None:
     """Assert that units tile [0, sentence_length) contiguously."""
     if not units:
         raise ValueError("no units for sentence")
-    if units[0].span.start != 0:
+    if units[0].char_start != 0:
         raise ValueError("first unit does not start at 0")
+    for unit in units:
+        if unit.char_start >= unit.char_end:
+            raise ValueError(f"empty unit [{unit.char_start}, {unit.char_end})")
     for prev, cur in zip(units, units[1:]):
-        if cur.span.start != prev.span.end:
+        if cur.char_start != prev.char_end:
             raise ValueError(
-                f"gap/overlap between units at {prev.span.end} vs {cur.span.start}"
+                f"gap/overlap between units at {prev.char_end} vs {cur.char_start}"
             )
-    if units[-1].span.end != sentence_length:
+    if units[-1].char_end != sentence_length:
         raise ValueError("last unit does not reach sentence end")
 
 

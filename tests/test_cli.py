@@ -377,14 +377,20 @@ def _nan_checkpoint_bytes(tmp_path, model, name):
     return path.read_bytes()
 
 
+def _checkpoint_header(data):
+    """The JSON header of checkpoint bytes and the offset of its payload."""
+    start = len(MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[len(MAGIC):start])
+    return json.loads(data[start:start + length]), start + length
+
+
 def _flipped_checkpoint_bytes(tmp_path, model, name):
     """A saved checkpoint of model with the lowest bit of tensor name's
     first payload byte flipped: every value stays finite."""
     data = bytearray(_checkpoint_bytes(tmp_path, model))
-    start = len(MAGIC) + 8
-    (length,) = struct.unpack("<Q", data[len(MAGIC):start])
-    [entry] = [e for e in json.loads(data[start:start + length])["tensors"] if e["name"] == name]
-    data[start + length + entry["offset"]] ^= 1
+    header, payload = _checkpoint_header(data)
+    [entry] = [e for e in header["tensors"] if e["name"] == name]
+    data[payload + entry["offset"]] ^= 1
     return bytes(data)
 
 
@@ -392,16 +398,14 @@ def _checkpoint_header_bytes(tmp_path, model, **fields):
     """A saved checkpoint of model with header fields replaced; a field
     given as None is removed."""
     data = _checkpoint_bytes(tmp_path, model)
-    start = len(MAGIC) + 8
-    (length,) = struct.unpack("<Q", data[len(MAGIC):start])
-    header = json.loads(data[start:start + length])
+    header, payload = _checkpoint_header(data)
     for name, value in fields.items():
         if value is None:
             del header[name]
         else:
             header[name] = value
     raw = json.dumps(header).encode("utf-8")
-    return MAGIC + struct.pack("<Q", len(raw)) + raw + data[start + length:]
+    return MAGIC + struct.pack("<Q", len(raw)) + raw + data[payload:]
 
 
 def _label_line(**fields):
